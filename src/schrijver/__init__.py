@@ -23,6 +23,7 @@ from .certificates import (
     certificate_from_json,
     certificate_to_json,
     check_certificate_data,
+    parse_certificate,
     verify_certificate,
 )
 from .closedform import (
@@ -48,6 +49,7 @@ from .cyclic import (
     reflect,
     rotate,
     stable_count,
+    stable_masks,
     stable_set,
 )
 from .errors import (
@@ -58,14 +60,7 @@ from .errors import (
     RegimeError,
     SchrijverError,
 )
-from .graph import (
-    DistanceRecord,
-    SchrijverGraph,
-    adjacent,
-    bfs_distance,
-    diameter_bruteforce,
-    eccentricity,
-)
+from .graph import DistanceRecord, SchrijverGraph, adjacent
 from .lift import (
     LiftStep,
     LiftTrace,

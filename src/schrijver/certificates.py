@@ -9,6 +9,7 @@ that construct certificates.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,15 +128,36 @@ def certificate_to_json(cert: PathCertificate) -> dict:
     }
 
 
-def certificate_from_json(data: dict) -> PathCertificate:
-    try:
-        params = CycleParams(int(data["n"]), int(data["k"]))
-        bound = int(data["claimed_bound"])
-        texts = list(data["vertices"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParameterError(f"malformed certificate payload: {exc}") from None
-    vertices = []
+_SET_TEXT = re.compile(r"[0-9]+(?:,[0-9]+)*")
+
+
+def parse_certificate(data: object) -> tuple[int, int, int, list[tuple[int, ...]]]:
+    """Raw `(n, k, claimed_bound, member_seqs)` of a certificate payload.
+
+    Checks only the shape: integer fields and a list of `1,3,6,8` strings.
+    Whether the path is valid is left to `check_certificate_data`.
+    """
+    if not isinstance(data, dict):
+        raise ParameterError("malformed certificate payload: not a JSON object")
+    fields = []
+    for key in ("n", "k", "claimed_bound"):
+        value = data.get(key)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParameterError(
+                f"malformed certificate payload: {key}={value!r} is not an integer"
+            )
+        fields.append(value)
+    texts = data.get("vertices")
+    if not isinstance(texts, list):
+        raise ParameterError("malformed certificate payload: vertices must be a list")
     for text in texts:
-        members = tuple(int(x) for x in str(text).split(","))
-        vertices.append(stable_set(members, params))
-    return PathCertificate(tuple(vertices), bound)
+        if not isinstance(text, str) or not _SET_TEXT.fullmatch(text):
+            raise ParameterError(f"malformed certificate payload: bad vertex {text!r}")
+    n, k, bound = fields
+    return n, k, bound, [tuple(int(x) for x in text.split(",")) for text in texts]
+
+
+def certificate_from_json(data: dict) -> PathCertificate:
+    n, k, bound, seqs = parse_certificate(data)
+    params = CycleParams(n, k)
+    return PathCertificate(tuple(stable_set(seq, params) for seq in seqs), bound)

@@ -18,6 +18,7 @@ from .certificates import (
     PathCertificate,
     certificate_to_json,
     check_certificate_data,
+    parse_certificate,
     verify_certificate,
 )
 from .closedform import diameter_formula, witness_dist3, witness_lower4
@@ -243,15 +244,9 @@ def cmd_verify_path(args) -> str:
             raw = fh.read()
     try:
         data = json.loads(raw)
-        n = int(data["n"])
-        k = int(data["k"])
-        bound = int(data["claimed_bound"])
-        seqs = [
-            tuple(int(x) for x in str(text).split(","))
-            for text in data["vertices"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParameterError(f"malformed certificate payload: {exc}") from None
+    n, k, bound, seqs = parse_certificate(data)
     problems = check_certificate_data(n, k, seqs, bound)
     if problems:
         raise CertificateError("; ".join(problems))

@@ -12,9 +12,12 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import ParameterError
 
-# Single-word bitmask cap; the largest case exercised anywhere is n=26.
+# Single-word bitmask cap; graphs are searched up to n=26 and vertex
+# counts are checked up to the cap itself.
 MAX_N = 64
 
 
@@ -35,7 +38,8 @@ class CycleParams:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not isinstance(self.k, int):
+        # exact type: bool is an int subclass, and True must not pass as 1
+        if type(self.n) is not int or type(self.k) is not int:
             raise ParameterError(f"n and k must be integers, got n={self.n!r}, k={self.k!r}")
         if self.k < 1:
             raise ParameterError(f"k must be >= 1, got k={self.k}")
@@ -153,27 +157,43 @@ def stable_count(params: CycleParams) -> int:
     return n * comb(n - k, k) // (n - k)
 
 
+_ONE, _TWO = np.uint64(1), np.uint64(2)
+
+
+def _path_masks(length: int, size: int, memo: dict) -> np.ndarray:
+    """Masks of the size-subsets of the path 1..length with no two
+    consecutive elements, lexicographic: those holding 1 come first (1 plus
+    a subset of 3..length), then the subsets of 2..length.
+    """
+    key = (length, size)
+    if key not in memo:
+        if size == 0:
+            memo[key] = np.zeros(1, dtype=np.uint64)
+        elif length < 2 * size - 1:
+            memo[key] = np.zeros(0, dtype=np.uint64)
+        else:
+            with_one = (_path_masks(length - 2, size - 1, memo) << _TWO) | _ONE
+            without = _path_masks(length - 1, size, memo) << _ONE
+            memo[key] = np.concatenate((with_one, without))
+    return memo[key]
+
+
+def stable_masks(params: CycleParams) -> np.ndarray:
+    """Vertex masks of SG(n,k) as uint64, lexicographic on the member sequence.
+
+    Sets holding 1 are 1 plus a path subset of 3..n-1; all others are path
+    subsets of 2..n.
+    """
+    n, k = params.n, params.k
+    memo: dict = {}
+    with_one = (_path_masks(n - 3, k - 1, memo) << _TWO) | _ONE
+    without = _path_masks(n - 1, k, memo) << _ONE
+    return np.concatenate((with_one, without))
+
+
 def enumerate_stable_sets(params: CycleParams) -> list[StableSet]:
     """All vertices of SG(n,k), lexicographic on the member sequence."""
-    n, k = params.n, params.k
-    out: list[StableSet] = []
-    prefix: list[int] = []
-
-    def extend(mask: int, start: int) -> None:
-        i = len(prefix)
-        if i == k:
-            out.append(StableSet(params, mask))
-            return
-        # Leave room for the remaining elements (gap >= 2 each); when the
-        # prefix starts at 1 the last element must stay below n.
-        hi = n - 2 * (k - i - 1) - (1 if prefix and prefix[0] == 1 else 0)
-        for v in range(start, hi + 1):
-            prefix.append(v)
-            extend(mask | (1 << (v - 1)), v + 2)
-            prefix.pop()
-
-    extend(0, 1)
-    return out
+    return [StableSet(params, m) for m in stable_masks(params).tolist()]
 
 
 def rotate(s: StableSet, shift: int) -> StableSet:

@@ -1,15 +1,16 @@
 """SG(n,k) as an explicit graph: the exact oracle for every constructive claim.
 
-Vertices are bitmasks; adjacency is mask disjointness, tested on the fly
-against the whole vertex array (no adjacency lists are stored).  BFS
-advances a frontier with chunked mask broadcasts, dropping candidates from
-the unvisited pool as soon as they are hit, so dense levels cost far less
-than |frontier| x |V|.
+The graph holds only the uint64 vertex masks; `StableSet` objects are built
+on demand.  Adjacency is mask disjointness, tested on the fly against the
+whole mask array (no adjacency lists are stored).  BFS advances a frontier
+with chunked mask broadcasts, dropping candidates from the unvisited pool as
+soon as they are hit, so dense levels cost far less than |frontier| x |V|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,68 +18,16 @@ from .closedform import DiameterResult
 from .cyclic import (
     CycleParams,
     StableSet,
-    enumerate_stable_sets,
     mask_of,
     members_of,
     rol_mask,
+    stable_masks,
 )
 from .errors import InvariantError, ParameterError
 
 # Frontier masks broadcast per scan; 64 keeps each outer product around
 # |V| x 64 x 8B, i.e. ~35 MB for the largest acceptance graph.
 _CHUNK = 64
-
-# Candidates hit early in a BFS level exit after a few mask ANDs; only a
-# compiled loop gets that short-circuit, so large graphs use the numba
-# kernel and small ones (where JIT overhead dominates) the numpy scan.
-_KERNEL_MIN_VERTICES = 3000
-
-try:  # optional acceleration; the numpy path computes the same levels
-    from numba import njit as _njit
-
-    @_njit(cache=True, nogil=True)
-    def _bfs_kernel(masks, src):  # pragma: no cover - exercised via wrapper
-        total = masks.size
-        dist = np.full(total, -1, dtype=np.int8)
-        dist[src] = 0
-        frontier = np.empty(1, dtype=np.int64)
-        frontier[0] = src
-        unvisited = np.empty(total - 1, dtype=np.int64)
-        usize = 0
-        for i in range(total):
-            if i != src:
-                unvisited[usize] = i
-                usize += 1
-        level = 0
-        while frontier.size > 0 and usize > 0:
-            level += 1
-            fmasks = np.empty(frontier.size, dtype=np.uint64)
-            for fi in range(frontier.size):
-                fmasks[fi] = masks[frontier[fi]]
-            new_frontier = np.empty(usize, dtype=np.int64)
-            nf = 0
-            keep = 0
-            for ui in range(usize):
-                u = unvisited[ui]
-                um = masks[u]
-                hit = False
-                for fi in range(fmasks.size):
-                    if (fmasks[fi] & um) == np.uint64(0):
-                        hit = True
-                        break
-                if hit:
-                    dist[u] = level
-                    new_frontier[nf] = u
-                    nf += 1
-                else:
-                    unvisited[keep] = u
-                    keep += 1
-            usize = keep
-            frontier = new_frontier[:nf]
-        return dist
-
-except ImportError:  # pragma: no cover
-    _bfs_kernel = None
 
 
 @dataclass(frozen=True)
@@ -98,34 +47,43 @@ def adjacent(a: StableSet, b: StableSet) -> bool:
 
 
 class SchrijverGraph:
-    """Vertex universe of SG(n,k) with an index and mask array."""
+    """Vertex masks of SG(n,k), lexicographic; vertex objects on demand."""
 
     def __init__(self, params: CycleParams):
         self.params = params
-        self.vertices: list[StableSet] = enumerate_stable_sets(params)
-        self.index: dict[int, int] = {s.mask: i for i, s in enumerate(self.vertices)}
-        self._masks = np.array([s.mask for s in self.vertices], dtype=np.uint64)
+        self._masks = stable_masks(params)
 
     @classmethod
     def of(cls, n: int, k: int) -> "SchrijverGraph":
         return cls(CycleParams(n, k))
 
+    @cached_property
+    def vertices(self) -> list[StableSet]:
+        return [StableSet(self.params, m) for m in self._masks.tolist()]
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {m: i for i, m in enumerate(self._masks.tolist())}
+
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self._masks)
+
+    def _vertex(self, i: int) -> StableSet:
+        return StableSet(self.params, int(self._masks[i]))
 
     def vertex_index(self, s: StableSet) -> int:
         if s.params != self.params:
             raise ParameterError("vertex parameters do not match this graph")
-        try:
-            return self.index[s.mask]
-        except KeyError:
-            raise ParameterError(f"{s} is not a vertex of SG{self.params}") from None
+        hit = np.flatnonzero(self._masks == np.uint64(s.mask))
+        if not hit.size:
+            raise ParameterError(f"{s} is not a vertex of SG{self.params}")
+        return int(hit[0])
 
     def neighbor_indices(self, s: StableSet) -> np.ndarray:
         return np.flatnonzero((self._masks & np.uint64(s.mask)) == 0)
 
     def neighbors(self, s: StableSet) -> list[StableSet]:
-        return [self.vertices[int(i)] for i in self.neighbor_indices(s)]
+        return [self._vertex(i) for i in self.neighbor_indices(s)]
 
     def degree(self, s: StableSet) -> int:
         return int(self.neighbor_indices(s).size)
@@ -149,56 +107,35 @@ class SchrijverGraph:
                     break
         return hit
 
-    def distances_from(self, source: int | StableSet) -> np.ndarray:
-        """Exact BFS distances from one vertex; -1 where unreachable."""
-        src = source if isinstance(source, int) else self.vertex_index(source)
-        if _bfs_kernel is not None and len(self.vertices) >= _KERNEL_MIN_VERTICES:
-            return _bfs_kernel(self._masks, src)
-        return self._distances_numpy(src)
-
-    def _distances_numpy(self, src: int) -> np.ndarray:
-        dist = np.full(len(self.vertices), -1, dtype=np.int8)
+    def _bfs(self, src: int, target: int | None = None) -> np.ndarray:
+        """BFS levels from src, -1 where not reached; stops once target is reached."""
+        masks = self._masks
+        dist = np.full(masks.size, -1, dtype=np.int8)
         dist[src] = 0
-        frontier = self._masks[np.array([src])]
+        frontier = masks[src : src + 1]
         unvisited = np.flatnonzero(dist < 0)
         level = 0
-        while unvisited.size:
+        while unvisited.size and (target is None or dist[target] < 0):
             level += 1
-            hit = self._advance(frontier, self._masks[unvisited])
+            hit = self._advance(frontier, masks[unvisited])
             if not hit.any():
                 break
             new = unvisited[hit]
             dist[new] = level
-            frontier = self._masks[new]
+            frontier = masks[new]
             unvisited = unvisited[~hit]
         return dist
+
+    def distances_from(self, source: int | StableSet) -> np.ndarray:
+        """Exact BFS distances from one vertex; -1 where unreachable."""
+        return self._bfs(source if isinstance(source, int) else self.vertex_index(source))
 
     # -- distance, eccentricity, diameter ------------------------------------
 
     def bfs_distance(self, a: StableSet, b: StableSet) -> DistanceRecord:
-        ia, ib = self.vertex_index(a), self.vertex_index(b)
-        if ia == ib:
-            return DistanceRecord(a, b, 0)
-        if _bfs_kernel is not None and len(self.vertices) >= _KERNEL_MIN_VERTICES:
-            d = int(_bfs_kernel(self._masks, ia)[ib])
-            return DistanceRecord(a, b, None if d < 0 else d)
-        dist = np.full(len(self.vertices), -1, dtype=np.int8)
-        dist[ia] = 0
-        frontier = self._masks[np.array([ia])]
-        unvisited = np.flatnonzero(dist < 0)
-        level = 0
-        while unvisited.size:
-            level += 1
-            hit = self._advance(frontier, self._masks[unvisited])
-            if not hit.any():
-                return DistanceRecord(a, b, None)
-            new = unvisited[hit]
-            if (new == ib).any():
-                return DistanceRecord(a, b, level)
-            dist[new] = level
-            frontier = self._masks[new]
-            unvisited = unvisited[~hit]
-        return DistanceRecord(a, b, None)
+        ib = self.vertex_index(b)
+        d = int(self._bfs(self.vertex_index(a), target=ib)[ib])
+        return DistanceRecord(a, b, None if d < 0 else d)
 
     def eccentricity(self, source: int | StableSet) -> int | None:
         """Max distance from source; None when some vertex is unreachable."""
@@ -214,18 +151,17 @@ class SchrijverGraph:
         is exactly its canonical form.
         """
         n = self.params.n
-        covered = bytearray(len(self.vertices))
+        index = self.index
+        covered = bytearray(len(self))
         reps: list[int] = []
-        for i, s in enumerate(self.vertices):
+        for i, mask in enumerate(self._masks.tolist()):
             if covered[i]:
                 continue
             reps.append(i)
-            refl = mask_of(
-                (n - m + 2 - 1) % n + 1 for m in members_of(int(self._masks[i]))
-            )
-            for base in (int(self._masks[i]), refl):
+            refl = mask_of((n - m + 2 - 1) % n + 1 for m in members_of(mask))
+            for base in (mask, refl):
                 for shift in range(n):
-                    covered[self.index[rol_mask(base, shift, n)]] = 1
+                    covered[index[rol_mask(base, shift, n)]] = 1
         return reps
 
     def diameter_bruteforce(self, orbit_reduction: bool = True) -> DiameterResult:
@@ -235,12 +171,12 @@ class SchrijverGraph:
         dihedral orbit suffices; a flag disables the reduction for
         validation runs.
         """
-        if not self.vertices:
+        if not len(self):
             raise ParameterError(f"SG({self.params.n},{self.params.k}) has no vertices")
         sources = (
             self.orbit_representatives()
             if orbit_reduction
-            else range(len(self.vertices))
+            else range(len(self))
         )
         best = -1
         witness = (0, 0)
@@ -260,12 +196,12 @@ class SchrijverGraph:
             best,
             best,
             "bfs",
-            witness=(self.vertices[witness[0]], self.vertices[witness[1]]),
+            witness=(self._vertex(witness[0]), self._vertex(witness[1])),
         )
 
     def all_distances(self) -> np.ndarray:
         """Full distance matrix (int8, -1 unreachable); small graphs only."""
-        count = len(self.vertices)
+        count = len(self)
         if count > 6000:
             raise ParameterError(
                 f"refusing an all-pairs matrix for {count} vertices"
@@ -274,15 +210,3 @@ class SchrijverGraph:
         for i in range(count):
             out[i] = self.distances_from(i)
         return out
-
-
-def bfs_distance(g: SchrijverGraph, a: StableSet, b: StableSet) -> DistanceRecord:
-    return g.bfs_distance(a, b)
-
-
-def eccentricity(g: SchrijverGraph, source: StableSet) -> int | None:
-    return g.eccentricity(source)
-
-
-def diameter_bruteforce(g: SchrijverGraph, orbit_reduction: bool = True) -> DiameterResult:
-    return g.diameter_bruteforce(orbit_reduction)

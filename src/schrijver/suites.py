@@ -36,7 +36,7 @@ from .closedform import (
     sg2k2_model,
     sg2k2_vertex,
 )
-from .cyclic import CycleParams, stable_count
+from .cyclic import CycleParams
 from .errors import CertificateError, SchrijverError
 from .graph import SchrijverGraph
 from .lift import bound_path_m_plus_3
@@ -420,8 +420,3 @@ def scan_rows(k_max: int, jobs: int = 1) -> list[dict]:
                 }
             )
     return rows
-
-
-def count_check(n: int, k: int) -> tuple[int, int]:
-    """(enumerated count, closed-form count) for SG(n,k)."""
-    return len(get_graph(n, k)), stable_count(CycleParams(n, k))

@@ -24,3 +24,13 @@ def intersecting_pairs(g: SchrijverGraph):
         for j in range(i + 1, total):
             if mi & verts[j].mask:
                 yield i, j
+
+
+# Certificate payloads with a malformed shape: a non-numeric element, a
+# string where the vertex list belongs (once read one character at a time),
+# and a JSON boolean as k.
+MALFORMED_PAYLOADS = [
+    {"n": 10, "k": 3, "claimed_bound": 0, "vertices": ["1,3,x"]},
+    {"n": 9, "k": 1, "claimed_bound": 1, "vertices": "13"},
+    {"n": 9, "k": True, "claimed_bound": 1, "vertices": ["1", "3"]},
+]

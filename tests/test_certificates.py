@@ -2,9 +2,11 @@
 
 import pytest
 
+from conftest import MALFORMED_PAYLOADS
 from schrijver import (
     CertificateError,
     CycleParams,
+    ParameterError,
     PathCertificate,
     certificate_from_json,
     certificate_to_json,
@@ -60,3 +62,9 @@ def test_json_roundtrip():
     assert data["vertices"] == ["1,3,5,7", "2,4,6,8"]
     back = certificate_from_json(data)
     assert back == cert
+
+
+@pytest.mark.parametrize("payload", MALFORMED_PAYLOADS)
+def test_from_json_rejects_malformed_payload(payload):
+    with pytest.raises(ParameterError):
+        certificate_from_json(payload)

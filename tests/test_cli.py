@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import MALFORMED_PAYLOADS
+from schrijver import SchrijverGraph, cli
 from schrijver.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "table_k5.csv"
@@ -91,6 +93,23 @@ def test_distance_trace_through_lift(capsys):
     assert levels[0]["n"] == 12
 
 
+def test_distance_builds_no_vertex_list(capsys, monkeypatch):
+    built = []
+
+    class Recorded(SchrijverGraph):
+        def __init__(self, params):
+            super().__init__(params)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "SchrijverGraph", Recorded)
+    code, _ = run(
+        capsys, "distance", "--n", "12", "--k", "5",
+        "--a", "1,3,5,7,10", "--b", "1,3,6,8,11", "--explain",
+    )
+    assert code == 0 and len(built) == 1
+    assert "vertices" not in built[0].__dict__
+
+
 def test_distance_rejects_bad_set_text(capsys):
     code, _ = run(capsys, "distance", "--n", "10", "--k", "4", "--a", "3,1,5,7", "--b", "1,3,6,8")
     assert code == 3
@@ -160,6 +179,14 @@ def test_verify_path_roundtrip(capsys, tmp_path):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{}")
     code, _ = run(capsys, "verify-path", "--file", str(malformed))
+    assert code == 3
+
+
+@pytest.mark.parametrize("payload", MALFORMED_PAYLOADS)
+def test_verify_path_rejects_malformed_payload(capsys, tmp_path, payload):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    code, _ = run(capsys, "verify-path", "--file", str(path))
     assert code == 3
 
 

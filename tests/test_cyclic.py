@@ -3,6 +3,7 @@
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from schrijver import (
@@ -16,8 +17,10 @@ from schrijver import (
     reflect,
     rotate,
     stable_count,
+    stable_masks,
     stable_set,
 )
+from schrijver.cyclic import mask_of
 
 
 def brute_force_stable(n: int, k: int) -> list[tuple[int, ...]]:
@@ -53,6 +56,10 @@ def test_params_validation():
         CycleParams(10, 0)
     with pytest.raises(ParameterError):
         CycleParams(1, 1)
+    with pytest.raises(ParameterError):
+        CycleParams(9, True)
+    with pytest.raises(ParameterError):
+        CycleParams(True, True)
     assert CycleParams(12, 5).r == 2
 
 
@@ -85,6 +92,22 @@ def test_enumeration_is_lexicographic():
     mems = [v.members for v in vs]
     assert mems == sorted(mems)
     assert len(set(mems)) == len(mems)
+
+
+def test_stable_masks_match_brute_force():
+    for n in range(2, 19):
+        for k in range(1, n // 2 + 3):  # runs past n = 2k into empty graphs
+            masks = stable_masks(CycleParams(n, k))
+            assert masks.dtype == np.uint64
+            expect = [mask_of(c) for c in sorted(brute_force_stable(n, k))]
+            assert masks.tolist() == expect
+
+
+def test_stable_masks_count_to_word_cap():
+    for k in range(1, 4):
+        for n in range(2, 65):
+            params = CycleParams(n, k)
+            assert len(stable_masks(params)) == stable_count(params)
 
 
 def test_count_formula_against_brute_force():

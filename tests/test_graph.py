@@ -7,6 +7,7 @@ from conftest import distance_matrix, graph, intersecting_pairs
 from schrijver import (
     CycleParams,
     ParameterError,
+    SchrijverGraph,
     adjacent,
     canonical_form,
     rotate,
@@ -144,3 +145,23 @@ def test_connectedness_small():
     for n, k in ((7, 3), (9, 4), (10, 4), (12, 5), (13, 5)):
         g = graph(n, k)
         assert (distance_matrix(n, k) >= 0).all()
+
+
+def test_graph_work_builds_no_vertex_list():
+    g = SchrijverGraph(CycleParams(10, 4))
+    a = stable_set([1, 3, 5, 7], g.params)
+    b = stable_set([1, 3, 6, 8], g.params)
+    assert g.bfs_distance(a, b).distance == 3
+    g.distances_from(a)
+    g.orbit_representatives()
+    assert g.diameter_bruteforce().witness is not None
+    g.all_distances()
+    assert "vertices" not in g.__dict__
+
+
+def test_pair_distance_stops_at_target_level():
+    g = graph(13, 5)
+    a = g.vertices[0]
+    ia, ib = 0, g.vertex_index(g.neighbors(a)[0])
+    dist = g._bfs(ia, target=ib)
+    assert dist[ib] == 1 and dist.max() == 1 and (dist < 0).any()

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cyclic import CycleParams, StableSet, stable_set
+from .cyclic import MAX_N, CycleParams, StableSet, stable_set
 from .errors import CertificateError, ParameterError
 
 
@@ -134,8 +134,8 @@ _SET_TEXT = re.compile(r"[0-9]+(?:,[0-9]+)*")
 def parse_certificate(data: object) -> tuple[int, int, int, list[tuple[int, ...]]]:
     """Raw `(n, k, claimed_bound, member_seqs)` of a certificate payload.
 
-    Checks only the shape: integer fields and a list of `1,3,6,8` strings.
-    Whether the path is valid is left to `check_certificate_data`.
+    Checks only the shape: integer fields, n within the library's cap
+    `MAX_N`, and a list of `1,3,6,8` strings.  Whether the path is valid is left to `check_certificate_data`.
     """
     if not isinstance(data, dict):
         raise ParameterError("malformed certificate payload: not a JSON object")
@@ -154,6 +154,10 @@ def parse_certificate(data: object) -> tuple[int, int, int, list[tuple[int, ...]
         if not isinstance(text, str) or not _SET_TEXT.fullmatch(text):
             raise ParameterError(f"malformed certificate payload: bad vertex {text!r}")
     n, k, bound = fields
+    if n > MAX_N:
+        raise ParameterError(
+            f"malformed certificate payload: n={n} exceeds the single-word cap n <= {MAX_N}"
+        )
     return n, k, bound, [tuple(int(x) for x in text.split(",")) for text in texts]
 
 

@@ -9,7 +9,6 @@ certificate, 3 regime or parameter error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -209,17 +208,16 @@ def cmd_diameter(args) -> str:
     return f"[{result.lo}..{result.hi}]\n"
 
 
+def _csv(schema: str, columns: str, rows: list[dict]) -> str:
+    """Schema comment, header, then one line per row in column order."""
+    names = columns.split(",")
+    lines = [schema, columns] + [",".join(str(row[c]) for c in names) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_table(args) -> str:
     rows = table_rows(args.k_max, jobs=args.jobs)
-    buf = io.StringIO()
-    buf.write(TABLE_SCHEMA + "\n")
-    buf.write("n,k,r,formula_lo,formula_hi,bfs,agree\n")
-    for row in rows:
-        buf.write(
-            f"{row['n']},{row['k']},{row['r']},{row['formula_lo']},"
-            f"{row['formula_hi']},{row['bfs']},{row['agree']}\n"
-        )
-    return buf.getvalue()
+    return _csv(TABLE_SCHEMA, "n,k,r,formula_lo,formula_hi,bfs,agree", rows)
 
 
 def cmd_witness(args) -> str:
@@ -266,15 +264,7 @@ def cmd_verify(args) -> str:
 
 def cmd_scan(args) -> str:
     rows = scan_rows(args.k_max, jobs=args.jobs)
-    buf = io.StringIO()
-    buf.write(SCAN_SCHEMA + "\n")
-    buf.write("k,r,n,diameter,next_diameter,gap\n")
-    for row in rows:
-        buf.write(
-            f"{row['k']},{row['r']},{row['n']},{row['diameter']},"
-            f"{row['next_diameter']},{row['gap']}\n"
-        )
-    return buf.getvalue()
+    return _csv(SCAN_SCHEMA, "k,r,n,diameter,next_diameter,gap", rows)
 
 
 _COMMANDS = {

@@ -20,6 +20,13 @@ from .errors import ParameterError
 # counts are checked up to the cap itself.
 MAX_N = 64
 
+# Vertex-count cap for enumeration.  Building the masks of SG(64,5)
+# (5 430 656 vertices, 43 MB as uint64) peaks near 590 MB RSS, because the
+# memoised path segments are held alongside the result; 8 million vertices
+# keeps that under about 1 GB.  SG(64,10) has 28 362 326 720 vertices and
+# would exhaust memory instead of failing.
+MAX_VERTICES = 8_000_000
+
 
 def wrap(x: int, n: int) -> int:
     """Reduce x into 1..n (0 and n coincide)."""
@@ -184,6 +191,12 @@ def stable_masks(params: CycleParams) -> np.ndarray:
     Sets holding 1 are 1 plus a path subset of 3..n-1; all others are path
     subsets of 2..n.
     """
+    count = stable_count(params)
+    if count > MAX_VERTICES:
+        raise ParameterError(
+            f"SG({params.n},{params.k}) has {count} vertices, "
+            f"more than the enumeration cap of {MAX_VERTICES}"
+        )
     n, k = params.n, params.k
     memo: dict = {}
     with_one = (_path_masks(n - 3, k - 1, memo) << _TWO) | _ONE

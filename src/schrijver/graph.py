@@ -46,16 +46,54 @@ def adjacent(a: StableSet, b: StableSet) -> bool:
     return not a.mask & b.mask
 
 
+def _advance(frontier_masks: np.ndarray, cand_masks: np.ndarray) -> np.ndarray:
+    """Boolean array over candidates: adjacent to some frontier vertex."""
+    hit = np.zeros(cand_masks.size, dtype=bool)
+    alive = np.arange(cand_masks.size)
+    live = cand_masks
+    for s in range(0, frontier_masks.size, _CHUNK):
+        chunk = frontier_masks[s : s + _CHUNK]
+        newly = ((live[:, None] & chunk[None, :]) == 0).any(axis=1)
+        if newly.any():
+            hit[alive[newly]] = True
+            keep = ~newly
+            alive = alive[keep]
+            live = live[keep]
+            if not alive.size:
+                break
+    return hit
+
+
+def bfs_levels(masks: np.ndarray, src: int, target: int | None = None) -> np.ndarray:
+    """BFS levels from src in the disjointness graph on `masks` (uint64).
+
+    -1 marks vertices not reached; the search stops once target is reached.
+    This is the package's one BFS engine: `SchrijverGraph` runs it on its
+    vertex masks, and induced subgraphs run it on a subset of them.
+    """
+    dist = np.full(masks.size, -1, dtype=np.int8)
+    dist[src] = 0
+    frontier = masks[src : src + 1]
+    unvisited = np.flatnonzero(dist < 0)
+    level = 0
+    while unvisited.size and (target is None or dist[target] < 0):
+        level += 1
+        hit = _advance(frontier, masks[unvisited])
+        if not hit.any():
+            break
+        new = unvisited[hit]
+        dist[new] = level
+        frontier = masks[new]
+        unvisited = unvisited[~hit]
+    return dist
+
+
 class SchrijverGraph:
     """Vertex masks of SG(n,k), lexicographic; vertex objects on demand."""
 
     def __init__(self, params: CycleParams):
         self.params = params
         self._masks = stable_masks(params)
-
-    @classmethod
-    def of(cls, n: int, k: int) -> "SchrijverGraph":
-        return cls(CycleParams(n, k))
 
     @cached_property
     def vertices(self) -> list[StableSet]:
@@ -88,53 +126,16 @@ class SchrijverGraph:
     def degree(self, s: StableSet) -> int:
         return int(self.neighbor_indices(s).size)
 
-    # -- BFS engine ---------------------------------------------------------
-
-    def _advance(self, frontier_masks: np.ndarray, cand_masks: np.ndarray) -> np.ndarray:
-        """Boolean array over candidates: adjacent to some frontier vertex."""
-        hit = np.zeros(cand_masks.size, dtype=bool)
-        alive = np.arange(cand_masks.size)
-        live = cand_masks
-        for s in range(0, frontier_masks.size, _CHUNK):
-            chunk = frontier_masks[s : s + _CHUNK]
-            newly = ((live[:, None] & chunk[None, :]) == 0).any(axis=1)
-            if newly.any():
-                hit[alive[newly]] = True
-                keep = ~newly
-                alive = alive[keep]
-                live = live[keep]
-                if not alive.size:
-                    break
-        return hit
-
-    def _bfs(self, src: int, target: int | None = None) -> np.ndarray:
-        """BFS levels from src, -1 where not reached; stops once target is reached."""
-        masks = self._masks
-        dist = np.full(masks.size, -1, dtype=np.int8)
-        dist[src] = 0
-        frontier = masks[src : src + 1]
-        unvisited = np.flatnonzero(dist < 0)
-        level = 0
-        while unvisited.size and (target is None or dist[target] < 0):
-            level += 1
-            hit = self._advance(frontier, masks[unvisited])
-            if not hit.any():
-                break
-            new = unvisited[hit]
-            dist[new] = level
-            frontier = masks[new]
-            unvisited = unvisited[~hit]
-        return dist
-
     def distances_from(self, source: int | StableSet) -> np.ndarray:
         """Exact BFS distances from one vertex; -1 where unreachable."""
-        return self._bfs(source if isinstance(source, int) else self.vertex_index(source))
+        src = source if isinstance(source, int) else self.vertex_index(source)
+        return bfs_levels(self._masks, src)
 
     # -- distance, eccentricity, diameter ------------------------------------
 
     def bfs_distance(self, a: StableSet, b: StableSet) -> DistanceRecord:
         ib = self.vertex_index(b)
-        d = int(self._bfs(self.vertex_index(a), target=ib)[ib])
+        d = int(bfs_levels(self._masks, self.vertex_index(a), target=ib)[ib])
         return DistanceRecord(a, b, None if d < 0 else d)
 
     def eccentricity(self, source: int | StableSet) -> int | None:

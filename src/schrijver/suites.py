@@ -1,19 +1,23 @@
-"""Verification sweeps and the table/scan engines behind the CLI.
+"""Invariant checks, the sweeps that run them, and the table/scan engines.
 
-The sweeps re-check the structural facts this package relies on (block
-classification, counting identities, certificate constructions, lift
-bookkeeping, the coordinate model) against the BFS oracle: exhaustively for
-k <= 5 on small ground sets, on seeded samples for k in {6, 7}.  The
-acceptance test suite runs the full spec ranges; these are the fast,
-CLI-facing versions of the same checks.
+This module is the single home of the checks of the structural facts the
+package relies on: the distance-2 criterion against BFS, the block and
+end-set identities, the star-pair and reduction contracts, the short-walk,
+length-3 and m+3 certificates, and the SG(2k+2,k) coordinate model.  Each
+check records into a `SuiteResult`.  `verify` runs them through `SUITES`
+(exhaustively for k <= 5 on small ground sets, on seeded samples for
+k >= 6); the acceptance tests run the same checks over the spec ranges.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
+
+import numpy as np
 
 from .blocks import (
     TYPE_I,
@@ -24,6 +28,7 @@ from .blocks import (
     TYPE_IVA,
     TYPE_IVB,
     TYPE_IVH,
+    Decomposition,
     component_counts,
     decompose,
     distance2_criterion,
@@ -36,9 +41,9 @@ from .closedform import (
     sg2k2_model,
     sg2k2_vertex,
 )
-from .cyclic import CycleParams
-from .errors import CertificateError, SchrijverError
-from .graph import SchrijverGraph
+from .cyclic import CycleParams, StableSet, is_2_stable
+from .errors import SchrijverError
+from .graph import SchrijverGraph, bfs_levels
 from .lift import bound_path_m_plus_3
 from .paths import (
     build_star_pair,
@@ -59,14 +64,18 @@ class SuiteResult:
     checked: int = 0
     failures: list[str] = field(default_factory=list)
     failure_count: int = 0
+    counts: Counter = field(default_factory=Counter)  # runs of each check, by name
 
     @property
     def ok(self) -> bool:
         return self.failure_count == 0
 
-    def fail(self, message: str) -> None:
+    def fail(self, message: str, a: StableSet | None = None, b: StableSet | None = None) -> None:
+        """Count one violation; store it, labelled with the pair if given."""
         self.failure_count += 1
         if len(self.failures) < _MAX_STORED_FAILURES:
+            if a is not None:
+                message = f"SG({a.params.n},{a.params.k}) {a} / {b}: {message}"
             self.failures.append(message)
 
     def summary(self) -> str:
@@ -75,165 +84,262 @@ class SuiteResult:
 
 
 @lru_cache(maxsize=None)
-def get_graph(n: int, k: int) -> SchrijverGraph:
+def graph(n: int, k: int) -> SchrijverGraph:
     return SchrijverGraph(CycleParams(n, k))
 
 
-_diameters: dict[tuple[int, int], int] = {}
+@lru_cache(maxsize=None)
+def distance_matrix(n: int, k: int) -> np.ndarray:
+    return graph(n, k).all_distances()
 
 
-def bfs_diameter(n: int, k: int) -> int:
-    """Memoized brute-force diameter (orbit reduced)."""
-    key = (n, k)
-    if key not in _diameters:
-        _diameters[key] = get_graph(n, k).diameter_bruteforce().value
-    return _diameters[key]
 
-
-def _intersecting_pairs(g: SchrijverGraph):
-    verts = g.vertices
-    for i, j in combinations(range(len(verts)), 2):
-        if verts[i].mask & verts[j].mask:
-            yield i, j
-
-
-def _sampled_pairs(g: SchrijverGraph, count: int, rng: random.Random):
-    verts = g.vertices
-    total = len(verts)
+def _sampled_pairs(masks: list[int], count: int, rng: random.Random):
+    """Up to `count` distinct intersecting index pairs i < j, in draw order."""
+    total = len(masks)
     seen = set()
     attempts = 0
     while len(seen) < count and attempts < 50 * count:
         attempts += 1
         i, j = rng.randrange(total), rng.randrange(total)
-        if i == j:
-            continue
         pair = (min(i, j), max(i, j))
-        if pair in seen:
-            continue
-        if verts[pair[0]].mask & verts[pair[1]].mask:
+        if i != j and pair not in seen and masks[i] & masks[j]:
             seen.add(pair)
             yield pair
 
 
-def _check_pair_blocks(g, dmat, i, j, res: SuiteResult) -> None:
-    a, b = g.vertices[i], g.vertices[j]
-    label = f"SG({g.params.n},{g.params.k}) {a} / {b}"
-    d = decompose(a, b)
-    res.checked += 1
+def _intersecting_pairs(masks: list[int]):
+    """Every intersecting index pair i < j, in index order."""
+    arr = np.array(masks, dtype=np.uint64)
+    for i in range(len(arr) - 1):
+        for j in (np.flatnonzero(arr[i + 1 :] & arr[i]) + (i + 1)).tolist():
+            yield i, j
 
+
+def sweep(cells, min_dist: int = 0, sample: int = 0, rng: random.Random | None = None):
+    """Yield `(a, b, dist)` for vertex pairs of each (n,k) cell in turn.
+
+    By default every intersecting pair i < j in index order; with `sample`,
+    up to that many distinct intersecting pairs per cell, drawn from `rng`.
+    `min_dist` keeps only the pairs at least that far apart.  Distances come
+    from the cell's distance matrix, or from one BFS per pair in cells past
+    2000 vertices.
+    """
+    for n, k in cells:
+        g = graph(n, k)
+        if len(g) < 2:
+            continue
+        verts = g.vertices
+        masks = [v.mask for v in verts]
+        dmat = distance_matrix(n, k) if len(g) <= 2000 else None
+        pairs = _sampled_pairs(masks, sample, rng) if sample else _intersecting_pairs(masks)
+        for i, j in pairs:
+            a, b = verts[i], verts[j]
+            dist = int(dmat[i, j]) if dmat is not None else g.bfs_distance(a, b).distance
+            if dist >= min_dist:
+                yield a, b, dist
+
+
+# ---------------------------------------------------------------------------
+# Invariant checks: one per fact, each counted under its own name.  A check
+# records violations into the result; a certificate builder or verifier that
+# raises is left to the caller (`verify` records it, a test fails on it).
+# ---------------------------------------------------------------------------
+
+
+def check_distance2(res: SuiteResult, d: Decomposition, dist: int) -> None:
+    """The distance-2 criterion holds exactly for the pairs at BFS distance 2."""
+    res.counts["distance2"] += 1
+    if distance2_criterion(d) != (dist == 2):
+        res.fail(f"distance-2 criterion disagrees with BFS ({dist})", d.a, d.b)
+
+
+def check_blocks(res: SuiteResult, d: Decomposition, dist: int) -> None:
+    """Block and end-set identities; the m-sum lower bound past distance 2."""
+    res.counts["blocks"] += 1
+    a, b = d.a, d.b
     if len(d.components) != len(d.blocks):
-        res.fail(f"{label}: |X-components| != |blocks|")
-    if (
-        sum(c.interval.length for c in d.components)
-        + sum(blk.interval.length for blk in d.blocks)
-        != g.params.n
-    ):
-        res.fail(f"{label}: components and blocks do not partition the cycle")
+        res.fail("|X-components| != |blocks|", a, b)
+    covered = sum(c.interval.length for c in d.components)
+    if covered + sum(blk.interval.length for blk in d.blocks) != a.params.n:
+        res.fail("components and blocks do not partition the cycle", a, b)
     for blk in d.blocks:
-        expect = (
-            blk.interval.length - 1
-            if blk.btype in (TYPE_IVA, TYPE_IVB, TYPE_IVH)
-            else blk.interval.length
-        )
-        if blk.m != expect:
-            res.fail(f"{label}: block {blk.interval} has m={blk.m}")
+        short = blk.btype in (TYPE_IVA, TYPE_IVB, TYPE_IVH)  # type IV: m = length - 1
+        if blk.m != blk.interval.length - (1 if short else 0):
+            res.fail(f"block {blk.interval} has m={blk.m}", a, b)
 
     counts = component_counts(d)
     bc = counts.block_counts
     if counts.n_a != counts.n_b:
-        res.fail(f"{label}: n(A) != n(B)")
+        res.fail("n(A) != n(B)", a, b)
     if 2 * d.h != 2 * bc[TYPE_I] + bc[TYPE_IIA] + bc[TYPE_IIB] + bc[TYPE_IIIA] + bc[TYPE_IIIB]:
-        res.fail(f"{label}: 2h identity failed")
+        res.fail("2h identity failed", a, b)
     if bc[TYPE_IIA] + bc[TYPE_IIIA] + 2 * bc[TYPE_IVA] != bc[TYPE_IIB] + bc[TYPE_IIIB] + 2 * bc[TYPE_IVB]:
-        res.fail(f"{label}: endpoint identity failed")
+        res.fail("endpoint identity failed", a, b)
     e = d.ends
     if len(e.eA_prime) + 2 * len(e.eA_dprime) != len(e.eB_prime) + 2 * len(e.eB_dprime):
-        res.fail(f"{label}: e'(A)+2e''(A) identity failed")
+        res.fail("e'(A)+2e''(A) identity failed", a, b)
     if not e.eA or not e.eB or not e.eH:
-        res.fail(f"{label}: some end set is empty")
+        res.fail("some end set is empty", a, b)
     if e.eH != frozenset(a.intersection(b)):
-        res.fail(f"{label}: e(H) != A n B")
-
-    dist = int(dmat[i, j]) if dmat is not None else g.bfs_distance(a, b).distance
-    if distance2_criterion(d) != (dist == 2):
-        res.fail(f"{label}: distance-2 criterion disagrees with BFS ({dist})")
+        res.fail("e(H) != A n B", a, b)
     if dist >= 3 and not m_sum_bound(d):
-        res.fail(f"{label}: m-sum lower bound failed")
+        res.fail("m-sum lower bound failed", a, b)
+
+
+def check_star_pair(res: SuiteResult, d: Decomposition) -> None:
+    """The star pair has s >= 1 and |I'| = h - s - r."""
+    res.counts["star_pair"] += 1
+    sp = build_star_pair(d)
+    if len(sp.i_prime) != sp.h - sp.s - sp.r_blocks:
+        res.fail("|I'| != h-s-r", d.a, d.b)
+    if sp.s < 1:
+        res.fail(f"star pair has s={sp.s}", d.a, d.b)
+
+
+def check_reduction(res: SuiteResult, a: StableSet, b: StableSet) -> None:
+    """Intersection reduction: 2-stable k-sets avoiding their sources, meeting in < h."""
+    res.counts["reduction"] += 1
+    a2, b2 = reduce_intersection(a, b)
+    if (a2.mask & b2.mask).bit_count() > (a.mask & b.mask).bit_count() - 1:
+        res.fail("reduction left intersection too large", a, b)
+    if a2.mask & a.mask or b2.mask & b.mask:
+        res.fail("reduced set meets its source", a, b)
+    for s in (a2, b2):
+        if len(s.members) != a.params.k or not is_2_stable(s.members, s.params):
+            res.fail(f"reduced set {s} is not a 2-stable k-set", a, b)
+
+
+def check_walks(res: SuiteResult, a: StableSet, b: StableSet, dist: int) -> None:
+    """Valid walks: by reduction within [dist, 1 + 2h]; for h = 1 or h = k-1
+    the small-intersection walk within [dist, 3] or [dist, 2]."""
+    res.counts["walks"] += 1
+    h = (a.mask & b.mask).bit_count()
+    if h in (1, a.params.k - 1):
+        cert = path_small_intersection(a, b)
+        verify_certificate(cert, source=a, target=b)
+        limit = 2 if h == a.params.k - 1 else 3
+        if not dist <= cert.edge_count <= limit:
+            res.fail(f"small-intersection walk length {cert.edge_count} outside [{dist}, {limit}]", a, b)
+    cert = path_via_reduction(a, b)
+    verify_certificate(cert, source=a, target=b)
+    if cert.edge_count > 1 + 2 * h or cert.edge_count < dist:
+        res.fail(f"reduction walk length {cert.edge_count} outside [{dist}, {1 + 2 * h}]", a, b)
+
+
+def check_dist3(res: SuiteResult, a: StableSet, b: StableSet) -> None:
+    """`path_dist3` gives a valid walk of exactly 3 edges."""
+    res.counts["dist3"] += 1
+    cert = path_dist3(a, b)
+    verify_certificate(cert, source=a, target=b)
+    if cert.edge_count != 3:
+        res.fail("dist-3 certificate has wrong length", a, b)
+
+
+def check_lift(res: SuiteResult, a: StableSet, b: StableSet, dist: int) -> None:
+    """`bound_path_m_plus_3` gives a valid walk of dist..m+3 edges, m = 3k-2-n."""
+    res.counts["lift"] += 1
+    m = 3 * a.params.k - 2 - a.params.n
+    cert = bound_path_m_plus_3(a, b)
+    verify_certificate(cert, source=a, target=b)
+    if cert.edge_count > m + 3:
+        res.fail("certificate longer than m+3", a, b)
+    if cert.edge_count < dist:
+        res.fail("certificate shorter than BFS distance", a, b)
+
+
+def _classes(k: int) -> list[tuple[str, int]]:
+    return [classify_sg2k2_vertex(s) for s in graph(2 * k + 2, k).vertices]
+
+
+def check_model(res: SuiteResult, k: int) -> None:
+    """The coordinate model is isomorphic to SG(2k+2,k); its class sizes.
+
+    Counted once for the whole graph and once per coordinate pair compared.
+    """
+    g = graph(2 * k + 2, k)
+    model = sg2k2_model(k)
+    label = f"SG(2k+2,k) for k={k}"
+    res.counts["model"] += 1
+    image = {c: sg2k2_vertex(c, k).mask for c in model.vertices}
+    masks = [v.mask for v in g.vertices]
+    if len(set(image.values())) != len(model.vertices):
+        res.fail(f"{label}: coordinate map is not injective")
+    if set(image.values()) != set(masks):
+        res.fail(f"{label}: coordinate map is not onto the vertex set")
+    if model.n_vertices != len(g):
+        res.fail(f"{label}: vertex counts differ")
+    if model.n_edges != sum(1 for x, y in combinations(masks, 2) if not x & y):
+        res.fail(f"{label}: edge counts differ")
+    for c1, c2 in combinations(model.vertices, 2):
+        res.counts["model"] += 1
+        if model.adjacent(c1, c2) != (not image[c1] & image[c2]):
+            res.fail(f"{label}: adjacency mismatch at {c1}, {c2}")
+
+    classes = _classes(k)
+    b3 = sum(1 for c in classes if c[0] == "B3")
+    if b3 != 2 * k + 2:
+        res.fail(f"{label}: |B3| = {b3}, expected {2 * k + 2}")
+    for i in range(1, k // 2 + 1):
+        size = classes.count(("B2", i))
+        expect = k + 1 if (k % 2 == 0 and i == k // 2) else 2 * k + 2
+        if size != expect:
+            res.fail(f"{label}: |B2,{i}| = {size}, expected {expect}")
+
+
+def check_class_diameters(res: SuiteResult, k: int) -> None:
+    """Induced diameters in SG(2k+2,k): B3 has 2, the top level (k+1)//2.
+
+    Each induced subgraph runs the graph's BFS engine over its own masks.
+    """
+    res.counts["class_diameters"] += 1
+    labelled = list(zip(graph(2 * k + 2, k).vertices, _classes(k)))
+    b3 = [v.mask for v, c in labelled if c[0] == "B3"]
+    top = [v.mask for v, c in labelled if c == ("B2", k // 2)]
+    for name, masks, want in (("B3", b3, 2), ("top-level", top, (k + 1) // 2)):
+        masks = np.array(masks, dtype=np.uint64)
+        levels = [bfs_levels(masks, src) for src in range(masks.size)]
+        diam = -1 if any((lv < 0).any() for lv in levels) else max(int(lv.max()) for lv in levels)
+        if diam != want:
+            res.fail(f"SG(2k+2,k) for k={k}: induced {name} diameter {diam} != {want}")
+
+
+def _exhaustive_cells(k_max: int, n_cap: int) -> list[tuple[int, int]]:
+    """Cells with 2 <= k <= min(k_max, 5) and 2k+1 <= n <= min(4k-2, n_cap)."""
+    return [
+        (n, k) for k in range(2, min(k_max, 5) + 1) for n in range(2 * k + 1, min(4 * k - 2, n_cap) + 1)
+    ]
 
 
 def suite_blocks(k_max: int) -> SuiteResult:
     res = SuiteResult("blocks")
+    sampled = [(n, k) for k in range(6, k_max + 1) for n in (2 * k + 2, 2 * k + 3, 3 * k - 2)]
     rng = random.Random(_SAMPLE_SEED)
-    for k in range(2, min(k_max, 5) + 1):
-        for n in range(2 * k + 1, min(4 * k - 2, 18) + 1):
-            g = get_graph(n, k)
-            if len(g) < 2:
-                continue
-            dmat = g.all_distances()
-            for i, j in _intersecting_pairs(g):
-                _check_pair_blocks(g, dmat, i, j, res)
-    for k in range(6, k_max + 1):
-        for n in (2 * k + 2, 2 * k + 3, 3 * k - 2):
-            g = get_graph(n, k)
-            dmat = g.all_distances() if len(g) <= 2000 else None
-            for i, j in _sampled_pairs(g, 250, rng):
-                _check_pair_blocks(g, dmat, i, j, res)
+    pairs = chain(sweep(_exhaustive_cells(k_max, 18)), sweep(sampled, sample=250, rng=rng))
+    for a, b, dist in pairs:
+        res.checked += 1
+        d = decompose(a, b)
+        check_blocks(res, d, dist)
+        check_distance2(res, d, dist)
     return res
-
-
-def _check_pair_paths(g, dmat, i, j, res: SuiteResult) -> None:
-    a, b = g.vertices[i], g.vertices[j]
-    n, k = g.params.n, g.params.k
-    label = f"SG({n},{k}) {a} / {b}"
-    dist = int(dmat[i, j]) if dmat is not None else g.bfs_distance(a, b).distance
-    h = (a.mask & b.mask).bit_count()
-    res.checked += 1
-
-    try:
-        if h in (1, k - 1):
-            cert = path_small_intersection(a, b)
-            verify_certificate(cert, source=a, target=b)
-            if cert.edge_count < dist:
-                res.fail(f"{label}: small-intersection walk shorter than BFS")
-        cert = path_via_reduction(a, b)
-        verify_certificate(cert, source=a, target=b)
-        if cert.edge_count > 1 + 2 * h or cert.edge_count < dist:
-            res.fail(
-                f"{label}: reduction walk length {cert.edge_count} outside [{dist}, {1 + 2 * h}]"
-            )
-        if dist >= 3:
-            sp = build_star_pair(decompose(a, b))
-            if len(sp.i_prime) != sp.h - sp.s - sp.r_blocks:
-                res.fail(f"{label}: |I'| != h-s-r")
-            a2, b2 = reduce_intersection(a, b)
-            if (a2.mask & b2.mask).bit_count() > h - 1:
-                res.fail(f"{label}: reduction left intersection too large")
-            if 3 * k - 2 <= n <= 4 * k - 3:
-                cert3 = path_dist3(a, b)
-                verify_certificate(cert3, source=a, target=b)
-                if cert3.edge_count != 3:
-                    res.fail(f"{label}: dist-3 certificate has wrong length")
-    except (SchrijverError, CertificateError) as exc:
-        res.fail(f"{label}: {exc}")
 
 
 def suite_paths(k_max: int) -> SuiteResult:
     res = SuiteResult("paths")
+    sampled = [(n, k) for k in range(6, k_max + 1) for n in (2 * k + 2, 3 * k - 2, 3 * k)]
     rng = random.Random(_SAMPLE_SEED + 1)
-    for k in range(2, min(k_max, 5) + 1):
-        for n in range(2 * k + 1, min(4 * k - 2, 15) + 1):
-            g = get_graph(n, k)
-            if len(g) < 2:
-                continue
-            dmat = g.all_distances()
-            for i, j in _intersecting_pairs(g):
-                _check_pair_paths(g, dmat, i, j, res)
-    for k in range(6, k_max + 1):
-        for n in (2 * k + 2, 3 * k - 2, 3 * k):
-            g = get_graph(n, k)
-            dmat = g.all_distances() if len(g) <= 2000 else None
-            for i, j in _sampled_pairs(g, 200, rng):
-                _check_pair_paths(g, dmat, i, j, res)
+    pairs = chain(sweep(_exhaustive_cells(k_max, 15)), sweep(sampled, sample=200, rng=rng))
+    for a, b, dist in pairs:
+        res.checked += 1
+        try:
+            check_walks(res, a, b, dist)
+            if dist >= 3:
+                check_star_pair(res, decompose(a, b))
+                check_reduction(res, a, b)
+                if 3 * a.params.k - 2 <= a.params.n <= 4 * a.params.k - 3:
+                    check_dist3(res, a, b)
+        except SchrijverError as exc:
+            res.fail(str(exc), a, b)
     return res
 
 
@@ -242,103 +348,25 @@ def suite_lift(k_max: int) -> SuiteResult:
     rng = random.Random(_SAMPLE_SEED + 2)
     for k in range(5, k_max + 1):
         for m in range(1, k - 3):
-            n = 3 * k - 2 - m
-            g = get_graph(n, k)
-            dmat = g.all_distances()
-            deep = [
-                (i, j)
-                for i, j in combinations(range(len(g)), 2)
-                if dmat[i, j] >= 4
-            ]
+            deep = list(sweep([(3 * k - 2 - m, k)], min_dist=4))
             if k == 7 and len(deep) > 1500:
                 deep = rng.sample(deep, 1500)
-            for i, j in deep:
-                a, b = g.vertices[i], g.vertices[j]
-                label = f"SG({n},{k}) {a} / {b}"
+            for a, b, dist in deep:
                 res.checked += 1
                 try:
-                    cert = bound_path_m_plus_3(a, b)
-                    verify_certificate(cert, source=a, target=b)
-                    if cert.edge_count > m + 3:
-                        res.fail(f"{label}: certificate longer than m+3")
-                    if cert.edge_count < dmat[i, j]:
-                        res.fail(f"{label}: certificate shorter than BFS distance")
-                except (SchrijverError, CertificateError) as exc:
-                    res.fail(f"{label}: {exc}")
+                    check_lift(res, a, b, dist)
+                except SchrijverError as exc:
+                    res.fail(str(exc), a, b)
     return res
 
 
 def suite_model(k_max: int) -> SuiteResult:
     res = SuiteResult("model")
     for k in range(3, min(k_max, 7) + 1):
-        n = 2 * k + 2
-        g = get_graph(n, k)
-        model = sg2k2_model(k)
-        label = f"SG(2k+2,k) for k={k}"
-        res.checked += 1
-
-        image = {}
-        for coord in model.vertices:
-            image[coord] = sg2k2_vertex(coord, k)
-        masks = {s.mask for s in image.values()}
-        if len(masks) != len(model.vertices):
-            res.fail(f"{label}: coordinate map is not injective")
-        if masks != set(g.index):
-            res.fail(f"{label}: coordinate map is not onto the vertex set")
-        if model.n_vertices != len(g):
-            res.fail(f"{label}: vertex counts differ")
-
-        direct_edges = sum(
-            1
-            for i, j in combinations(range(len(g)), 2)
-            if not g.vertices[i].mask & g.vertices[j].mask
-        )
-        if model.n_edges != direct_edges:
-            res.fail(f"{label}: edge counts differ")
-        for c1, c2 in combinations(model.vertices, 2):
-            res.checked += 1
-            if model.adjacent(c1, c2) != (not image[c1].mask & image[c2].mask):
-                res.fail(f"{label}: adjacency mismatch at {c1}, {c2}")
-
-        b3 = [s for s in g.vertices if classify_sg2k2_vertex(s)[0] == "B3"]
-        if len(b3) != 2 * k + 2:
-            res.fail(f"{label}: |B3| = {len(b3)}, expected {2 * k + 2}")
-        top = [
-            s
-            for s in g.vertices
-            if classify_sg2k2_vertex(s) == ("B2", k // 2)
-        ]
-        expect_top = k + 1 if k % 2 == 0 else 2 * k + 2
-        if len(top) != expect_top:
-            res.fail(f"{label}: |B2,{k // 2}| = {len(top)}, expected {expect_top}")
-
-        if _induced_diameter(g, b3) != 2:
-            res.fail(f"{label}: induced B3 diameter != 2")
-        if _induced_diameter(g, top) != (k + 1) // 2:
-            res.fail(f"{label}: induced top-level diameter != {(k + 1) // 2}")
+        check_model(res, k)
+        check_class_diameters(res, k)
+    res.checked = res.counts["model"]
     return res
-
-
-def _induced_diameter(g: SchrijverGraph, vertices) -> int:
-    """BFS diameter of the subgraph induced by the given vertices."""
-    masks = [s.mask for s in vertices]
-    count = len(masks)
-    best = 0
-    for src in range(count):
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in range(count):
-                    if v not in dist and not masks[u] & masks[v]:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        if len(dist) != count:
-            return -1
-        best = max(best, max(dist.values()))
-    return best
 
 
 SUITES = {
@@ -356,7 +384,7 @@ SUITES = {
 
 def table_cell(n: int, k: int) -> dict:
     fm = diameter_formula(n, k)
-    bfs = bfs_diameter(n, k)
+    bfs = graph(n, k).diameter_bruteforce().value
     return {
         "n": n,
         "k": k,
@@ -369,54 +397,35 @@ def table_cell(n: int, k: int) -> dict:
 
 
 def table_grid(k_max: int) -> list[tuple[int, int]]:
-    cells = []
-    for k in range(2, k_max + 1):
-        for n in range(2 * k + 1, 4 * k - 2 + 1):
-            cells.append((n, k))
-    return cells
+    """The cells (n, k) with 2 <= k <= k_max and 2k+1 <= n <= 4k-2, by k then n."""
+    return [(n, k) for k in range(2, k_max + 1) for n in range(2 * k + 1, 4 * k - 1)]
 
 
 def table_rows(k_max: int, jobs: int = 1) -> list[dict]:
-    """One row per (n,k) cell, k <= k_max, 2k+1 <= n <= 4k-2."""
+    """One row per cell of `table_grid(k_max)`, in its order."""
     cells = table_grid(k_max)
     if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            rows = pool.starmap(table_cell, cells)
-    else:
-        rows = [table_cell(n, k) for n, k in cells]
-    rows.sort(key=lambda row: (row["k"], row["n"]))
-    return rows
+            return pool.starmap(table_cell, cells)
+    return [table_cell(n, k) for n, k in cells]
 
 
 def scan_rows(k_max: int, jobs: int = 1) -> list[dict]:
     """Diameters by r for each k, with consecutive gaps: conjecture evidence."""
-    cells = [
-        (2 * k + r, k) for k in range(2, k_max + 1) for r in range(1, 2 * k - 1)
-    ]
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            diams = pool.starmap(bfs_diameter, cells)
-        by_cell = dict(zip(cells, diams))
-    else:
-        by_cell = {(n, k): bfs_diameter(n, k) for n, k in cells}
+    diam = {(row["n"], row["k"]): row["bfs"] for row in table_rows(k_max, jobs)}
     rows = []
-    for k in range(2, k_max + 1):
-        for r in range(1, 2 * k - 1):
-            n = 2 * k + r
-            diam = by_cell[(n, k)]
-            nxt = by_cell.get((n + 1, k))
-            rows.append(
-                {
-                    "k": k,
-                    "r": r,
-                    "n": n,
-                    "diameter": diam,
-                    "next_diameter": "" if nxt is None else nxt,
-                    "gap": "" if nxt is None else diam - nxt,
-                }
-            )
+    for (n, k), d in diam.items():
+        nxt = diam.get((n + 1, k))
+        rows.append(
+            {
+                "k": k,
+                "r": n - 2 * k,
+                "n": n,
+                "diameter": d,
+                "next_diameter": "" if nxt is None else nxt,
+                "gap": "" if nxt is None else d - nxt,
+            }
+        )
     return rows

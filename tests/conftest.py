@@ -1,36 +1,25 @@
-"""Shared helpers: graphs and distance matrices are cached per session."""
+"""Shared test data and oracles.  Graphs, distance matrices and pair sweeps
+come from `schrijver.suites`, whose caches the checks and the tests share."""
 
-from functools import lru_cache
-
-from schrijver import CycleParams, SchrijverGraph
-
-
-@lru_cache(maxsize=None)
-def graph(n: int, k: int) -> SchrijverGraph:
-    return SchrijverGraph(CycleParams(n, k))
+from itertools import combinations
 
 
-@lru_cache(maxsize=None)
-def distance_matrix(n: int, k: int):
-    return graph(n, k).all_distances()
-
-
-def intersecting_pairs(g: SchrijverGraph):
-    """All index pairs i < j whose vertices intersect."""
-    verts = g.vertices
-    total = len(verts)
-    for i in range(total):
-        mi = verts[i].mask
-        for j in range(i + 1, total):
-            if mi & verts[j].mask:
-                yield i, j
+def brute_force_stable(n: int, k: int) -> list[tuple[int, ...]]:
+    """Independent oracle: filter every k-subset with a local adjacency test."""
+    out = []
+    for combo in combinations(range(1, n + 1), k):
+        ok = all(combo[i + 1] - combo[i] >= 2 for i in range(k - 1))
+        if ok and not (combo[0] == 1 and combo[-1] == n):
+            out.append(combo)
+    return out
 
 
 # Certificate payloads with a malformed shape: a non-numeric element, a
 # string where the vertex list belongs (once read one character at a time),
-# and a JSON boolean as k.
+# a JSON boolean as k, and n above the library's single-word cap.
 MALFORMED_PAYLOADS = [
     {"n": 10, "k": 3, "claimed_bound": 0, "vertices": ["1,3,x"]},
     {"n": 9, "k": 1, "claimed_bound": 1, "vertices": "13"},
     {"n": 9, "k": True, "claimed_bound": 1, "vertices": ["1", "3"]},
+    {"n": 100, "k": 1, "claimed_bound": 1, "vertices": ["1", "99"]},
 ]

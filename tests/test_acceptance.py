@@ -11,30 +11,32 @@ so they stay visible, with companion tests pinning the verified value.
 The remaining content of criteria 1, 2 and 11 passes in full.
 """
 
-import random
-from itertools import combinations
+from math import comb
 
 import pytest
 
-from conftest import distance_matrix, graph, intersecting_pairs
+from conftest import brute_force_stable
 from schrijver import (
     CycleParams,
-    bound_path_m_plus_3,
     decompose,
-    distance2_criterion,
     enumerate_stable_sets,
-    is_2_stable,
-    path_dist3,
-    reduce_intersection,
-    sg2k2_model,
-    sg2k2_vertex,
     stable_count,
     verify_certificate,
     witness_dist3,
     witness_lower4,
 )
-from schrijver.closedform import classify_sg2k2_vertex
-from schrijver.suites import _induced_diameter, table_rows
+from schrijver.suites import (
+    SuiteResult,
+    check_class_diameters,
+    check_dist3,
+    check_distance2,
+    check_lift,
+    check_model,
+    check_reduction,
+    graph,
+    sweep,
+    table_rows,
+)
 
 DIVERGENT_CELL = (14, 6)  # published 4, exhaustive search says 5
 
@@ -118,132 +120,67 @@ def test_criterion_02_divergent_cell(table7):
     assert ok
 
 
+def passed(res: SuiteResult) -> SuiteResult:
+    assert res.ok, res.failures
+    return res
+
+
 def test_criterion_03_distance2_oracle_equivalence():
-    checked = 0
-    for k in range(2, 6):
-        for n in range(2 * k + 1, 18):
-            g = graph(n, k)
-            if len(g) < 2:
-                continue
-            dmat = distance_matrix(n, k)
-            verts = g.vertices
-            for i, j in intersecting_pairs(g):
-                d = decompose(verts[i], verts[j])
-                assert distance2_criterion(d) == (dmat[i, j] == 2), (n, k, i, j)
-                checked += 1
+    res = SuiteResult("criterion 3")
+    for a, b, dist in sweep((n, k) for k in range(2, 6) for n in range(2 * k + 1, 18)):
+        check_distance2(res, decompose(a, b), dist)
+    checked = passed(res).counts["distance2"]
     assert checked > 1_000_000
     report(3, True, f"criterion <=> BFS-distance-2 on {checked} intersecting pairs")
 
 
 def test_criterion_04_constructive_distance3():
-    built = 0
-    for k in range(3, 6):
-        for n in range(3 * k - 2, 4 * k - 2):
-            g = graph(n, k)
-            dmat = distance_matrix(n, k)
-            verts = g.vertices
-            for i, j in intersecting_pairs(g):
-                if dmat[i, j] < 3:
-                    continue
-                a, b = verts[i], verts[j]
-                cert = path_dist3(a, b)
-                verify_certificate(cert, source=a, target=b)
-                assert cert.edge_count == 3
-                built += 1
+    res = SuiteResult("criterion 4")
+    cells = ((n, k) for k in range(3, 6) for n in range(3 * k - 2, 4 * k - 2))
+    for a, b, _ in sweep(cells, min_dist=3):
+        check_dist3(res, a, b)
+    built = passed(res).counts["dist3"]
     assert built > 10_000
     report(4, True, f"length-3 certificates for all {built} distance>=3 pairs")
 
 
 def test_criterion_05_intersection_reduction():
-    checked = 0
-    for k in range(2, 6):
-        for n in range(2 * k + 1, 18):
-            g = graph(n, k)
-            if len(g) < 2:
-                continue
-            dmat = distance_matrix(n, k)
-            verts = g.vertices
-            params = g.params
-            for i, j in intersecting_pairs(g):
-                if dmat[i, j] < 3:
-                    continue
-                a, b = verts[i], verts[j]
-                h = (a.mask & b.mask).bit_count()
-                a2, b2 = reduce_intersection(a, b)
-                assert (a2.mask & b2.mask).bit_count() <= h - 1
-                assert not a2.mask & a.mask and not b2.mask & b.mask
-                for s in (a2, b2):
-                    assert len(s.members) == k
-                    assert is_2_stable(s.members, params)
-                checked += 1
+    res = SuiteResult("criterion 5")
+    cells = ((n, k) for k in range(2, 6) for n in range(2 * k + 1, 18))
+    for a, b, _ in sweep(cells, min_dist=3):
+        check_reduction(res, a, b)
+    checked = passed(res).counts["reduction"]
     assert checked > 15_000
     report(5, True, f"reduction contract on all {checked} distance>=3 pairs")
 
 
 def test_criterion_06_lift_pipeline():
-    # the whole k=7 population of distance>=4 pairs is 9331, below the
-    # nominal 10^4 sample size, so every regime is simply run exhaustively
-    rng = random.Random(20260811)
-    checked = {5: 0, 6: 0, 7: 0}
-    population = {5: 0, 6: 0, 7: 0}
+    # every distance>=4 pair of each regime m = 3k-2-n in 1..k-4 is checked;
+    # the k=7 population (9331) is below the nominal 10^4 sample size
+    checked = {}
     for k in (5, 6, 7):
-        for m in range(1, k - 3):
-            n = 3 * k - 2 - m
-            g = graph(n, k)
-            dmat = distance_matrix(n, k)
-            verts = g.vertices
-            deep = [
-                (i, j)
-                for i, j in combinations(range(len(verts)), 2)
-                if dmat[i, j] >= 4
-            ]
-            population[k] += len(deep)
-            if len(deep) > 10_000:
-                deep = rng.sample(deep, 10_000)
-            for i, j in deep:
-                a, b = verts[i], verts[j]
-                cert = bound_path_m_plus_3(a, b)
-                verify_certificate(cert, source=a, target=b)
-                assert cert.edge_count <= m + 3
-                assert cert.edge_count >= dmat[i, j]
-                checked[k] += 1
-    assert checked[5] == population[5] == 108
-    assert checked[6] == population[6] == 1125
-    assert checked[7] == min(population[7], 10_000) == 9331
+        res = SuiteResult(f"criterion 6, k={k}")
+        for a, b, dist in sweep([(3 * k - 2 - m, k) for m in range(1, k - 3)], min_dist=4):
+            check_lift(res, a, b, dist)
+        checked[k] = passed(res).counts["lift"]
+    assert checked == {5: 108, 6: 1125, 7: 9331}
     report(6, True, f"certificates within m+3 on {checked} deep pairs per k")
 
 
 def test_criterion_07_model_isomorphism():
+    res = SuiteResult("criterion 7")
     for k in range(3, 8):
-        g = graph(2 * k + 2, k)
-        model = sg2k2_model(k)
-        image = {c: sg2k2_vertex(c, k) for c in model.vertices}
-        masks = {s.mask for s in image.values()}
-        assert len(masks) == model.n_vertices == len(g)
-        assert masks == set(g.index)
-        for c1, c2 in combinations(model.vertices, 2):
-            assert model.adjacent(c1, c2) == (not image[c1].mask & image[c2].mask)
-        direct_edges = sum(
-            1
-            for i, j in combinations(range(len(g)), 2)
-            if not g.vertices[i].mask & g.vertices[j].mask
-        )
-        assert model.n_edges == direct_edges
-        classes = [classify_sg2k2_vertex(s) for s in g.vertices]
-        assert sum(1 for c in classes if c[0] == "B3") == 2 * k + 2
-        for i in range(1, k // 2 + 1):
-            expect = k + 1 if (k % 2 == 0 and i == k // 2) else 2 * k + 2
-            assert sum(1 for c in classes if c == ("B2", i)) == expect
+        check_model(res, k)
+    # one whole-graph comparison per k, then each pair of its (k+1)^2 vertices
+    assert passed(res).counts["model"] == 5 + sum(comb((k + 1) ** 2, 2) for k in range(3, 8))
     report(7, True, "coordinate model isomorphic to SG(2k+2,k) for k=3..7")
 
 
 def test_criterion_08_subgraph_diameters():
+    res = SuiteResult("criterion 8")
     for k in range(3, 8):
-        g = graph(2 * k + 2, k)
-        b3 = [s for s in g.vertices if classify_sg2k2_vertex(s)[0] == "B3"]
-        top = [s for s in g.vertices if classify_sg2k2_vertex(s) == ("B2", k // 2)]
-        assert _induced_diameter(g, b3) == 2
-        assert _induced_diameter(g, top) == (k + 1) // 2
+        check_class_diameters(res, k)
+    assert passed(res).counts["class_diameters"] == 5
     report(8, True, "induced class diameters: B3 = 2, top level = floor((k+1)/2)")
 
 
@@ -276,14 +213,7 @@ def test_criterion_10_vertex_count_formula():
             assert len(vs) == stable_count(params), (n, k)
             checked += 1
             if n <= 20:
-                brute = 0
-                for combo in combinations(range(1, n + 1), k):
-                    gaps_ok = all(
-                        combo[t + 1] - combo[t] >= 2 for t in range(k - 1)
-                    )
-                    if gaps_ok and not (combo[0] == 1 and combo[-1] == n):
-                        brute += 1
-                assert brute == len(vs), (n, k)
+                assert len(brute_force_stable(n, k)) == len(vs), (n, k)
     report(10, True, f"count formula over {checked} (n,k) cells, brute-checked n<=20")
 
 

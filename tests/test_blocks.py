@@ -1,8 +1,9 @@
 """Pair decomposition: components, blocks, ends, counting identities, criterion."""
 
+from itertools import islice
+
 import pytest
 
-from conftest import distance_matrix, graph, intersecting_pairs
 from schrijver import (
     CycleParams,
     DegenerateInputError,
@@ -15,6 +16,7 @@ from schrijver import (
     stable_set,
     witness_lower4,
 )
+from schrijver.suites import SuiteResult, check_blocks, graph, sweep
 
 EX1 = CycleParams(20, 7)
 
@@ -93,10 +95,8 @@ def test_criterion_false_for_dist3_witness_family():
 
 def test_criterion_true_when_many_blocks():
     # r >= 2k-2 forces distance 2 for every intersecting pair
-    g = graph(14, 4)
-    for i, j in intersecting_pairs(g):
-        d = decompose(g.vertices[i], g.vertices[j])
-        assert distance2_criterion(d)
+    for a, b, _ in sweep([(14, 4)]):
+        assert distance2_criterion(decompose(a, b))
 
 
 def test_criterion_matches_bfs_on_example_graph():
@@ -109,28 +109,11 @@ def test_criterion_matches_bfs_on_example_graph():
 
 @pytest.mark.parametrize("n,k", [(10, 4), (11, 4), (12, 5), (13, 5)])
 def test_counting_identities_exhaustive(n, k):
-    g = graph(n, k)
-    dmat = distance_matrix(n, k)
-    for i, j in intersecting_pairs(g):
-        d = decompose(g.vertices[i], g.vertices[j])
-        counts = component_counts(d)
-        bc = counts.block_counts
-        assert counts.n_a == counts.n_b
-        assert 2 * d.h == (
-            2 * bc["I"] + bc["II(A)"] + bc["II(B)"] + bc["III(A)"] + bc["III(B)"]
-        )
-        assert (
-            bc["II(A)"] + bc["III(A)"] + 2 * bc["IV(A)"]
-            == bc["II(B)"] + bc["III(B)"] + 2 * bc["IV(B)"]
-        )
-        e = d.ends
-        assert len(e.eA_prime) + 2 * len(e.eA_dprime) == len(e.eB_prime) + 2 * len(
-            e.eB_dprime
-        )
-        assert e.eA and e.eB and e.eH
-        assert len(d.components) == len(d.blocks)
-        if dmat[i, j] >= 3:
-            assert m_sum_bound(d)
+    res = SuiteResult("blocks")
+    for a, b, dist in sweep([(n, k)]):
+        check_blocks(res, decompose(a, b), dist)
+    assert res.ok, res.failures
+    assert res.counts["blocks"]
 
 
 def test_m_sum_bound_witness_equality():
@@ -141,9 +124,8 @@ def test_m_sum_bound_witness_equality():
 
 
 def test_block_intervals_partition_cycle():
-    g = graph(13, 5)
-    for i, j in list(intersecting_pairs(g))[:800]:
-        d = decompose(g.vertices[i], g.vertices[j])
+    for a, b, _ in islice(sweep([(13, 5)]), 800):
+        d = decompose(a, b)
         seen = []
         for c in d.components:
             seen.extend(c.interval.elements())
@@ -153,18 +135,15 @@ def test_block_intervals_partition_cycle():
 
 
 def test_disjoint_middle_vertex_contract():
-    g = graph(12, 4)
-    dmat = distance_matrix(12, 4)
     hits = 0
-    for i, j in intersecting_pairs(g):
-        a, b = g.vertices[i], g.vertices[j]
+    for a, b, dist in sweep([(12, 4)]):
         d = decompose(a, b)
         if distance2_criterion(d):
             mid = disjoint_middle_vertex(d)
             assert not mid.mask & (a.mask | b.mask)
             hits += 1
         else:
-            assert dmat[i, j] >= 3
+            assert dist >= 3
             with pytest.raises(InvariantError):
                 disjoint_middle_vertex(d)
     assert hits

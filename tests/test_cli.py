@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import MALFORMED_PAYLOADS
-from schrijver import SchrijverGraph, cli
+from schrijver import SchrijverGraph, cli, suites
 from schrijver.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "table_k5.csv"
@@ -190,10 +190,35 @@ def test_verify_path_rejects_malformed_payload(capsys, tmp_path, payload):
     assert code == 3
 
 
-def test_verify_suite_passes(capsys):
-    code, out = run(capsys, "verify", "--suite", "model", "--k-max", "4")
+@pytest.mark.parametrize(
+    "suite,k_max,line",
+    [
+        ("blocks", "3", "suite blocks: 1218 checks, pass"),
+        ("paths", "3", "suite paths: 1218 checks, pass"),
+        ("lift", "5", "suite lift: 108 checks, pass"),
+        ("model", "4", "suite model: 422 checks, pass"),
+    ],
+    ids=["blocks", "paths", "lift", "model"],
+)
+def test_verify_suite_passes(capsys, suite, k_max, line):
+    code, out = run(capsys, "verify", "--suite", suite, "--k-max", k_max)
     assert code == 0
-    assert "pass" in out
+    assert out == line + "\n"
+
+
+def test_verify_suite_reports_counterexamples(capsys, monkeypatch):
+    # a criterion that always answers wrongly fails every one of the 1218 pairs
+    real = suites.distance2_criterion
+    monkeypatch.setattr(suites, "distance2_criterion", lambda d: not real(d))
+    code, out = run(capsys, "verify", "--suite", "blocks", "--k-max", "3")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == "suite blocks: 1218 checks, FAIL (1218 violations)"
+    assert len(lines) == 1 + 12
+    assert all(
+        line.startswith("  counterexample: SG(") and "distance-2 criterion" in line
+        for line in lines[1:]
+    )
 
 
 def test_scan_output(capsys):
@@ -216,3 +241,14 @@ def test_exit_codes(capsys):
     assert exc.value.code == 1
     code, _ = run(capsys, "enumerate", "--n", "99", "--k", "3")
     assert code == 3
+
+
+def test_vertex_count_cap_exits_3(capsys):
+    odd, even = ",".join(map(str, range(1, 20, 2))), ",".join(map(str, range(2, 21, 2)))
+    for argv in (
+        ["enumerate"],
+        ["diameter", "--method", "bfs"],
+        ["distance", "--a", odd, "--b", even],
+    ):
+        code, out = run(capsys, *argv, "--n", "64", "--k", "10")
+        assert (code, out) == (3, "")

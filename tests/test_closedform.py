@@ -1,8 +1,10 @@
 """Closed forms: piecewise diameter, the 2k+2 coordinate model, witnesses."""
 
+from math import ceil
+
+import networkx as nx
 import pytest
 
-from conftest import graph
 from schrijver import (
     ParameterError,
     RegimeError,
@@ -18,6 +20,7 @@ from schrijver import (
     witness_lower4,
 )
 from schrijver.cyclic import wrap
+from schrijver.suites import SuiteResult, check_model, graph
 
 
 @pytest.mark.parametrize(
@@ -64,6 +67,18 @@ def test_r2_closed_form_coincides_with_other_branches_small_k():
     assert sg2k2_diameter(5) == 4
     with pytest.raises(ParameterError):
         sg2k2_diameter(2)
+
+
+def test_sg2k2_diameters_are_ceil_3k_over_4():
+    # Evidence, not proof: BFS gives ceil(3k/4) for every 3 <= k <= 31.  The
+    # published floor(3k/4) for even k (sg2k2_diameter) is one short when
+    # k = 2 (mod 4); networkx on the coordinate model agrees for k <= 12.
+    for k in range(3, 32):
+        assert graph(2 * k + 2, k).diameter_bruteforce().value == ceil(3 * k / 4), k
+    for k in range(3, 13):
+        model = sg2k2_model(k)
+        gx = nx.Graph((c, d) for c in model.vertices for d in model.adjacency[c])
+        assert nx.diameter(gx) == ceil(3 * k / 4), k
 
 
 def test_formula_matches_bfs_small():
@@ -124,14 +139,9 @@ def test_even_k_identification():
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_model_counts_small(k):
-    m = sg2k2_model(k)
-    g = graph(2 * k + 2, k)
-    assert m.n_vertices == len(g)
-    classes = [classify_sg2k2_vertex(s) for s in g.vertices]
-    assert sum(1 for c in classes if c[0] == "B3") == 2 * k + 2
-    for i in range(1, k // 2 + 1):
-        expect = k + 1 if (k % 2 == 0 and i == k // 2) else 2 * k + 2
-        assert sum(1 for c in classes if c == ("B2", i)) == expect
+    res = SuiteResult("model")
+    check_model(res, k)
+    assert res.ok, res.failures
 
 
 def test_witness_lower4_examples():

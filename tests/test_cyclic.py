@@ -1,14 +1,15 @@
 """Ground-set core: stability predicate, enumeration, rotations, canonical forms."""
 
-from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 
+from conftest import brute_force_stable
 from schrijver import (
     CycleParams,
     ParameterError,
+    SchrijverGraph,
     canonical_form,
     enumerate_stable_sets,
     format_set_text,
@@ -20,17 +21,7 @@ from schrijver import (
     stable_masks,
     stable_set,
 )
-from schrijver.cyclic import mask_of
-
-
-def brute_force_stable(n: int, k: int) -> list[tuple[int, ...]]:
-    """Independent oracle: filter every k-subset with a local adjacency test."""
-    out = []
-    for combo in combinations(range(1, n + 1), k):
-        ok = all(combo[i + 1] - combo[i] >= 2 for i in range(k - 1))
-        if ok and not (combo[0] == 1 and combo[-1] == n):
-            out.append(combo)
-    return out
+from schrijver.cyclic import MAX_VERTICES, mask_of
 
 
 def test_is_2_stable_examples():
@@ -108,6 +99,15 @@ def test_stable_masks_count_to_word_cap():
         for n in range(2, 65):
             params = CycleParams(n, k)
             assert len(stable_masks(params)) == stable_count(params)
+
+
+def test_vertex_count_cap_refuses_before_allocating():
+    # SG(64,10) has 28 362 326 720 vertices: refused from its count alone
+    assert stable_count(CycleParams(64, 5)) <= MAX_VERTICES < stable_count(CycleParams(64, 6))
+    with pytest.raises(ParameterError, match="enumeration cap"):
+        SchrijverGraph(CycleParams(64, 10))
+    with pytest.raises(ParameterError, match="enumeration cap"):
+        enumerate_stable_sets(CycleParams(64, 6))
 
 
 def test_count_formula_against_brute_force():

@@ -1,9 +1,10 @@
 """Graph oracle: adjacency, BFS distances, eccentricity, brute-force diameter."""
 
+from itertools import islice
+
 import networkx as nx
 import pytest
 
-from conftest import distance_matrix, graph, intersecting_pairs
 from schrijver import (
     CycleParams,
     ParameterError,
@@ -11,8 +12,11 @@ from schrijver import (
     adjacent,
     canonical_form,
     rotate,
+    stable_masks,
     stable_set,
 )
+from schrijver.graph import bfs_levels
+from schrijver.suites import distance_matrix, graph, sweep
 
 
 def nx_oracle(g):
@@ -40,8 +44,7 @@ def test_adjacent_symmetric_irreflexive_and_shift():
         assert not adjacent(s, s)
         # a rotation of a 2-stable set never meets the set itself
         assert adjacent(s, rotate(s, 1))
-    for i, j in list(intersecting_pairs(g))[:500]:
-        a, b = g.vertices[i], g.vertices[j]
+    for a, b, _ in islice(sweep([(13, 5)]), 500):
         assert adjacent(a, b) == adjacent(b, a)
 
 
@@ -143,7 +146,6 @@ def test_distance_record_symmetry_and_unreachable_marker():
 
 def test_connectedness_small():
     for n, k in ((7, 3), (9, 4), (10, 4), (12, 5), (13, 5)):
-        g = graph(n, k)
         assert (distance_matrix(n, k) >= 0).all()
 
 
@@ -163,5 +165,5 @@ def test_pair_distance_stops_at_target_level():
     g = graph(13, 5)
     a = g.vertices[0]
     ia, ib = 0, g.vertex_index(g.neighbors(a)[0])
-    dist = g._bfs(ia, target=ib)
+    dist = bfs_levels(stable_masks(g.params), ia, target=ib)
     assert dist[ib] == 1 and dist.max() == 1 and (dist < 0).any()

@@ -4,7 +4,6 @@ from itertools import combinations
 
 import pytest
 
-from conftest import distance_matrix, graph, intersecting_pairs
 from schrijver import (
     CycleParams,
     ParameterError,
@@ -21,6 +20,7 @@ from schrijver import (
     verify_certificate,
     witness_lower4,
 )
+from schrijver.suites import distance_matrix, graph, sweep
 
 
 def lower4_shape(n, k):
@@ -47,22 +47,15 @@ def test_op_plus_on_singleton_block_pair():
 
 
 def test_op_plus_marker_is_vacant_everywhere():
-    g = graph(12, 5)
-    dmat = distance_matrix(12, 5)
-    for i, j in intersecting_pairs(g):
-        if dmat[i, j] < 3:
-            continue
-        a, b = g.vertices[i], g.vertices[j]
+    for a, b, _ in sweep([(12, 5)], min_dist=3):
         a2, b2, u = op_plus(a, b)
         assert u not in a2 and u not in b2
         assert (a2.mask & b2.mask).bit_count() == (a.mask & b.mask).bit_count()
 
 
 def test_op_plus_needs_a_big_component():
-    g = graph(12, 4)
     found = False
-    for i, j in intersecting_pairs(g):
-        a, b = g.vertices[i], g.vertices[j]
+    for a, b, _ in sweep([(12, 4)]):
         d = decompose(a, b)
         if all(c.interval.length <= 2 for c in d.components):
             assert distance2_criterion(d)  # Observation: such pairs sit at distance 2
@@ -169,18 +162,15 @@ def test_op_down_intersection_growth_is_bounded():
 
 
 def test_bound_path_exhaustive_sg12_5():
-    g = graph(12, 5)
-    dmat = distance_matrix(12, 5)
     deep = 0
-    for i, j in intersecting_pairs(g):
-        a, b = g.vertices[i], g.vertices[j]
+    for a, b, dist in sweep([(12, 5)]):
         cert, trace = bound_path_with_trace(a, b)
         verify_certificate(cert, source=a, target=b)
-        assert dmat[i, j] <= cert.edge_count <= 4  # m+3 with m=1
+        assert dist <= cert.edge_count <= 4  # m+3 with m=1
         kinds = [st.kind for st in trace.steps]
         assert kinds == ["plus", "up", "plus", "up"][: len(kinds)]
-        assert trace.p <= 1 or dmat[i, j] >= 4
-        deep += dmat[i, j] >= 4
+        assert trace.p <= 1 or dist >= 4
+        deep += dist >= 4
     assert deep == 108
 
 

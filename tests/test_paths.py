@@ -2,7 +2,6 @@
 
 import pytest
 
-from conftest import distance_matrix, graph, intersecting_pairs
 from schrijver import (
     CycleParams,
     DegenerateInputError,
@@ -19,6 +18,16 @@ from schrijver import (
     zy_split,
 )
 from schrijver.blocks import Block, CyclicInterval
+from schrijver.suites import (
+    SuiteResult,
+    check_dist3,
+    check_reduction,
+    check_star_pair,
+    check_walks,
+    distance_matrix,
+    graph,
+    sweep,
+)
 
 EX1 = CycleParams(20, 7)
 
@@ -66,20 +75,16 @@ def test_star_pair_example_walkthrough():
 
 
 def test_star_pair_invariants_exhaustive():
-    for n, k in ((10, 4), (13, 5)):
-        g = graph(n, k)
-        for i, j in intersecting_pairs(g):
-            a, b = g.vertices[i], g.vertices[j]
-            sp = build_star_pair(decompose(a, b))
-            assert len(sp.i_prime) == sp.h - sp.s - sp.r_blocks
-            assert sp.s >= 1
+    res = SuiteResult("star pairs")
+    for a, b, _ in sweep([(10, 4), (13, 5)]):
+        check_star_pair(res, decompose(a, b))
+    assert res.ok, res.failures
 
 
 def test_i_prime_empty_without_singleton_type_i():
-    g = graph(13, 5)
     seen = 0
-    for i, j in intersecting_pairs(g):
-        d = decompose(g.vertices[i], g.vertices[j])
+    for a, b, _ in sweep([(13, 5)]):
+        d = decompose(a, b)
         singles = [
             blk for blk in d.blocks if blk.btype == "I" and blk.interval.length == 1
         ]
@@ -97,27 +102,16 @@ def test_reduce_intersection_example():
 
 
 def test_reduce_intersection_contract_exhaustive():
-    for n, k in ((10, 4), (11, 4), (13, 5)):
-        g = graph(n, k)
-        dmat = distance_matrix(n, k)
-        for i, j in intersecting_pairs(g):
-            if dmat[i, j] < 3:
-                continue
-            a, b = g.vertices[i], g.vertices[j]
-            h = (a.mask & b.mask).bit_count()
-            a2, b2 = reduce_intersection(a, b)
-            assert not a2.mask & a.mask and not b2.mask & b.mask
-            assert (a2.mask & b2.mask).bit_count() <= h - 1
+    res = SuiteResult("reduction")
+    for a, b, _ in sweep([(10, 4), (11, 4), (13, 5)], min_dist=3):
+        check_reduction(res, a, b)
+    assert res.ok, res.failures
+    assert res.counts["reduction"]
 
 
 def test_no_singleton_type_i_gives_disjoint_reduction():
-    g = graph(13, 5)
-    dmat = distance_matrix(13, 5)
     seen = 0
-    for i, j in intersecting_pairs(g):
-        if dmat[i, j] < 3:
-            continue
-        a, b = g.vertices[i], g.vertices[j]
+    for a, b, _ in sweep([(13, 5)], min_dist=3):
         d = decompose(a, b)
         if any(blk.btype == "I" and blk.interval.length == 1 for blk in d.blocks):
             continue
@@ -147,18 +141,10 @@ def test_path_small_intersection_k_minus_1():
 
 
 def test_path_small_intersection_sweeps():
-    for n, k in ((10, 4), (12, 5)):
-        g = graph(n, k)
-        dmat = distance_matrix(n, k)
-        for i, j in intersecting_pairs(g):
-            a, b = g.vertices[i], g.vertices[j]
-            h = (a.mask & b.mask).bit_count()
-            if h not in (1, k - 1):
-                continue
-            cert = path_small_intersection(a, b)
-            verify_certificate(cert, source=a, target=b)
-            limit = 2 if h == k - 1 else 3
-            assert dmat[i, j] <= cert.edge_count <= limit
+    res = SuiteResult("walks")
+    for a, b, dist in sweep([(10, 4), (12, 5)]):
+        check_walks(res, a, b, dist)
+    assert res.ok, res.failures
 
 
 def test_path_small_intersection_wrong_h():
@@ -170,20 +156,15 @@ def test_path_small_intersection_wrong_h():
 
 @pytest.mark.parametrize("n,k", [(10, 4), (13, 5)])
 def test_path_dist3_exhaustive(n, k):
-    g = graph(n, k)
-    dmat = distance_matrix(n, k)
-    built = 0
-    for i, j in intersecting_pairs(g):
-        a, b = g.vertices[i], g.vertices[j]
-        if dmat[i, j] >= 3:
-            cert = path_dist3(a, b)
-            verify_certificate(cert, source=a, target=b)
-            assert cert.edge_count == 3
-            built += 1
+    res = SuiteResult("dist3")
+    for a, b, dist in sweep([(n, k)]):
+        if dist >= 3:
+            check_dist3(res, a, b)
         else:
             with pytest.raises((RegimeError, DegenerateInputError)):
                 path_dist3(a, b)
-    assert built
+    assert res.ok, res.failures
+    assert res.counts["dist3"]
 
 
 def test_path_dist3_regime_errors():
@@ -208,15 +189,10 @@ def test_path_via_reduction_examples():
 
 
 def test_path_via_reduction_exhaustive_small():
-    for n, k in ((9, 4), (10, 4), (11, 4)):
-        g = graph(n, k)
-        dmat = distance_matrix(n, k)
-        for i, j in intersecting_pairs(g):
-            a, b = g.vertices[i], g.vertices[j]
-            h = (a.mask & b.mask).bit_count()
-            cert = path_via_reduction(a, b)
-            verify_certificate(cert, source=a, target=b)
-            assert dmat[i, j] <= cert.edge_count <= 1 + 2 * h
+    res = SuiteResult("walks")
+    for a, b, dist in sweep([(9, 4), (10, 4), (11, 4)]):
+        check_walks(res, a, b, dist)
+    assert res.ok, res.failures
 
 
 def test_path_via_reduction_with_middle():

@@ -9,9 +9,10 @@ odd-block count decides whether the pair is at distance 2.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .cyclic import CycleParams, StableSet, mask_of, members_of, rol_mask, wrap
+from .cyclic import CycleParams, StableSet, mask_of, members_of, rol_mask, run_starts, runs, wrap
 from .errors import DegenerateInputError, InvariantError, ParameterError
 
 # Block types: boundary ends (i-1, j+1) in order, H = element of both sets.
@@ -107,37 +108,14 @@ class Decomposition:
     def params(self) -> CycleParams:
         return self.a.params
 
-    @property
-    def x_components(self) -> tuple[CyclicInterval, ...]:
-        return tuple(c.interval for c in self.components)
-
-
-def _runs(mask: int, n: int) -> list[tuple[int, int]]:
-    """Maximal cyclic runs of set bits as (start, length), sorted by start."""
-    if mask == 0:
-        return []
-    full = (1 << n) - 1
-    if mask == full:
-        return [(1, n)]
-    starts = mask & ~rol_mask(mask, 1, n)
-    runs = []
-    s = starts
-    while s:
-        low = s & -s
-        p = low.bit_length()
-        length = 1
-        q = p % n + 1
-        while mask >> (q - 1) & 1:
-            length += 1
-            q = q % n + 1
-        runs.append((p, length))
-        s ^= low
-    runs.sort()
-    return runs
-
 
 def decompose(a: StableSet, b: StableSet) -> Decomposition:
-    """Components, blocks, ends and h for an intersecting pair A != B."""
+    """Components, blocks, ends and h for an intersecting pair A != B.
+
+    A and B are 2-stable, so every element of A n B is a singleton
+    component of X = A u B: the A- and B-ends are the run starts and stops
+    of X outside A n B, and e'' holds the ends that are both (singletons).
+    """
     if a.params != b.params:
         raise ParameterError("vertices come from different SG(n,k)")
     am, bm = a.mask, b.mask
@@ -150,65 +128,41 @@ def decompose(a: StableSet, b: StableSet) -> Decomposition:
         )
     n = a.params.n
     xm = am | bm
-
-    components: list[Component] = []
-    eA: list[int] = []
-    eB: list[int] = []
-    eA_p: list[int] = []
-    eA_dp: list[int] = []
-    eB_p: list[int] = []
-    eB_dp: list[int] = []
+    starts = run_starts(xm, n)
+    stops = xm & ~rol_mask(xm, -1, n)
 
     def side(x: int) -> str:
         bit = 1 << (x - 1)
-        if hm & bit:
-            return "H"
-        return "A" if am & bit else "B"
+        return "H" if hm & bit else "A" if am & bit else "B"
 
-    for start, length in _runs(xm, n):
-        iv = CyclicInterval(start, length, n)
-        last = iv.end
+    components = []
+    for start, length in runs(xm, n):
+        first = side(start)
         if length == 1:
-            cls = side(start)
-            if cls == "H":
-                components.append(Component(iv, COMP_H_PRIME))
-            elif cls == "A":
-                components.append(Component(iv, COMP_A))
-                eA.append(start)
-                eA_dp.append(start)
-            else:
-                components.append(Component(iv, COMP_B))
-                eB.append(start)
-                eB_dp.append(start)
-            continue
-        s_cls, e_cls = side(start), side(last)
-        for x, cls in ((start, s_cls), (last, e_cls)):
-            if cls == "A":
-                eA.append(x)
-                eA_p.append(x)
-            else:
-                eB.append(x)
-                eB_p.append(x)
-        if s_cls == e_cls:
-            components.append(Component(iv, COMP_A if s_cls == "A" else COMP_B))
+            cls = COMP_H_PRIME if first == "H" else first  # COMP_A/COMP_B name the side
         else:
-            components.append(Component(iv, COMP_H_DPRIME))
+            cls = first if first == side((start + length - 2) % n + 1) else COMP_H_DPRIME
+        components.append(Component(CyclicInterval(start, length, n), cls))
 
-    blocks: list[Block] = []
-    for start, length in _runs(~xm & a.params.full_mask, n):
-        iv = CyclicInterval(start, length, n)
-        btype = _BLOCK_TYPE[(side(wrap(start - 1, n)), side(wrap(start + length, n)))]
+    blocks = []
+    for start, length in runs(~xm & a.params.full_mask, n):
+        btype = _BLOCK_TYPE[(side(start - 1 or n), side((start + length - 1) % n + 1))]
         usable = length - 1 if btype in (TYPE_IVA, TYPE_IVB, TYPE_IVH) else length
-        blocks.append(Block(iv, btype, usable))
+        blocks.append(Block(CyclicInterval(start, length, n), btype, usable))
 
+    end_bits = (starts | stops) & ~hm
+    e_a = frozenset(members_of(end_bits & am))
+    e_b = frozenset(members_of(end_bits & bm))
+    e_a2 = frozenset(members_of(end_bits & am & starts & stops))
+    e_b2 = frozenset(members_of(end_bits & bm & starts & stops))
     ends = EndSets(
-        eA=frozenset(eA),
-        eB=frozenset(eB),
+        eA=e_a,
+        eB=e_b,
         eH=frozenset(members_of(hm)),
-        eA_prime=frozenset(eA_p),
-        eA_dprime=frozenset(eA_dp),
-        eB_prime=frozenset(eB_p),
-        eB_dprime=frozenset(eB_dp),
+        eA_prime=e_a - e_a2,
+        eA_dprime=e_a2,
+        eB_prime=e_b - e_b2,
+        eB_dprime=e_b2,
     )
     return Decomposition(a, b, tuple(components), tuple(blocks), ends, hm.bit_count())
 
@@ -220,34 +174,9 @@ def distance2_criterion(d: Decomposition) -> bool:
     return odd + total >= 2 * d.params.k
 
 
-@dataclass
-class CountSummary:
-    n_a: int
-    n_b: int
-    n_h_prime: int
-    n_h_dprime: int
-    block_counts: dict[str, int]
-
-
-def component_counts(d: Decomposition) -> CountSummary:
-    """Component and block-type tallies (the paper's counting identities)."""
-    n_a = n_b = n_hp = n_hpp = 0
-    for comp in d.components:
-        if comp.cclass == COMP_A:
-            n_a += 1
-        elif comp.cclass == COMP_B:
-            n_b += 1
-        elif comp.cclass == COMP_H_PRIME:
-            n_hp += 1
-        else:
-            n_hpp += 1
-    bc = {
-        t: 0
-        for t in (TYPE_I, TYPE_IIA, TYPE_IIB, TYPE_IIIA, TYPE_IIIB, TYPE_IVA, TYPE_IVB, TYPE_IVH)
-    }
-    for blk in d.blocks:
-        bc[blk.btype] += 1
-    return CountSummary(n_a, n_b, n_hp, n_hpp, bc)
+def component_counts(d: Decomposition) -> Counter:
+    """Components by class and blocks by type (the paper's counting identities)."""
+    return Counter([c.cclass for c in d.components] + [blk.btype for blk in d.blocks])
 
 
 def m_sum_bound(d: Decomposition) -> bool:

@@ -134,8 +134,9 @@ _SET_TEXT = re.compile(r"[0-9]+(?:,[0-9]+)*")
 def parse_certificate(data: object) -> tuple[int, int, int, list[tuple[int, ...]]]:
     """Raw `(n, k, claimed_bound, member_seqs)` of a certificate payload.
 
-    Checks only the shape: integer fields, n within the library's cap
-    `MAX_N`, and a list of `1,3,6,8` strings.  Whether the path is valid is left to `check_certificate_data`.
+    Checks only the shape: integer fields, 2 <= n <= `MAX_N` (the
+    library's cap), k >= 1, and a list of `1,3,6,8` strings.  Whether the
+    path is valid is left to `check_certificate_data`.
     """
     if not isinstance(data, dict):
         raise ParameterError("malformed certificate payload: not a JSON object")
@@ -154,9 +155,9 @@ def parse_certificate(data: object) -> tuple[int, int, int, list[tuple[int, ...]
         if not isinstance(text, str) or not _SET_TEXT.fullmatch(text):
             raise ParameterError(f"malformed certificate payload: bad vertex {text!r}")
     n, k, bound = fields
-    if n > MAX_N:
+    if not 2 <= n <= MAX_N or k < 1:
         raise ParameterError(
-            f"malformed certificate payload: n={n} exceeds the single-word cap n <= {MAX_N}"
+            f"malformed certificate payload: needs 2 <= n <= {MAX_N} and k >= 1, got n={n}, k={k}"
         )
     return n, k, bound, [tuple(int(x) for x in text.split(",")) for text in texts]
 

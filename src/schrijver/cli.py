@@ -235,12 +235,12 @@ def cmd_witness(args) -> str:
 
 
 def cmd_verify_path(args) -> str:
-    if args.file == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    try:
+    try:  # undecodable bytes and bad JSON are both ValueErrors
+        if args.file == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                raw = fh.read()
         data = json.loads(raw)
     except ValueError as exc:
         raise ParameterError(f"malformed certificate payload: {exc}") from None

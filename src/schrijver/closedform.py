@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .certificates import PathCertificate
-from .cyclic import CycleParams, StableSet, stable_set, wrap
+from .cyclic import CycleParams, StableSet, runs, stable_set, wrap
 from .errors import ParameterError, RegimeError
 
 
@@ -205,13 +205,10 @@ def classify_sg2k2_vertex(s: StableSet) -> tuple[str, int]:
     position, 0-based); B2 vertices have two order-2 components separated
     by i elements of the vertex.
     """
-    from .blocks import _runs  # complement runs on the cycle
-
     n, k = s.params.n, s.params.k
     if n != 2 * k + 2:
         raise ParameterError(f"vertex lives in SG({n},{k}), not SG(2k+2,k)")
-    runs = _runs(~s.mask & s.params.full_mask, n)
-    by_len = sorted(runs, key=lambda run: -run[1])
+    by_len = sorted(runs(~s.mask & s.params.full_mask, n), key=lambda run: -run[1])
     if by_len[0][1] == 3:
         return ("B3", by_len[0][0] % n)
     first, second = by_len[0][0], by_len[1][0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -21,10 +21,12 @@ from .errors import ParameterError
 MAX_N = 64
 
 # Vertex-count cap for enumeration.  Building the masks of SG(64,5)
-# (5 430 656 vertices, 43 MB as uint64) peaks near 590 MB RSS, because the
-# memoised path segments are held alongside the result; 8 million vertices
-# keeps that under about 1 GB.  SG(64,10) has 28 362 326 720 vertices and
-# would exhaust memory instead of failing.
+# (5 430 656 vertices, 43 MB as uint64) peaks at 188 MB RSS, about three
+# times the result plus the interpreter: the two halves being joined and
+# the memoised smaller segments are alive alongside it.  SG(48,6)
+# (5 995 184 vertices) peaks at 196 MB, so a graph at the cap stays near
+# 250 MB.  SG(64,10) has 28 362 326 720 vertices and would exhaust memory
+# instead of failing.
 MAX_VERTICES = 8_000_000
 
 
@@ -83,13 +85,36 @@ def mask_of(members: Iterable[int]) -> int:
 
 def members_of(mask: int) -> tuple[int, ...]:
     out = []
-    x = 1
     while mask:
-        if mask & 1:
-            out.append(x)
-        mask >>= 1
-        x += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
+
+
+def reflect_mask(mask: int, n: int) -> int:
+    """Mirror an n-bit mask about element 1: m maps to n - m + 2 (mod n)."""
+    return rol_mask(int(format(mask, f"0{n}b")[::-1], 2), 1, n)
+
+
+def run_starts(mask: int, n: int) -> int:
+    """Set bits whose cyclic predecessor is clear: the first element of each run."""
+    return mask & ~rol_mask(mask, 1, n)
+
+
+def runs(mask: int, n: int) -> list[tuple[int, int]]:
+    """Maximal cyclic runs of set bits as (start, length), sorted by start."""
+    if mask == (1 << n) - 1:
+        return [(1, n)]
+    out = []
+    s = run_starts(mask, n)
+    while s:
+        low = s & -s
+        p = low.bit_length()
+        t = mask >> (p - 1) | mask << (n - p + 1)  # the cycle read from p on
+        out.append((p, ((t + 1) & ~t).bit_length() - 1))  # its trailing ones
+        s ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,22 +192,28 @@ def stable_count(params: CycleParams) -> int:
 _ONE, _TWO = np.uint64(1), np.uint64(2)
 
 
-def _path_masks(length: int, size: int, memo: dict) -> np.ndarray:
+def _path_masks(length: int, size: int, memo: dict, top: int) -> np.ndarray:
     """Masks of the size-subsets of the path 1..length with no two
     consecutive elements, lexicographic: those holding 1 come first (1 plus
     a subset of 3..length), then the subsets of 2..length.
+
+    Segments smaller than `top` are memoised; each top-size segment is used
+    once, by the next longer one, so it is dropped as soon as that is built.
     """
     key = (length, size)
-    if key not in memo:
-        if size == 0:
-            memo[key] = np.zeros(1, dtype=np.uint64)
-        elif length < 2 * size - 1:
-            memo[key] = np.zeros(0, dtype=np.uint64)
-        else:
-            with_one = (_path_masks(length - 2, size - 1, memo) << _TWO) | _ONE
-            without = _path_masks(length - 1, size, memo) << _ONE
-            memo[key] = np.concatenate((with_one, without))
-    return memo[key]
+    if key in memo:
+        return memo[key]
+    if size == 0:
+        out = np.zeros(1, dtype=np.uint64)
+    elif length < 2 * size - 1:
+        out = np.zeros(0, dtype=np.uint64)
+    else:
+        with_one = (_path_masks(length - 2, size - 1, memo, top) << _TWO) | _ONE
+        without = _path_masks(length - 1, size, memo, top) << _ONE
+        out = np.concatenate((with_one, without))
+    if size < top:
+        memo[key] = out
+    return out
 
 
 def stable_masks(params: CycleParams) -> np.ndarray:
@@ -199,8 +230,8 @@ def stable_masks(params: CycleParams) -> np.ndarray:
         )
     n, k = params.n, params.k
     memo: dict = {}
-    with_one = (_path_masks(n - 3, k - 1, memo) << _TWO) | _ONE
-    without = _path_masks(n - 1, k, memo) << _ONE
+    with_one = (_path_masks(n - 3, k - 1, memo, k) << _TWO) | _ONE
+    without = _path_masks(n - 1, k, memo, k) << _ONE
     return np.concatenate((with_one, without))
 
 
@@ -216,35 +247,22 @@ def rotate(s: StableSet, shift: int) -> StableSet:
 
 def reflect(s: StableSet) -> StableSet:
     """Mirror the cycle about element 1: m maps to n - m + 2 (mod n)."""
-    n = s.params.n
-    return StableSet(s.params, mask_of(wrap(n - m + 2, n) for m in s.members))
-
-
-def _anchored_rotations(members: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    # Rotations that place some member at 1; all other rotations start at
-    # an element > 1, hence are lexicographically larger.
-    k = len(members)
-    gaps = [
-        (members[(i + 1) % k] - members[i]) % n for i in range(k)
-    ]
-    for i in range(k):
-        acc = 1
-        cand = [1]
-        for j in range(k - 1):
-            acc += gaps[(i + j) % k]
-            cand.append(acc)
-        yield tuple(cand)
+    return StableSet(s.params, reflect_mask(s.mask, s.params.n))
 
 
 def canonical_form(s: StableSet) -> StableSet:
-    """Lexicographically least member sequence over the 2n dihedral images."""
+    """Lexicographically least member sequence over the 2n dihedral images.
+
+    Only the images that place a member at 1 can be least: every other
+    image starts at an element > 1.
+    """
     n = s.params.n
-    best = None
-    for source in (s.members, reflect(s).members):
-        for cand in _anchored_rotations(source, n):
-            if best is None or cand < best:
-                best = cand
-    return StableSet(s.params, mask_of(best))
+    images = (
+        rol_mask(base, 1 - m, n)
+        for base in (s.mask, reflect_mask(s.mask, n))
+        for m in members_of(base)
+    )
+    return StableSet(s.params, min(images, key=members_of))
 
 
 def parse_set_text(text: str, params: CycleParams | None = None) -> tuple[int, ...]:

@@ -15,14 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .closedform import DiameterResult
-from .cyclic import (
-    CycleParams,
-    StableSet,
-    mask_of,
-    members_of,
-    rol_mask,
-    stable_masks,
-)
+from .cyclic import CycleParams, StableSet, reflect_mask, rol_mask, stable_masks
 from .errors import InvariantError, ParameterError
 
 # Frontier masks broadcast per scan; 64 keeps each outer product around
@@ -99,10 +92,6 @@ class SchrijverGraph:
     def vertices(self) -> list[StableSet]:
         return [StableSet(self.params, m) for m in self._masks.tolist()]
 
-    @cached_property
-    def index(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self._masks.tolist())}
-
     def __len__(self) -> int:
         return len(self._masks)
 
@@ -152,17 +141,13 @@ class SchrijverGraph:
         is exactly its canonical form.
         """
         n = self.params.n
-        index = self.index
-        covered = bytearray(len(self))
+        covered: set[int] = set()
         reps: list[int] = []
         for i, mask in enumerate(self._masks.tolist()):
-            if covered[i]:
-                continue
-            reps.append(i)
-            refl = mask_of((n - m + 2 - 1) % n + 1 for m in members_of(mask))
-            for base in (mask, refl):
-                for shift in range(n):
-                    covered[index[rol_mask(base, shift, n)]] = 1
+            if mask not in covered:
+                reps.append(i)
+                for base in (mask, reflect_mask(mask, n)):
+                    covered.update(rol_mask(base, shift, n) for shift in range(n))
         return reps
 
     def diameter_bruteforce(self, orbit_reduction: bool = True) -> DiameterResult:

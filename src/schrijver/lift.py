@@ -21,7 +21,7 @@ from .blocks import (
     distance2_criterion,
 )
 from .certificates import PathCertificate
-from .cyclic import CycleParams, StableSet, rol_mask, stable_set, wrap
+from .cyclic import CycleParams, StableSet, rol_mask, run_starts, wrap
 from .errors import InvariantError, ParameterError, RegimeError
 from .paths import _disjoint_middle_pair, path_via_reduction
 
@@ -47,9 +47,8 @@ class LiftTrace:
 
 def _shift_up(s: StableSet, threshold: int, params: CycleParams) -> StableSet:
     """Members >= threshold move up by one; the rest stay."""
-    return stable_set(
-        [m if m < threshold else m + 1 for m in s.members], params
-    )
+    low = s.mask & ((1 << (threshold - 1)) - 1)
+    return StableSet(params, low | (s.mask ^ low) << 1)
 
 
 def op_plus(a: StableSet, b: StableSet) -> tuple[StableSet, StableSet, int]:
@@ -84,30 +83,22 @@ def op_plus(a: StableSet, b: StableSet) -> tuple[StableSet, StableSet, int]:
 
 
 def _delete_position(s: StableSet, pos: int) -> StableSet:
+    """Members > pos move down by one; pos itself merges onto pos - 1 (0 = n)."""
     n1 = s.params.n
     if not 1 <= pos <= n1:
         raise ParameterError(f"position {pos} outside 1..{n1}")
     n = n1 - 1
-    members = [m if m < pos else m - 1 for m in s.members]
-    mask = 0
-    for m in members:
-        mask |= 1 << (m - 1)
+    mask = s.mask & ((1 << (pos - 1)) - 1) | (s.mask >> pos) << (pos - 1)
+    if s.mask >> (pos - 1) & 1:
+        mask |= 1 << (wrap(pos - 1, n) - 1)
     clash = mask & rol_mask(mask, 1, n)
-    if clash or len(set(members)) != len(members):
-        pair = _adjacent_pair(members, n)
+    if clash:
+        j = (clash & -clash).bit_length()
         raise ParameterError(
-            f"deleting position {pos} breaks 2-stability: elements {pair[0]},{pair[1]} "
+            f"deleting position {pos} breaks 2-stability: elements {wrap(j - 1, n)},{j} "
             f"become consecutive"
         )
     return StableSet(CycleParams(n, s.params.k), mask)
-
-
-def _adjacent_pair(members: list[int], n: int) -> tuple[int, int]:
-    mems = sorted(set(members))
-    for x, y in zip(mems, mems[1:]):
-        if y - x <= 1:
-            return x, y
-    return mems[-1], mems[0]
 
 
 def op_minus(y: StableSet, u: int) -> StableSet:
@@ -143,11 +134,6 @@ def op_down(y: StableSet, t: int) -> StableSet:
 # ---------------------------------------------------------------------------
 # The full pipeline
 # ---------------------------------------------------------------------------
-
-
-def _first_element_mask(xm: int, n: int) -> int:
-    """Positions that start a component of X (clockwise)."""
-    return xm & ~rol_mask(xm, 1, n)
 
 
 def _lift_until_short(a: StableSet, b: StableSet, depth_cap: int):
@@ -199,9 +185,7 @@ def _project_common(y, steps, a_levels, b_levels) -> StableSet:
         step = steps[level]
         a_top, b_top = a_levels[level + 1], b_levels[level + 1]
         if step.kind == "plus":
-            x_top = a_top.mask | b_top.mask
-            firsts = _first_element_mask(x_top, a_top.params.n)
-            if y.mask & firsts:
+            if y.mask & run_starts(a_top.mask | b_top.mask, a_top.params.n):
                 raise InvariantError(
                     "projected vertex touches the first element of a component"
                 )
@@ -245,7 +229,17 @@ def _regime_m(params: CycleParams) -> int:
     return m
 
 
-def _bound_path_impl(a: StableSet, b: StableSet) -> tuple[PathCertificate, LiftTrace]:
+def bound_path_m_plus_3(a: StableSet, b: StableSet) -> PathCertificate:
+    """Certificate of length <= m+3 for any pair of SG(3k-2-m, k), 1 <= m <= k-4.
+
+    Pairs at distance <= 3 are handled directly (criterion or middle-pair
+    construction at level 0); deeper pairs go through the lift pipeline.
+    """
+    return bound_path_with_trace(a, b)[0]
+
+
+def bound_path_with_trace(a: StableSet, b: StableSet) -> tuple[PathCertificate, LiftTrace]:
+    """`bound_path_m_plus_3` together with the lift levels it went through."""
     if a.params != b.params:
         raise ParameterError("vertices come from different SG(n,k)")
     m = _regime_m(a.params)
@@ -288,17 +282,3 @@ def _bound_path_impl(a: StableSet, b: StableSet) -> tuple[PathCertificate, LiftT
             f"certificate of length {cert.edge_count} exceeds the bound m+3 = {m + 3}"
         )
     return cert, trace
-
-
-def bound_path_m_plus_3(a: StableSet, b: StableSet) -> PathCertificate:
-    """Certificate of length <= m+3 for any pair of SG(3k-2-m, k), 1 <= m <= k-4.
-
-    Pairs at distance <= 3 are handled directly (criterion or middle-pair
-    construction at level 0); deeper pairs go through the lift pipeline.
-    """
-    cert, _ = _bound_path_impl(a, b)
-    return cert
-
-
-def bound_path_with_trace(a: StableSet, b: StableSet) -> tuple[PathCertificate, LiftTrace]:
-    return _bound_path_impl(a, b)

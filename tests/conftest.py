@@ -16,10 +16,13 @@ def brute_force_stable(n: int, k: int) -> list[tuple[int, ...]]:
 
 # Certificate payloads with a malformed shape: a non-numeric element, a
 # string where the vertex list belongs (once read one character at a time),
-# a JSON boolean as k, and n above the library's single-word cap.
+# a JSON boolean as k, n above the library's single-word cap, n below 2 and
+# k below 1.
 MALFORMED_PAYLOADS = [
     {"n": 10, "k": 3, "claimed_bound": 0, "vertices": ["1,3,x"]},
     {"n": 9, "k": 1, "claimed_bound": 1, "vertices": "13"},
     {"n": 9, "k": True, "claimed_bound": 1, "vertices": ["1", "3"]},
     {"n": 100, "k": 1, "claimed_bound": 1, "vertices": ["1", "99"]},
+    {"n": 1, "k": 1, "claimed_bound": 0, "vertices": ["1"]},
+    {"n": 9, "k": 0, "claimed_bound": 0, "vertices": ["1"]},
 ]

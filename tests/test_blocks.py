@@ -69,9 +69,9 @@ def test_example_walkthrough_ends_and_counts():
     assert d.ends.eH == {8, 10, 12}
     assert d.h == 3
     counts = component_counts(d)
-    assert counts.n_a == counts.n_b == 1
-    assert counts.n_h_prime == 3
-    assert counts.n_h_dprime == 2
+    assert counts["A"] == counts["B"] == 1
+    assert counts["H'"] == 3
+    assert counts["H''"] == 2
 
 
 def test_decompose_refusals():

@@ -1,5 +1,6 @@
 """CLI behaviour: commands, formats, exit codes, golden table."""
 
+import io
 import json
 from pathlib import Path
 
@@ -93,6 +94,31 @@ def test_distance_trace_through_lift(capsys):
     assert levels[0]["n"] == 12
 
 
+@pytest.mark.parametrize(
+    "n,k,a,b,distance,edges",
+    [
+        (10, 4, "1,3,5,7", "1,3,5,7", 0, None),
+        (10, 4, "1,3,5,7", "2,4,6,8", 1, 1),
+        (10, 4, "1,3,6,8", "1,4,6,9", 2, 2),
+        (13, 6, "1,3,5,7,9,11", "1,3,5,7,10,12", 4, 9),
+    ],
+    ids=["same", "adjacent", "middle-vertex", "reduction"],
+)
+def test_distance_explain_certificate_per_regime(capsys, tmp_path, n, k, a, b, distance, edges):
+    code, out = run(capsys, "distance", "--n", str(n), "--k", str(k), "--a", a, "--b", b, "--explain")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["distance"] == distance
+    if edges is None:
+        assert "certificate" not in payload
+        return
+    cert = payload["certificate"]
+    assert len(cert["vertices"]) - 1 == edges >= distance
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert run(capsys, "verify-path", "--file", str(path)) == (0, f"ok: {edges} edges within claimed bound {edges}\n")
+
+
 def test_distance_builds_no_vertex_list(capsys, monkeypatch):
     built = []
 
@@ -138,6 +164,12 @@ def test_table_matches_golden_file(capsys, tmp_path):
     code, _ = run(capsys, "table", "--k-max", "5", "--out", str(out_path))
     assert code == 0
     assert out_path.read_text() == GOLDEN.read_text()
+
+
+def test_table_pool_matches_golden_file(capsys):
+    code, out = run(capsys, "table", "--k-max", "5", "--jobs", "2")
+    assert code == 0
+    assert out == GOLDEN.read_text()
 
 
 def test_table_deterministic(capsys):
@@ -188,6 +220,19 @@ def test_verify_path_rejects_malformed_payload(capsys, tmp_path, payload):
     path.write_text(json.dumps(payload))
     code, _ = run(capsys, "verify-path", "--file", str(path))
     assert code == 3
+
+
+def test_verify_path_rejects_undecodable_file(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, _ = run(capsys, "verify-path", "--file", str(path))
+    assert code == 3
+
+
+def test_verify_path_reads_stdin(capsys, monkeypatch):
+    cert = {"n": 10, "k": 4, "claimed_bound": 1, "vertices": ["1,3,5,7", "2,4,6,8"]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(cert)))
+    assert run(capsys, "verify-path", "--file", "-") == (0, "ok: 1 edges within claimed bound 1\n")
 
 
 @pytest.mark.parametrize(

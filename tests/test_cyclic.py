@@ -1,5 +1,6 @@
 """Ground-set core: stability predicate, enumeration, rotations, canonical forms."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -21,7 +22,7 @@ from schrijver import (
     stable_masks,
     stable_set,
 )
-from schrijver.cyclic import MAX_VERTICES, mask_of
+from schrijver.cyclic import MAX_VERTICES, mask_of, members_of, reflect_mask, runs
 
 
 def test_is_2_stable_examples():
@@ -108,6 +109,31 @@ def test_vertex_count_cap_refuses_before_allocating():
         SchrijverGraph(CycleParams(64, 10))
     with pytest.raises(ParameterError, match="enumeration cap"):
         enumerate_stable_sets(CycleParams(64, 6))
+
+
+@pytest.mark.parametrize("n,k", [(40, 6), (64, 3)])
+def test_enumeration_peak_memory_stays_near_result(n, k):
+    tracemalloc.start()
+    try:
+        masks = stable_masks(CycleParams(n, k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * masks.nbytes
+
+
+def test_runs_and_reflect_mask_against_members():
+    n = 11
+    assert runs(0, n) == [] and runs((1 << n) - 1, n) == [(1, n)]
+    for mask in stable_masks(CycleParams(n, 4)).tolist():
+        members = members_of(mask)
+        assert members_of(reflect_mask(mask, n)) == tuple(sorted((n - m + 1) % n + 1 for m in members))
+        assert runs(mask, n) == [(m, 1) for m in members]
+        gaps = runs(~mask & ((1 << n) - 1), n)
+        assert [p for p, _ in gaps] == sorted(p for p, _ in gaps)
+        assert all(mask >> (p - 2) % n & 1 for p, _ in gaps)  # maximal: preceded by a member
+        covered = sorted((p + t - 1) % n + 1 for p, length in gaps for t in range(length))
+        assert covered == sorted(set(range(1, n + 1)) - set(members))
 
 
 def test_count_formula_against_brute_force():

@@ -1,6 +1,7 @@
 """Graph oracle: adjacency, BFS distances, eccentricity, brute-force diameter."""
 
 from itertools import islice
+from random import Random
 
 import networkx as nx
 import pytest
@@ -159,6 +160,19 @@ def test_graph_work_builds_no_vertex_list():
     assert g.diameter_bruteforce().witness is not None
     g.all_distances()
     assert "vertices" not in g.__dict__
+
+
+def test_sampled_sweep_draws_distinct_intersecting_pairs():
+    pairs = list(sweep([(14, 6)], sample=50, rng=Random(3)))
+    g, dmat = graph(14, 6), distance_matrix(14, 6)
+    seen = {(g.vertex_index(a), g.vertex_index(b)) for a, b, _ in pairs}
+    assert len(pairs) == len(seen) == 50
+    for a, b, dist in pairs:
+        assert a.mask & b.mask and a != b
+        assert dist == dmat[g.vertex_index(a), g.vertex_index(b)]
+    assert [(a, b) for a, b, _ in sweep([(14, 6)], sample=50, rng=Random(3))] == [
+        (a, b) for a, b, _ in pairs
+    ]
 
 
 def test_pair_distance_stops_at_target_level():

@@ -110,6 +110,14 @@ def test_op_minus_stability_error_names_pair():
         op_minus(y, 3)
 
 
+def test_op_minus_at_position_one_wraps_onto_n():
+    # the merged position 0 is n: element 1 lands on the new n
+    p = CycleParams(13, 5)
+    assert op_minus(stable_set([1, 4, 6, 8, 11], p), 1).members == (3, 5, 7, 10, 12)
+    with pytest.raises(ParameterError, match="12,1"):
+        op_minus(stable_set([2, 4, 6, 8, 13], p), 1)
+
+
 def test_op_up_and_down():
     a, b = witness_lower4(12, 5)
     d = decompose(a, b)

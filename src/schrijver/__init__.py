@@ -17,6 +17,7 @@ from .blocks import (
     disjoint_middle_vertex,
     distance2_criterion,
     m_sum_bound,
+    zy_split,
 )
 from .certificates import (
     PathCertificate,
@@ -78,7 +79,6 @@ from .paths import (
     path_small_intersection,
     path_via_reduction,
     reduce_intersection,
-    zy_split,
 )
 
 __version__ = "0.1.0"

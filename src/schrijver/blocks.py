@@ -10,9 +10,9 @@ odd-block count decides whether the pair is at distance 2.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .cyclic import CycleParams, StableSet, mask_of, members_of, rol_mask, run_starts, runs, wrap
+from .cyclic import CycleParams, StableSet, lowest_bits, members_of, rol_mask, run_starts, runs, wrap
 from .errors import DegenerateInputError, InvariantError, ParameterError
 
 # Block types: boundary ends (i-1, j+1) in order, H = element of both sets.
@@ -44,6 +44,9 @@ COMP_B = "B"
 COMP_H_PRIME = "H'"
 COMP_H_DPRIME = "H''"
 
+# Bits 0, 2, 4, ...: every other element of a run, from its first.
+_EVERY_OTHER = int("01" * 32, 2)
+
 
 @dataclass
 class CyclicInterval:
@@ -56,6 +59,10 @@ class CyclicInterval:
     @property
     def end(self) -> int:
         return wrap(self.start + self.length - 1, self.n)
+
+    @property
+    def mask(self) -> int:
+        return rol_mask((1 << self.length) - 1, self.start - 1, self.n)
 
     def elements(self) -> tuple[int, ...]:
         n = self.n
@@ -84,15 +91,15 @@ class Component:
 
 @dataclass
 class EndSets:
-    """A-, B- and H-ends, with the singleton-component split e' / e''."""
+    """A-, B- and H-ends as masks, with the singleton-component split e' / e''."""
 
-    eA: frozenset[int]
-    eB: frozenset[int]
-    eH: frozenset[int]
-    eA_prime: frozenset[int]
-    eA_dprime: frozenset[int]
-    eB_prime: frozenset[int]
-    eB_dprime: frozenset[int]
+    eA: int
+    eB: int
+    eH: int
+    eA_prime: int
+    eA_dprime: int
+    eB_prime: int
+    eB_dprime: int
 
 
 @dataclass
@@ -151,18 +158,16 @@ def decompose(a: StableSet, b: StableSet) -> Decomposition:
         blocks.append(Block(CyclicInterval(start, length, n), btype, usable))
 
     end_bits = (starts | stops) & ~hm
-    e_a = frozenset(members_of(end_bits & am))
-    e_b = frozenset(members_of(end_bits & bm))
-    e_a2 = frozenset(members_of(end_bits & am & starts & stops))
-    e_b2 = frozenset(members_of(end_bits & bm & starts & stops))
+    singles = starts & stops
+    e_a, e_b = end_bits & am, end_bits & bm
     ends = EndSets(
         eA=e_a,
         eB=e_b,
-        eH=frozenset(members_of(hm)),
-        eA_prime=e_a - e_a2,
-        eA_dprime=e_a2,
-        eB_prime=e_b - e_b2,
-        eB_dprime=e_b2,
+        eH=hm,
+        eA_prime=e_a & ~singles,
+        eA_dprime=e_a & singles,
+        eB_prime=e_b & ~singles,
+        eB_dprime=e_b & singles,
     )
     return Decomposition(a, b, tuple(components), tuple(blocks), ends, hm.bit_count())
 
@@ -185,23 +190,34 @@ def m_sum_bound(d: Decomposition) -> bool:
     return sum(blk.m for blk in d.blocks) >= n - 3 * k + 2 * d.h + 2
 
 
+def zy_split(block: Block) -> tuple[int, int, int, int]:
+    """Parity split of a block as masks: (Z, Y, Z', Y').
+
+    Z holds the elements at odd clockwise distance from the left boundary
+    i-1 (so the first, third, ... element of the block); Y the even ones.
+    Z'/Y' count from the right boundary j+1 instead: the same split for an
+    odd length, swapped for an even one.
+    """
+    iv = block.interval
+    z = rol_mask(_EVERY_OTHER & ((1 << iv.length) - 1), iv.start - 1, iv.n)
+    y = iv.mask & ~z
+    return (z, y, z, y) if iv.length % 2 else (z, y, y, z)
+
+
 def disjoint_middle_vertex(d: Decomposition) -> StableSet:
     """A vertex disjoint from A and B; exists iff the distance-2 criterion holds.
 
-    Takes every other element of each block starting at its first element
-    (the maximum stable subset of that block), then keeps the k smallest.
+    Takes the Z half of each block (every other element from its first: the
+    maximum stable subset of that block), then keeps the k smallest.
     """
-    picks: list[int] = []
-    n = d.params.n
+    picks = 0
     for blk in d.blocks:
-        start, length = blk.interval.start, blk.interval.length
-        picks.extend(wrap(start + t, n) for t in range(0, length, 2))
-    if len(picks) < d.params.k:
+        picks |= zy_split(blk)[0]
+    if picks.bit_count() < d.params.k:
         raise InvariantError(
             "no common neighbor: the distance-2 criterion does not hold"
         )
-    chosen = sorted(picks)[: d.params.k]
-    return StableSet(d.params, mask_of(chosen))
+    return StableSet(d.params, lowest_bits(picks, d.params.k))
 
 
 def decomposition_to_json(d: Decomposition) -> dict:
@@ -226,14 +242,7 @@ def decomposition_to_json(d: Decomposition) -> dict:
             }
             for blk in d.blocks
         ],
-        "ends": {
-            "A": sorted(d.ends.eA),
-            "B": sorted(d.ends.eB),
-            "H": sorted(d.ends.eH),
-            "A_prime": sorted(d.ends.eA_prime),
-            "A_dprime": sorted(d.ends.eA_dprime),
-            "B_prime": sorted(d.ends.eB_prime),
-            "B_dprime": sorted(d.ends.eB_dprime),
-        },
+        # keyed by field name without its "e": A, B, H, A_prime, ...
+        "ends": {name[1:]: list(members_of(m)) for name, m in asdict(d.ends).items()},
         "distance2": distance2_criterion(d),
     }

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .blocks import decompose, decomposition_to_json, disjoint_middle_vertex
 from .certificates import (
@@ -50,54 +51,53 @@ def _add_common(p: argparse.ArgumentParser, *, sets: bool = False) -> None:
         p.add_argument("--b", required=True, help="second vertex")
 
 
+def _job_count(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise ValueError(f"job count must be >= 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="schrijver", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list all vertices of SG(n,k)")
     _add_common(p)
-    p.add_argument("--format", choices=("plain", "json"), default="plain")
-    p.add_argument("--out")
 
     p = sub.add_parser("distance", help="BFS distance between two vertices")
     _add_common(p, sets=True)
     p.add_argument("--explain", action="store_true")
     p.add_argument("--trace", action="store_true", help="include the lift trace when used")
-    p.add_argument("--format", choices=("plain", "json"), default="plain")
-    p.add_argument("--out")
 
     p = sub.add_parser("diameter", help="diameter of SG(n,k)")
     _add_common(p)
     p.add_argument("--method", choices=("auto", "formula", "bfs"), default="auto")
     p.add_argument("--no-orbit-reduction", action="store_true")
-    p.add_argument("--format", choices=("plain", "json"), default="plain")
-    p.add_argument("--out")
 
     p = sub.add_parser("table", help="formula vs BFS diameters, CSV")
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out")
+    p.add_argument("--jobs", type=_job_count, default=1)
 
     p = sub.add_parser("witness", help="paper witness pairs")
     _add_common(p)
     p.add_argument("--kind", choices=("lower4", "dist3"), required=True)
-    p.add_argument("--format", choices=("plain", "json"), default="plain")
-    p.add_argument("--out")
 
     p = sub.add_parser("verify-path", help="re-check a serialized certificate")
     p.add_argument("--file", required=True, help="JSON file, or - for stdin")
-    p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run an invariant sweep")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--out")
 
     p = sub.add_parser("scan", help="conjecture evidence: diameters by r")
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out")
+    p.add_argument("--jobs", type=_job_count, default=1)
 
+    for name in ("enumerate", "distance", "diameter", "witness"):
+        sub.choices[name].add_argument("--format", choices=("plain", "json"), default="plain")
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
@@ -160,15 +160,7 @@ def cmd_distance(args) -> str:
         payload["decomposition"] = decomposition_to_json(decompose(a, b))
     if trace is not None:
         payload["lift_trace"] = {
-            "steps": [
-                {
-                    "kind": st.kind,
-                    "marker": st.marker,
-                    "n_before": st.n_before,
-                    "n_after": st.n_after,
-                }
-                for st in trace.steps
-            ],
+            "steps": [asdict(st) for st in trace.steps],
             "levels": [
                 {"level": i, "n": av.params.n, "a": str(av), "b": str(bv)}
                 for i, (av, bv) in enumerate(zip(trace.a_levels, trace.b_levels))
@@ -284,6 +276,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         text = _COMMANDS[args.command](args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (InvariantError, CertificateError) as exc:
         print(f"schrijver: {exc}", file=sys.stderr)
         return 2
@@ -293,12 +290,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"schrijver: {exc}", file=sys.stderr)
         return 1
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -92,6 +92,17 @@ def members_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def lowest_bits(mask: int, count: int) -> int:
+    """The `count` lowest set bits of mask (all of them if it has fewer)."""
+    out = 0
+    while mask and count > 0:
+        low = mask & -mask
+        out |= low
+        mask ^= low
+        count -= 1
+    return out
+
+
 def reflect_mask(mask: int, n: int) -> int:
     """Mirror an n-bit mask about element 1: m maps to n - m + 2 (mod n)."""
     return rol_mask(int(format(mask, f"0{n}b")[::-1], 2), 1, n)

@@ -163,16 +163,16 @@ def _lift_until_short(a: StableSet, b: StableSet, depth_cap: int):
             a2, b2, marker = op_plus(a_levels[level], b_levels[level])
             steps.append(LiftStep("plus", marker, n_here, n_here + 1))
         else:
-            singles = sorted(
+            singles = [
                 blk.interval.start
                 for blk in d.blocks
                 if blk.btype == TYPE_I and blk.interval.length == 1
-            )
+            ]
             if not singles:
                 raise InvariantError(
                     "middle-pair construction failed but no singleton type-I block exists"
                 )
-            marker = singles[0]
+            marker = min(singles)
             a2, b2 = op_up(a_levels[level], b_levels[level], marker)
             steps.append(LiftStep("up", marker, n_here, n_here + 1))
         a_levels.append(a2)

@@ -20,63 +20,45 @@ from .blocks import (
     TYPE_IVA,
     TYPE_IVB,
     TYPE_IVH,
-    Block,
     Decomposition,
     decompose,
     disjoint_middle_vertex,
     distance2_criterion,
+    zy_split,
 )
 from .certificates import PathCertificate
-from .cyclic import StableSet, is_2_stable, mask_of, members_of, rotate, stable_set, wrap
+from .cyclic import StableSet, lowest_bits, members_of, rol_mask, rotate, stable_set, wrap
 from .errors import DegenerateInputError, InvariantError, ParameterError, RegimeError
-
-
-def zy_split(
-    block: Block,
-) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]:
-    """Parity split of a block: (Z, Y, Z', Y').
-
-    Z holds the elements at odd clockwise distance from the left boundary
-    i-1 (so the first, third, ... element of the block); Y the even ones.
-    Z'/Y' count from the right boundary j+1 instead.
-    """
-    els = block.interval.elements()
-    rev = els[::-1]
-    return (
-        frozenset(els[0::2]),
-        frozenset(els[1::2]),
-        frozenset(rev[0::2]),
-        frozenset(rev[1::2]),
-    )
 
 
 @dataclass
 class StarPair:
     """Supersets grown by rules R1-R8 before the type-I reserve is placed.
 
-    a_star avoids A, b_star avoids B, the two are disjoint, and i_prime
-    holds the still-unassigned singleton type-I block elements.
+    All three sets are masks: a_star avoids A, b_star avoids B, the two are
+    disjoint, and i_prime holds the still-unassigned singleton type-I block
+    elements.
     """
 
-    a_star: frozenset[int]
-    b_star: frozenset[int]
-    i_prime: tuple[int, ...]
+    a_star: int
+    b_star: int
+    i_prime: int
     s: int
     r_blocks: int
     h: int
 
 
-def _apply_rules(d: Decomposition) -> tuple[set[int], set[int], list[int], int, int]:
-    a_star = set(members_of(d.b.mask & ~d.a.mask))
-    b_star = set(members_of(d.a.mask & ~d.b.mask))
-    i_prime: list[int] = []
+def _apply_rules(d: Decomposition) -> tuple[int, int, int, int, int]:
+    a_star = d.b.mask & ~d.a.mask
+    b_star = d.a.mask & ~d.b.mask
+    i_prime = 0
     r_blocks = 0
     two_s = 0
     a_side = d.a.mask & ~d.b.mask
 
     for blk in d.blocks:
         z, y, zp, yp = zy_split(blk)
-        j = blk.interval.end
+        not_j = ~(1 << (blk.interval.end - 1))
         t = blk.btype
         if t == TYPE_I:
             if blk.interval.length >= 2:
@@ -84,7 +66,7 @@ def _apply_rules(d: Decomposition) -> tuple[set[int], set[int], list[int], int, 
                 b_star |= y
                 r_blocks += 1
             else:
-                i_prime.append(blk.interval.start)
+                i_prime |= z
         elif t == TYPE_IIA:
             a_star |= zp
             b_star |= yp
@@ -103,22 +85,21 @@ def _apply_rules(d: Decomposition) -> tuple[set[int], set[int], list[int], int, 
             two_s += 1
         elif t == TYPE_IVA:
             a_star |= z
-            b_star |= y - {j}
+            b_star |= y & not_j
         elif t == TYPE_IVB:
             b_star |= z
-            a_star |= y - {j}
+            a_star |= y & not_j
         else:  # IV(H): orientation decided by the left boundary's side
             left = wrap(blk.interval.start - 1, d.params.n)
             if a_side >> (left - 1) & 1:
-                a_star |= z - {j}
+                a_star |= z & not_j
                 b_star |= y
             else:
-                b_star |= z - {j}
+                b_star |= z & not_j
                 a_star |= y
 
     if two_s % 2:
         raise InvariantError("odd number of type II/III blocks")
-    i_prime.sort()
     return a_star, b_star, i_prime, two_s // 2, r_blocks
 
 
@@ -130,22 +111,17 @@ def build_star_pair(d: Decomposition) -> StarPair:
     """
     a_star, b_star, i_prime, s, r_blocks = _apply_rules(d)
 
-    params = d.params
+    n = d.params.n
     am, bm = d.a.mask, d.b.mask
-    a_mask, b_mask = mask_of(a_star), mask_of(b_star)
-    if not is_2_stable(a_star, params) or not is_2_stable(b_star, params):
+    if a_star & rol_mask(a_star, 1, n) or b_star & rol_mask(b_star, 1, n):
         raise InvariantError("star sets are not 2-stable")
-    if a_mask & am or b_mask & bm or a_mask & b_mask:
+    if a_star & am or b_star & bm or a_star & b_star:
         raise InvariantError("star sets violate the disjointness conditions")
-    if (bm & ~am) & ~a_mask or (am & ~bm) & ~b_mask:
+    if (bm & ~am) & ~a_star or (am & ~bm) & ~b_star:
         raise InvariantError("star sets do not contain the opposite difference")
-    if len(i_prime) != d.h - s - r_blocks:
+    if i_prime.bit_count() != d.h - s - r_blocks:
         raise InvariantError("|I'| != h - s - r")
-    return StarPair(frozenset(a_star), frozenset(b_star), tuple(i_prime), s, r_blocks, d.h)
-
-
-def _keep_smallest(pool: set[int], k: int) -> list[int]:
-    return sorted(pool)[:k]
+    return StarPair(a_star, b_star, i_prime, s, r_blocks, d.h)
 
 
 def reduce_intersection(a: StableSet, b: StableSet) -> tuple[StableSet, StableSet]:
@@ -162,25 +138,17 @@ def reduce_intersection(a: StableSet, b: StableSet) -> tuple[StableSet, StableSe
     h = (a.mask & b.mask).bit_count()
     if a.mask == b.mask or h == 0:
         raise DegenerateInputError("reduce_intersection needs A != B with A n B != empty")
-    d = decompose(a, b)
-    sp = build_star_pair(d)
+    sp = build_star_pair(decompose(a, b))
 
-    a_pool = set(sp.a_star)
-    b_pool = set(sp.b_star)
-    reserve = list(sp.i_prime)
-    need_a = max(0, k - len(a_pool))
-    take_a = reserve[:need_a]
-    a_pool.update(take_a)
-    rest = reserve[need_a:]
-    need_b = max(0, k - len(b_pool))
-    b_pool.update(rest[:need_b])
-    if len(b_pool) < k:
-        b_pool.update(take_a[: k - len(b_pool)])
-    if len(a_pool) < k or len(b_pool) < k:
+    take_a = lowest_bits(sp.i_prime, k - sp.a_star.bit_count())
+    a_pool = sp.a_star | take_a
+    b_pool = sp.b_star | lowest_bits(sp.i_prime & ~take_a, k - sp.b_star.bit_count())
+    b_pool |= lowest_bits(take_a, k - b_pool.bit_count())
+    if a_pool.bit_count() < k or b_pool.bit_count() < k:
         raise InvariantError("star sets plus reserve cannot reach size k")
 
-    a2 = stable_set(_keep_smallest(a_pool, k), a.params)
-    b2 = stable_set(_keep_smallest(b_pool, k), a.params)
+    a2 = StableSet(a.params, lowest_bits(a_pool, k))
+    b2 = StableSet(a.params, lowest_bits(b_pool, k))
     if a2.mask & a.mask or b2.mask & b.mask:
         raise InvariantError("reduced pair meets its own endpoint")
     if (a2.mask & b2.mask).bit_count() > h - 1:
@@ -231,18 +199,15 @@ def _disjoint_middle_pair(d: Decomposition) -> tuple[StableSet, StableSet] | Non
     """
     k = d.params.k
     sp = build_star_pair(d)
-    reserve = list(sp.i_prime)
-    need_a = max(0, k - len(sp.a_star))
-    if need_a > len(reserve):
+    need_a = k - sp.a_star.bit_count()
+    if need_a > sp.i_prime.bit_count():
         return None
-    b_pool = set(sp.b_star)
-    b_pool.update(reserve[need_a:])
-    if len(b_pool) < k:
+    take_a = lowest_bits(sp.i_prime, need_a)
+    b_pool = sp.b_star | sp.i_prime & ~take_a
+    if b_pool.bit_count() < k:
         return None
-    a_pool = set(sp.a_star)
-    a_pool.update(reserve[:need_a])
-    a2 = stable_set(_keep_smallest(a_pool, k), d.params)
-    b2 = stable_set(_keep_smallest(b_pool, k), d.params)
+    a2 = StableSet(d.params, lowest_bits(sp.a_star | take_a, k))
+    b2 = StableSet(d.params, lowest_bits(b_pool, k))
     return a2, b2
 
 
@@ -264,15 +229,14 @@ def path_dist3(a: StableSet, b: StableSet) -> PathCertificate:
     if pair is None:
         raise InvariantError("middle-pair construction failed in its proven regime")
     a2, b2 = pair
-    bad = [
-        blk.interval.start
-        for blk in d.blocks
-        if blk.btype == TYPE_IVH and blk.interval.length == 1
-    ]
-    middle = a2.mask | b2.mask
-    for t in bad:
-        if middle >> (t - 1) & 1:
-            raise InvariantError(f"singleton IV(H) element {t} leaked into the path")
+    singles = 0
+    for blk in d.blocks:
+        if blk.btype == TYPE_IVH and blk.interval.length == 1:
+            singles |= blk.interval.mask
+    leaked = (a2.mask | b2.mask) & singles
+    if leaked:
+        t = (leaked & -leaked).bit_length()
+        raise InvariantError(f"singleton IV(H) element {t} leaked into the path")
     return PathCertificate((a, a2, b2, b), 3)
 
 

@@ -178,11 +178,14 @@ def check_blocks(res: SuiteResult, d: Decomposition, dist: int) -> None:
     if bc[TYPE_IIA] + bc[TYPE_IIIA] + 2 * bc[TYPE_IVA] != bc[TYPE_IIB] + bc[TYPE_IIIB] + 2 * bc[TYPE_IVB]:
         res.fail("endpoint identity failed", a, b)
     e = d.ends
-    if len(e.eA_prime) + 2 * len(e.eA_dprime) != len(e.eB_prime) + 2 * len(e.eB_dprime):
+    if (
+        e.eA_prime.bit_count() + 2 * e.eA_dprime.bit_count()
+        != e.eB_prime.bit_count() + 2 * e.eB_dprime.bit_count()
+    ):
         res.fail("e'(A)+2e''(A) identity failed", a, b)
     if not e.eA or not e.eB or not e.eH:
         res.fail("some end set is empty", a, b)
-    if e.eH != frozenset(a.intersection(b)):
+    if e.eH != a.mask & b.mask:
         res.fail("e(H) != A n B", a, b)
     if dist >= 3 and not m_sum_bound(d):
         res.fail("m-sum lower bound failed", a, b)
@@ -192,7 +195,7 @@ def check_star_pair(res: SuiteResult, d: Decomposition) -> None:
     """The star pair has s >= 1 and |I'| = h - s - r."""
     res.counts["star_pair"] += 1
     sp = build_star_pair(d)
-    if len(sp.i_prime) != sp.h - sp.s - sp.r_blocks:
+    if sp.i_prime.bit_count() != sp.h - sp.s - sp.r_blocks:
         res.fail("|I'| != h-s-r", d.a, d.b)
     if sp.s < 1:
         res.fail(f"star pair has s={sp.s}", d.a, d.b)

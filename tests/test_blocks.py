@@ -16,6 +16,7 @@ from schrijver import (
     stable_set,
     witness_lower4,
 )
+from schrijver.cyclic import mask_of
 from schrijver.suites import SuiteResult, check_blocks, graph, sweep
 
 EX1 = CycleParams(20, 7)
@@ -64,9 +65,9 @@ def test_example_walkthrough_components_and_blocks():
 
 def test_example_walkthrough_ends_and_counts():
     d = decompose(*ex1_pair())
-    assert d.ends.eA == {2, 15, 18, 20}
-    assert d.ends.eB == {6, 14, 17}
-    assert d.ends.eH == {8, 10, 12}
+    assert d.ends.eA == mask_of({2, 15, 18, 20})
+    assert d.ends.eB == mask_of({6, 14, 17})
+    assert d.ends.eH == mask_of({8, 10, 12})
     assert d.h == 3
     counts = component_counts(d)
     assert counts["A"] == counts["B"] == 1

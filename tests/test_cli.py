@@ -10,7 +10,8 @@ from conftest import MALFORMED_PAYLOADS
 from schrijver import SchrijverGraph, cli, suites
 from schrijver.cli import main
 
-GOLDEN = Path(__file__).parent / "data" / "table_k5.csv"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "table_k5.csv"
 
 
 def run(capsys, *argv):
@@ -94,19 +95,29 @@ def test_distance_trace_through_lift(capsys):
     assert levels[0]["n"] == 12
 
 
+EXPLAIN_CASES = {
+    "same": (10, 4, "1,3,5,7", "1,3,5,7", 0, None, ()),
+    "adjacent": (10, 4, "1,3,5,7", "2,4,6,8", 1, 1, ()),
+    "middle-vertex": (10, 4, "1,3,6,8", "1,4,6,9", 2, 2, ()),
+    "reduction": (13, 6, "1,3,5,7,9,11", "1,3,5,7,10,12", 4, 9, ()),
+    "dist3": (10, 4, "1,3,5,7", "1,3,6,8", 3, 3, ()),
+    "lift": (12, 5, "1,3,5,7,10", "1,3,6,8,11", 4, 4, ("--trace",)),
+    "walkthrough": (20, 7, "2,8,10,12,15,18,20", "1,6,8,10,12,14,17", 2, 2, ()),
+}
+
+
 @pytest.mark.parametrize(
-    "n,k,a,b,distance,edges",
-    [
-        (10, 4, "1,3,5,7", "1,3,5,7", 0, None),
-        (10, 4, "1,3,5,7", "2,4,6,8", 1, 1),
-        (10, 4, "1,3,6,8", "1,4,6,9", 2, 2),
-        (13, 6, "1,3,5,7,9,11", "1,3,5,7,10,12", 4, 9),
-    ],
-    ids=["same", "adjacent", "middle-vertex", "reduction"],
+    "case,n,k,a,b,distance,edges,flags",
+    [(case, *args) for case, args in EXPLAIN_CASES.items()],
+    ids=list(EXPLAIN_CASES),
 )
-def test_distance_explain_certificate_per_regime(capsys, tmp_path, n, k, a, b, distance, edges):
-    code, out = run(capsys, "distance", "--n", str(n), "--k", str(k), "--a", a, "--b", b, "--explain")
+def test_distance_explain_certificate_per_regime(
+    capsys, tmp_path, case, n, k, a, b, distance, edges, flags
+):
+    argv = ["distance", "--n", str(n), "--k", str(k), "--a", a, "--b", b, "--explain", *flags]
+    code, out = run(capsys, *argv)
     assert code == 0
+    assert out == (DATA / "explain" / f"{case}.json").read_text()
     payload = json.loads(out)
     assert payload["distance"] == distance
     if edges is None:
@@ -117,6 +128,21 @@ def test_distance_explain_certificate_per_regime(capsys, tmp_path, n, k, a, b, d
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert))
     assert run(capsys, "verify-path", "--file", str(path)) == (0, f"ok: {edges} edges within claimed bound {edges}\n")
+
+
+def test_out_write_failure_exits_1_with_message(capsys, tmp_path):
+    code = main(["enumerate", "--n", "4", "--k", "2", "--out", str(tmp_path / "missing" / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("schrijver: ")
+
+
+def test_nonpositive_job_count_is_a_usage_error(capsys):
+    for command in ("table", "scan"):
+        for jobs in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--k-max", "2", "--jobs", jobs])
+            assert exc.value.code == 1
+            assert capsys.readouterr().out == ""
 
 
 def test_distance_builds_no_vertex_list(capsys, monkeypatch):

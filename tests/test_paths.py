@@ -18,6 +18,7 @@ from schrijver import (
     zy_split,
 )
 from schrijver.blocks import Block, CyclicInterval
+from schrijver.cyclic import mask_of
 from schrijver.suites import (
     SuiteResult,
     check_dist3,
@@ -46,32 +47,32 @@ def _block(start, end, n=14):
 
 def test_zy_split_examples():
     z, y, zp, yp = zy_split(_block(4, 10))
-    assert (z, y) == (frozenset({4, 6, 8, 10}), frozenset({5, 7, 9}))
+    assert (z, y) == (mask_of({4, 6, 8, 10}), mask_of({5, 7, 9}))
     assert (zp, yp) == (z, y)
 
     z, y, zp, yp = zy_split(_block(4, 9))
-    assert z == frozenset({4, 6, 8}) and z == yp
-    assert y == frozenset({5, 7, 9}) and y == zp
+    assert z == mask_of({4, 6, 8}) and z == yp
+    assert y == mask_of({5, 7, 9}) and y == zp
 
     z, y, zp, yp = zy_split(_block(6, 6))
-    assert z == zp == frozenset({6})
-    assert y == yp == frozenset()
+    assert z == zp == mask_of({6})
+    assert y == yp == mask_of(set())
 
 
 def test_zy_split_wrapping_block():
     z, y, _, _ = zy_split(_block(13, 2, n=14))
-    assert z == frozenset({13, 1})
-    assert y == frozenset({14, 2})
+    assert z == mask_of({13, 1})
+    assert y == mask_of({14, 2})
 
 
 def test_star_pair_example_walkthrough():
     d = decompose(*ex1_pair())
     sp = build_star_pair(d)
-    assert sp.a_star == frozenset({1, 3, 6, 14, 17, 19})
-    assert sp.b_star == frozenset({2, 4, 7, 13, 15, 18, 20})
-    assert sp.i_prime == (9, 11)
+    assert sp.a_star == mask_of({1, 3, 6, 14, 17, 19})
+    assert sp.b_star == mask_of({2, 4, 7, 13, 15, 18, 20})
+    assert sp.i_prime == mask_of({9, 11})
     assert (sp.s, sp.r_blocks, sp.h) == (1, 0, 3)
-    assert set(sp.a_star) | set(sp.i_prime) >= {1, 3, 6, 9, 11, 14, 17, 19}
+    assert mask_of({1, 3, 6, 9, 11, 14, 17, 19}) & ~(sp.a_star | sp.i_prime) == 0
 
 
 def test_star_pair_invariants_exhaustive():
@@ -89,7 +90,7 @@ def test_i_prime_empty_without_singleton_type_i():
             blk for blk in d.blocks if blk.btype == "I" and blk.interval.length == 1
         ]
         if not singles:
-            assert build_star_pair(d).i_prime == ()
+            assert build_star_pair(d).i_prime == 0
             seen += 1
     assert seen
 

@@ -23,9 +23,9 @@ from .certificates import (
 )
 from .closedform import diameter_formula, witness_dist3, witness_lower4
 from .cyclic import CycleParams, StableSet, enumerate_stable_sets, parse_set_text, stable_set
-from .errors import CertificateError, InvariantError, ParameterError, SchrijverError
+from .errors import CertificateError, InvariantError, ParameterError, RegimeError, SchrijverError
 from .graph import SchrijverGraph
-from .lift import bound_path_with_trace
+from .lift import bound_path_with_trace, regime_m
 from .paths import path_dist3, path_via_reduction
 from .suites import SUITES, scan_rows, table_rows
 
@@ -40,6 +40,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract here is 1
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -126,10 +127,12 @@ def _certificate_for(g: SchrijverGraph, a: StableSet, b: StableSet, dist: int, w
         return PathCertificate((a, disjoint_middle_vertex(d), b), 2), None
     if 3 * k - 2 <= n <= 4 * k - 3:
         return path_dist3(a, b), None
-    if 1 <= 3 * k - 2 - n <= k - 4:
-        cert, trace = bound_path_with_trace(a, b)
-        return cert, trace if want_trace else None
-    return path_via_reduction(a, b), None
+    try:  # the lift pipeline's own regime check decides, word cap included
+        regime_m(g.params)
+    except RegimeError:
+        return path_via_reduction(a, b), None
+    cert, trace = bound_path_with_trace(a, b)
+    return cert, trace if want_trace else None
 
 
 def cmd_distance(args) -> str:

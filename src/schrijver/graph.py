@@ -1,14 +1,40 @@
 """SG(n,k) as an explicit graph: the exact oracle for every constructive claim.
 
 The graph holds only the uint64 vertex masks; `StableSet` objects are built
-on demand.  Adjacency is mask disjointness, tested on the fly against the
-whole mask array (no adjacency lists are stored).  BFS advances a frontier
-with chunked mask broadcasts, dropping candidates from the unvisited pool as
-soon as they are hit, so dense levels cost far less than |frontier| x |V|.
+on demand.  Adjacency is mask disjointness; no adjacency lists are stored.
+BFS has two kernels, and one cost rule picks between them.
+
+* `_advance` (single source, early exit, and the fallback): each level scans
+  the unvisited pool against the frontier with chunked mask broadcasts,
+  dropping candidates as soon as they are hit.  A level costs up to
+  |frontier| x |unvisited| mask tests, O(|V|) memory.
+* `_lattice_levels` (multi-source sweeps): subset inclusion-exclusion
+  (Bjorklund-Husfeldt-Koivisto) on the down-closed family F of all subsets
+  of the vertex masks, batched over sources as in MS-BFS.  Per level, a
+  superset-sum pass over F gives g(S) = #{u in frontier : S <= u} for every
+  S in F, and a Moebius (subset-difference) pass then gives, at each vertex
+  v, sum over S <= v of (-1)^(|v|-|S|) g(S) = (-1)^|v| #{u in frontier :
+  u & v = 0}: the parity sign of inclusion-exclusion is folded into the
+  differences, and only whether the count is zero matters.  Level 1 is read
+  off the masks directly.  A level costs about 2 sum_{S in F} |S| row
+  operations for the whole batch, and memory is fixed in advance.
+
+Counts are kept modulo 2^16 when |V| < 2^16 and modulo 2^32 otherwise.  Both
+passes use only additions and subtractions, so the result is exact modulo
+that power of two; the true count is at most |V| - 1, below the modulus, so
+it is nonzero exactly when the stored one is.
+
+Cost rule: `bfs_sweeps` runs the lattice kernel when it has more than one
+source and |F| <= _LATTICE_RATIO |V|; otherwise, and for single-source and
+early-exit calls (`distances_from`, `bfs_distance`), `_advance` runs.  The
+rule needs nothing but the masks: F is built layer by layer and the build
+gives up as soon as it passes the cap.  The lattice is local to one call and
+never stored on the graph.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +47,20 @@ from .errors import InvariantError, ParameterError
 # Frontier masks broadcast per scan; 64 keeps each outer product around
 # |V| x 64 x 8B, i.e. ~35 MB for the largest acceptance graph.
 _CHUNK = 64
+
+# Cost rule for `bfs_sweeps`: the lattice kernel runs while |F| <= 16 |V|.
+# Per-source time of `_advance` over the lattice kernel, measured on a 2-vCPU
+# Xeon with the byte budget below: SG(22,7) (|F|/|V| = 3.6) 5.7x, SG(26,9)
+# (6.9) 5.2x, SG(28,10) (10.1) 3.3x, SG(24,9) (12.7) 1.2x, SG(27,10) (14.0)
+# 1.06x; past the cap, SG(20,8) (18.2) 1.09x, SG(23,9) (19.3) 0.9x, SG(26,10)
+# (20.7) 0.33x, SG(25,10) (33.3) 0.19x.
+_LATTICE_RATIO = 16
+
+# Byte budget of the lattice kernel's count matrix (|F| rows x batch
+# columns); the batch width is this over |F| x itemsize, at least 1 (15
+# sources for SG(22,7), 1 for SG(26,7)).  The gathers of one pass add at most
+# as much again: a pass touches only the sets that hold one element.
+_LATTICE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,8 +101,8 @@ def bfs_levels(masks: np.ndarray, src: int, target: int | None = None) -> np.nda
     """BFS levels from src in the disjointness graph on `masks` (uint64).
 
     -1 marks vertices not reached; the search stops once target is reached.
-    This is the package's one BFS engine: `SchrijverGraph` runs it on its
-    vertex masks, and induced subgraphs run it on a subset of them.
+    This is the single-source kernel (`_advance`); `bfs_sweeps` runs many
+    sources.  Both take any mask array, so induced subgraphs use them too.
     """
     dist = np.full(masks.size, -1, dtype=np.int8)
     dist[src] = 0
@@ -79,6 +119,108 @@ def bfs_levels(masks: np.ndarray, src: int, target: int | None = None) -> np.nda
         frontier = masks[new]
         unvisited = unvisited[~hit]
     return dist
+
+
+@dataclass(frozen=True)
+class SubsetLattice:
+    """The down-closed family F of all subsets of some distinct vertex masks.
+
+    `sets` is F in ascending order and `vertex_rows` the row of each vertex
+    in it; `pairs` holds, per ground-set element i, the rows of S - {i} and
+    of S for every S in F that contains i.
+    """
+
+    sets: np.ndarray
+    vertex_rows: np.ndarray
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def subset_lattice(masks: np.ndarray) -> SubsetLattice | None:
+    """F for `masks`, or None as soon as |F| passes the cost rule's cap."""
+    cap = _LATTICE_RATIO * masks.size
+    union = int(np.bitwise_or.reduce(masks)) if masks.size else 0
+    bits = [np.uint64(1 << i) for i in range(union.bit_length()) if union >> i & 1]
+    layer = np.unique(masks)
+    layers = [layer]
+    size = layer.size
+    while layer.size > 1 or (layer.size and layer[0]):
+        # the next layer: every set of this one with one element removed
+        layer = np.unique(np.concatenate([layer[(layer & bit) != 0] ^ bit for bit in bits]))
+        layers.append(layer)
+        size += layer.size
+        if size > cap:
+            return None
+    sets = np.unique(np.concatenate(layers))
+    pairs = []
+    for bit in bits:
+        upper = np.flatnonzero(sets & bit)
+        pairs.append((np.searchsorted(sets, sets[upper] ^ bit), upper))
+    return SubsetLattice(sets, np.searchsorted(sets, masks), tuple(pairs))
+
+
+def _count_type(size: int) -> type:
+    """Counts modulo 2^16, or 2^32 from |V| = 2^16 on: exact, as counts < |V|."""
+    return np.uint16 if size < 1 << 16 else np.uint32
+
+
+def _lattice_levels(lat: SubsetLattice, masks: np.ndarray, sources) -> np.ndarray:
+    """BFS levels, one int8 row per source, by the batched lattice kernel.
+
+    The count matrix has one row per set of F and one column per source;
+    rows are gathered with `take` and written back with `put` through a
+    one-item-per-row view, which is several times faster than row fancy
+    indexing at these widths.
+    """
+    src = np.asarray(sources, dtype=np.intp)
+    dist = np.full((src.size, masks.size), -1, dtype=np.int8)
+    levels = dist.T  # (vertex, source), the layout of the counts
+    frontier = (masks[:, None] & masks[src][None, :]) == 0
+    levels[frontier] = 1
+    dist[np.arange(src.size), src] = 0
+    unvisited = levels < 0
+    counts = np.empty((lat.sets.size, src.size), dtype=_count_type(masks.size))
+    rows = counts.view(np.dtype((np.void, counts.itemsize * src.size))).reshape(-1)
+
+    def write(at: np.ndarray, values: np.ndarray) -> None:
+        rows.put(at, values.view(rows.dtype).reshape(-1))
+
+    level = 1
+    while unvisited.any() and frontier.any():
+        level += 1
+        counts.fill(0)
+        write(lat.vertex_rows, frontier.astype(counts.dtype))
+        for lower, upper in lat.pairs:  # superset sums: frontier sets above S
+            total = counts.take(lower, axis=0)
+            total += counts.take(upper, axis=0)
+            write(lower, total)
+        for lower, upper in lat.pairs:  # signed subset sums (Moebius)
+            diff = counts.take(upper, axis=0)
+            diff -= counts.take(lower, axis=0)
+            write(upper, diff)
+        frontier = unvisited & (counts.take(lat.vertex_rows, axis=0) != 0)
+        levels[frontier] = level
+        unvisited &= ~frontier
+    return dist
+
+
+def bfs_sweeps(masks: np.ndarray, sources) -> Iterator[tuple[int, np.ndarray]]:
+    """Full BFS levels from each source, in order: yields (source, levels).
+
+    Levels are those of `bfs_levels`.  Two or more sources on a graph that
+    passes the cost rule go through the lattice kernel in batches sized by
+    `_LATTICE_BYTES`; anything else runs `bfs_levels` per source.
+    """
+    sources = list(sources)
+    lat = subset_lattice(masks) if len(sources) > 1 else None
+    if lat is None:
+        for src in sources:
+            yield src, bfs_levels(masks, src)
+        return
+    itemsize = np.dtype(_count_type(masks.size)).itemsize
+    width = max(1, _LATTICE_BYTES // (lat.sets.size * itemsize))
+    for start in range(0, len(sources), width):
+        batch = sources[start : start + width]
+        yield from zip(batch, _lattice_levels(lat, masks, batch))
 
 
 class SchrijverGraph:
@@ -166,8 +308,7 @@ class SchrijverGraph:
         )
         best = -1
         witness = (0, 0)
-        for src in sources:
-            dist = self.distances_from(src)
+        for src, dist in bfs_sweeps(self._masks, sources):
             if (dist < 0).any():
                 raise InvariantError(
                     f"SG({self.params.n},{self.params.k}) is disconnected"
@@ -193,6 +334,6 @@ class SchrijverGraph:
                 f"refusing an all-pairs matrix for {count} vertices"
             )
         out = np.empty((count, count), dtype=np.int8)
-        for i in range(count):
-            out[i] = self.distances_from(i)
+        for i, dist in bfs_sweeps(self._masks, range(count)):
+            out[i] = dist
         return out

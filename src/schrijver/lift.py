@@ -21,7 +21,7 @@ from .blocks import (
     distance2_criterion,
 )
 from .certificates import PathCertificate
-from .cyclic import CycleParams, StableSet, rol_mask, run_starts, wrap
+from .cyclic import MAX_N, CycleParams, StableSet, rol_mask, run_starts, wrap
 from .errors import InvariantError, ParameterError, RegimeError
 from .paths import _disjoint_middle_pair, path_via_reduction
 
@@ -219,12 +219,18 @@ def _project_pair(y1, y2, steps, a_levels, b_levels):
     return y1, y2
 
 
-def _regime_m(params: CycleParams) -> int:
+def regime_m(params: CycleParams) -> int:
+    """m = 3k-2-n for a cell the pipeline covers; RegimeError with the reason otherwise."""
     n, k = params.n, params.k
     m = 3 * k - 2 - n
     if not 1 <= m <= k - 4:
         raise RegimeError(
             f"lift pipeline needs n = 3k-2-m with 1 <= m <= k-4, got n={n}, k={k}"
+        )
+    if 3 * k - 2 > MAX_N:
+        raise RegimeError(
+            f"lift pipeline climbs to n = 3k-2 = {3 * k - 2}, past the single-word "
+            f"cap n <= {MAX_N}, for k={k}"
         )
     return m
 
@@ -242,7 +248,7 @@ def bound_path_with_trace(a: StableSet, b: StableSet) -> tuple[PathCertificate, 
     """`bound_path_m_plus_3` together with the lift levels it went through."""
     if a.params != b.params:
         raise ParameterError("vertices come from different SG(n,k)")
-    m = _regime_m(a.params)
+    m = regime_m(a.params)
     empty = LiftTrace((), (a,), (b,))
     if a.mask == b.mask:
         return PathCertificate((a,), 0), empty

@@ -45,7 +45,7 @@ from .closedform import (
 )
 from .cyclic import CycleParams, StableSet
 from .errors import SchrijverError
-from .graph import SchrijverGraph, bfs_levels
+from .graph import SchrijverGraph, bfs_sweeps
 from .lift import bound_path_m_plus_3
 from .paths import (
     build_star_pair,
@@ -295,7 +295,7 @@ def check_model(res: SuiteResult, k: int) -> None:
 def check_class_diameters(res: SuiteResult, k: int) -> None:
     """Induced diameters in SG(2k+2,k): B3 has 2, the top level (k+1)//2.
 
-    Each induced subgraph runs the graph's BFS engine over its own masks.
+    Each induced subgraph runs the graph's BFS sweeps over its own masks.
     """
     res.counts["class_diameters"] += 1
     labelled = list(zip(graph(2 * k + 2, k).vertices, _classes(k)))
@@ -303,7 +303,7 @@ def check_class_diameters(res: SuiteResult, k: int) -> None:
     top = [v.mask for v, c in labelled if c == ("B2", k // 2)]
     for name, masks, want in (("B3", b3, 2), ("top-level", top, (k + 1) // 2)):
         masks = np.array(masks, dtype=np.uint64)
-        levels = [bfs_levels(masks, src) for src in range(masks.size)]
+        levels = [lv for _, lv in bfs_sweeps(masks, range(masks.size))]
         diam = -1 if any((lv < 0).any() for lv in levels) else max(int(lv.max()) for lv in levels)
         if diam != want:
             res.fail(f"SG(2k+2,k) for k={k}: induced {name} diameter {diam} != {want}")

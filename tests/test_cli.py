@@ -145,6 +145,40 @@ def test_nonpositive_job_count_is_a_usage_error(capsys):
             assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["table", "--k-max", "2", "--jobs", "0"], "argument --jobs: invalid _job_count value: '0'"),
+        (["diameter", "--k", "3"], "the following arguments are required: --n"),
+    ],
+)
+def test_usage_error_prints_argparse_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: schrijver ")
+    assert err[-1] == f"schrijver {argv[0]}: error: {message}"
+
+
+def test_distance_above_lift_word_cap_falls_back_to_reduction(capsys, tmp_path):
+    # SG(52,24) sits in the lift regime (m = 18), but the lift would pass n = 64
+    a = "1,3,6,8,10,12,14,16,18,20,22,24,26,28,30,32,34,36,38,40,42,45,47,49"
+    b = "2,4,7,9,11,15,18,20,22,24,26,28,30,32,34,36,38,40,42,44,46,48,50,52"
+    code, out = run(capsys, "distance", "--n", "52", "--k", "24", "--a", a, "--b", b, "--explain")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["distance"] == 6
+    cert = payload["certificate"]
+    assert (cert["vertices"][0], cert["vertices"][-1]) == (a, b)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    edges = len(cert["vertices"]) - 1
+    assert run(capsys, "verify-path", "--file", str(path)) == (
+        0, f"ok: {edges} edges within claimed bound {cert['claimed_bound']}\n"
+    )
+
+
 def test_distance_builds_no_vertex_list(capsys, monkeypatch):
     built = []
 

@@ -1,10 +1,15 @@
-"""Graph oracle: adjacency, BFS distances, eccentricity, brute-force diameter."""
+"""Graph oracle: adjacency, the two BFS kernels, eccentricity, brute-force diameter."""
 
+from collections import Counter
 from itertools import islice
 from random import Random
+from unittest.mock import patch
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from schrijver import (
     CycleParams,
@@ -13,9 +18,11 @@ from schrijver import (
     adjacent,
     canonical_form,
     rotate,
+    stable_count,
     stable_masks,
     stable_set,
 )
+from schrijver import graph as graph_module
 from schrijver.graph import bfs_levels
 from schrijver.suites import distance_matrix, graph, sweep
 
@@ -181,3 +188,95 @@ def test_pair_distance_stops_at_target_level():
     ia, ib = 0, g.vertex_index(g.neighbors(a)[0])
     dist = bfs_levels(stable_masks(g.params), ia, target=ib)
     assert dist[ib] == 1 and dist.max() == 1 and (dist < 0).any()
+
+
+# -- the batched lattice kernel ----------------------------------------------
+
+# Cells with n <= 64 and at most 1500 vertices, full or as induced subsets.
+SMALL_CELLS = [
+    (n, k)
+    for n in range(3, 65)
+    for k in range(1, n // 2 + 1)
+    if 2 <= stable_count(CycleParams(n, k)) <= 1500
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    cell=st.sampled_from(SMALL_CELLS),
+    keep=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lattice_levels_equal_bfs_levels(cell, keep, seed):
+    rng = np.random.default_rng(seed)
+    masks = stable_masks(CycleParams(*cell))
+    if keep < 1.0:  # an induced subgraph, possibly disconnected
+        masks = masks[rng.random(masks.size) < keep]
+    assume(masks.size >= 2)
+    with patch.object(graph_module, "_LATTICE_RATIO", 64):  # past the cost rule too
+        lat = graph_module.subset_lattice(masks)
+    assume(lat is not None)
+    sources = rng.choice(masks.size, size=min(5, masks.size), replace=False)
+    got = graph_module._lattice_levels(lat, masks, sources)
+    for src, levels in zip(sources, got):
+        assert np.array_equal(levels, bfs_levels(masks, src))
+
+
+def _kernel_calls(monkeypatch):
+    calls = Counter()
+    for name in ("_advance", "_lattice_levels"):
+        inner = getattr(graph_module, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(graph_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n,k,kernel",
+    # |F|/|V| = 3.6 runs the lattice; 19.3 passes the cap and falls back, and
+    # SG(63,30) (|F| about 10^13) gives up within the first layers
+    [(22, 7, "_lattice_levels"), (23, 9, "_advance"), (63, 30, "_advance")],
+)
+def test_cost_rule_picks_the_kernel(monkeypatch, n, k, kernel):
+    masks = stable_masks(CycleParams(n, k))
+    assert (graph_module.subset_lattice(masks) is None) == (kernel == "_advance")
+    calls = _kernel_calls(monkeypatch)
+    swept = list(graph_module.bfs_sweeps(masks, [0, 1]))
+    assert set(calls) == {kernel}
+    for src, levels in swept:
+        assert np.array_equal(levels, bfs_levels(masks, src))
+
+
+def test_single_source_sweep_runs_advance(monkeypatch):
+    calls = _kernel_calls(monkeypatch)
+    list(graph_module.bfs_sweeps(stable_masks(CycleParams(22, 7)), [3]))
+    assert set(calls) == {"_advance"}
+
+
+def test_lattice_counts_modulo_2_32():
+    # SG(26,7) has 68 952 >= 2^16 vertices, so counts are uint32
+    masks = stable_masks(CycleParams(26, 7))
+    assert masks.size == 68952 and graph_module._count_type(masks.size) is np.uint32
+    lat = graph_module.subset_lattice(masks)
+    sources = [0, masks.size - 1]
+    got = graph_module._lattice_levels(lat, masks, sources)
+    for src, levels in zip(sources, got):
+        assert np.array_equal(levels, bfs_levels(masks, src))
+
+
+@pytest.mark.parametrize("n,k", [(14, 6), (17, 7), (22, 7)])
+def test_diameter_witness_matches_per_source_loop(n, k):
+    g = graph(n, k)
+    best, witness = -1, None
+    for src in g.orbit_representatives():
+        dist = g.distances_from(src)
+        if dist.max() > best:
+            best, witness = int(dist.max()), (src, int(dist.argmax()))
+    res = g.diameter_bruteforce()
+    assert res.value == best
+    assert res.witness == (g.vertices[witness[0]], g.vertices[witness[1]])
+    assert not any(isinstance(v, graph_module.SubsetLattice) for v in vars(g).values())

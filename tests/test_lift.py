@@ -206,3 +206,12 @@ def test_bound_path_regime_errors():
     b = stable_set([2, 4, 6, 8, 10], p)
     with pytest.raises(RegimeError):
         bound_path_m_plus_3(a, b)
+
+
+def test_bound_path_refuses_cells_whose_lift_passes_the_word_cap():
+    # SG(52,24) has m = 18 <= k-4, but the lift would climb to n = 70 > 64
+    p = CycleParams(52, 24)
+    a = stable_set([1, 3, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36, 38, 40, 42, 45, 47, 49], p)
+    b = stable_set([2, 4, 7, 9, 11, 15, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36, 38, 40, 42, 44, 46, 48, 50, 52], p)
+    with pytest.raises(RegimeError, match="single-word cap"):
+        bound_path_m_plus_3(a, b)

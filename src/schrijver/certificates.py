@@ -9,11 +9,10 @@ that construct certificates.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cyclic import MAX_N, CycleParams, StableSet, stable_set
+from .cyclic import MAX_N, SET_TEXT, CycleParams, StableSet, stable_set
 from .errors import CertificateError, ParameterError
 
 
@@ -128,9 +127,6 @@ def certificate_to_json(cert: PathCertificate) -> dict:
     }
 
 
-_SET_TEXT = re.compile(r"[0-9]+(?:,[0-9]+)*")
-
-
 def parse_certificate(data: object) -> tuple[int, int, int, list[tuple[int, ...]]]:
     """Raw `(n, k, claimed_bound, member_seqs)` of a certificate payload.
 
@@ -152,7 +148,7 @@ def parse_certificate(data: object) -> tuple[int, int, int, list[tuple[int, ...]
     if not isinstance(texts, list):
         raise ParameterError("malformed certificate payload: vertices must be a list")
     for text in texts:
-        if not isinstance(text, str) or not _SET_TEXT.fullmatch(text):
+        if not isinstance(text, str) or not SET_TEXT.fullmatch(text):
             raise ParameterError(f"malformed certificate payload: bad vertex {text!r}")
     n, k, bound = fields
     if not 2 <= n <= MAX_N or k < 1:

@@ -52,13 +52,6 @@ def _add_common(p: argparse.ArgumentParser, *, sets: bool = False) -> None:
         p.add_argument("--b", required=True, help="second vertex")
 
 
-def _job_count(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise ValueError(f"job count must be >= 1, got {jobs}")
-    return jobs
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="schrijver", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -78,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="formula vs BFS diameters, CSV")
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--jobs", type=_job_count, default=1)
 
     p = sub.add_parser("witness", help="paper witness pairs")
     _add_common(p)
@@ -93,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="conjecture evidence: diameters by r")
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--jobs", type=_job_count, default=1)
 
     for name in ("enumerate", "distance", "diameter", "witness"):
         sub.choices[name].add_argument("--format", choices=("plain", "json"), default="plain")
@@ -211,7 +202,7 @@ def _csv(schema: str, columns: str, rows: list[dict]) -> str:
 
 
 def cmd_table(args) -> str:
-    rows = table_rows(args.k_max, jobs=args.jobs)
+    rows = table_rows(args.k_max)
     return _csv(TABLE_SCHEMA, "n,k,r,formula_lo,formula_hi,bfs,agree", rows)
 
 
@@ -258,7 +249,7 @@ def cmd_verify(args) -> str:
 
 
 def cmd_scan(args) -> str:
-    rows = scan_rows(args.k_max, jobs=args.jobs)
+    rows = scan_rows(args.k_max)
     return _csv(SCAN_SCHEMA, "k,r,n,diameter,next_diameter,gap", rows)
 
 

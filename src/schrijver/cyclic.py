@@ -8,6 +8,7 @@ disjointness tests are one AND each.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable
@@ -16,8 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Single-word bitmask cap; graphs are searched up to n=26 and vertex
-# counts are checked up to the cap itself.
+# Single-word bitmask cap: every vertex is one uint64 mask, so n <= 64.
 MAX_N = 64
 
 # Vertex-count cap for enumeration.  Building the masks of SG(64,5)
@@ -276,14 +276,15 @@ def canonical_form(s: StableSet) -> StableSet:
     return StableSet(s.params, min(images, key=members_of))
 
 
+# Set text: ASCII decimal elements joined by commas, nothing else.
+SET_TEXT = re.compile(r"[0-9]+(?:,[0-9]+)*")
+
+
 def parse_set_text(text: str, params: CycleParams | None = None) -> tuple[int, ...]:
-    """Parse `1,3,6,8` (ascending, no spaces); rejects unsorted/duplicates."""
-    if not text:
-        raise ParameterError("empty set text")
-    try:
-        mems = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ParameterError(f"bad set text {text!r}: {exc}") from None
+    """Parse `1,3,6,8` (ascending, no spaces); rejects any other text."""
+    if not SET_TEXT.fullmatch(text):
+        raise ParameterError(f"bad set text {text!r}: expected integers like 1,3,6,8")
+    mems = tuple(int(part) for part in text.split(","))
     for prev, cur in zip(mems, mems[1:]):
         if cur <= prev:
             raise ParameterError(

@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 
 import numpy as np
 
@@ -90,12 +90,6 @@ def graph(n: int, k: int) -> SchrijverGraph:
     return SchrijverGraph(CycleParams(n, k))
 
 
-@lru_cache(maxsize=None)
-def distance_matrix(n: int, k: int) -> np.ndarray:
-    return graph(n, k).all_distances()
-
-
-
 def _sampled_pairs(masks: list[int], count: int, rng: random.Random):
     """Up to `count` distinct intersecting index pairs i < j, in draw order."""
     total = len(masks)
@@ -110,12 +104,28 @@ def _sampled_pairs(masks: list[int], count: int, rng: random.Random):
             yield pair
 
 
-def _intersecting_pairs(masks: list[int]):
-    """Every intersecting index pair i < j, in index order."""
-    arr = np.array(masks, dtype=np.uint64)
-    for i in range(len(arr) - 1):
-        for j in (np.flatnonzero(arr[i + 1 :] & arr[i]) + (i + 1)).tolist():
-            yield i, j
+def _pair_distances(masks: np.ndarray, min_dist: int, sample: int, rng: random.Random | None):
+    """`(i, j, dist)` for intersecting pairs i < j at least `min_dist` apart.
+
+    Every distance is read off a `bfs_sweeps` row.  Exhaustively, one row
+    per source i in index order gives its pairs with every j > i.  With
+    `sample`, the pairs come in `_sampled_pairs` draw order, and only the
+    drawn entries of each distinct source's row are kept.
+    """
+    if not sample:
+        for i, row in bfs_sweeps(masks, range(masks.size - 1)):
+            js = np.flatnonzero(masks[i + 1 :] & masks[i]) + (i + 1)
+            js = js[row[js] >= min_dist]
+            yield from zip(repeat(i), js.tolist(), row[js].tolist())
+        return
+    pairs = list(_sampled_pairs(masks.tolist(), sample, rng))
+    targets: dict[int, list[int]] = {}
+    for i, j in pairs:
+        targets.setdefault(i, []).append(j)
+    dist = {(i, j): int(row[j]) for i, row in bfs_sweeps(masks, targets) for j in targets[i]}
+    for i, j in pairs:
+        if dist[i, j] >= min_dist:
+            yield i, j, dist[i, j]
 
 
 def sweep(cells, min_dist: int = 0, sample: int = 0, rng: random.Random | None = None):
@@ -124,22 +134,16 @@ def sweep(cells, min_dist: int = 0, sample: int = 0, rng: random.Random | None =
     By default every intersecting pair i < j in index order; with `sample`,
     up to that many distinct intersecting pairs per cell, drawn from `rng`.
     `min_dist` keeps only the pairs at least that far apart.  Distances come
-    from the cell's distance matrix, or from one BFS per pair in cells past
-    2000 vertices.
+    from the cell's BFS sweeps, one row per source.
     """
     for n, k in cells:
         g = graph(n, k)
         if len(g) < 2:
             continue
         verts = g.vertices
-        masks = [v.mask for v in verts]
-        dmat = distance_matrix(n, k) if len(g) <= 2000 else None
-        pairs = _sampled_pairs(masks, sample, rng) if sample else _intersecting_pairs(masks)
-        for i, j in pairs:
-            a, b = verts[i], verts[j]
-            dist = int(dmat[i, j]) if dmat is not None else g.bfs_distance(a, b).distance
-            if dist >= min_dist:
-                yield a, b, dist
+        masks = np.array([v.mask for v in verts], dtype=np.uint64)
+        for i, j, dist in _pair_distances(masks, min_dist, sample, rng):
+            yield verts[i], verts[j], dist
 
 
 # ---------------------------------------------------------------------------
@@ -406,20 +410,14 @@ def table_grid(k_max: int) -> list[tuple[int, int]]:
     return [(n, k) for k in range(2, k_max + 1) for n in range(2 * k + 1, 4 * k - 1)]
 
 
-def table_rows(k_max: int, jobs: int = 1) -> list[dict]:
+def table_rows(k_max: int) -> list[dict]:
     """One row per cell of `table_grid(k_max)`, in its order."""
-    cells = table_grid(k_max)
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.starmap(table_cell, cells)
-    return [table_cell(n, k) for n, k in cells]
+    return [table_cell(n, k) for n, k in table_grid(k_max)]
 
 
-def scan_rows(k_max: int, jobs: int = 1) -> list[dict]:
+def scan_rows(k_max: int) -> list[dict]:
     """Diameters by r for each k, with consecutive gaps: conjecture evidence."""
-    diam = {(row["n"], row["k"]): row["bfs"] for row in table_rows(k_max, jobs)}
+    diam = {(row["n"], row["k"]): row["bfs"] for row in table_rows(k_max)}
     rows = []
     for (n, k), d in diam.items():
         nxt = diam.get((n + 1, k))

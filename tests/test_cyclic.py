@@ -203,5 +203,9 @@ def test_set_text_parsing():
         parse_set_text("1,3,x")
     with pytest.raises(ParameterError):
         parse_set_text("")
+    # text that int() would read: space, sign, underscore, non-ASCII digit
+    for text in (" 1,3,5,7", "+1,3,5,7", "1,3,5,0_7", "\uff11,3,5,7", "1,3,5,7 "):
+        with pytest.raises(ParameterError):
+            parse_set_text(text)
     with pytest.raises(ParameterError):
         parse_set_text("1,3,12", CycleParams(10, 3))

@@ -24,7 +24,7 @@ from schrijver import (
 )
 from schrijver import graph as graph_module
 from schrijver.graph import bfs_levels
-from schrijver.suites import distance_matrix, graph, sweep
+from schrijver.suites import graph, sweep
 
 
 def nx_oracle(g):
@@ -59,7 +59,7 @@ def test_adjacent_symmetric_irreflexive_and_shift():
 @pytest.mark.parametrize("n,k", [(10, 4), (9, 4), (8, 3)])
 def test_distances_match_networkx(n, k):
     g = graph(n, k)
-    dmat = distance_matrix(n, k)
+    dmat = graph(n, k).all_distances()
     lengths = dict(nx.all_pairs_shortest_path_length(nx_oracle(g)))
     for i in range(len(g)):
         for j in range(len(g)):
@@ -87,7 +87,7 @@ def test_bfs_distance_lookup_error():
 
 def test_triangle_inequality_sampled():
     g = graph(11, 4)
-    dmat = distance_matrix(11, 4)
+    dmat = graph(11, 4).all_distances()
     total = len(g)
     for i in range(0, total, 3):
         for j in range(1, total, 4):
@@ -154,7 +154,7 @@ def test_distance_record_symmetry_and_unreachable_marker():
 
 def test_connectedness_small():
     for n, k in ((7, 3), (9, 4), (10, 4), (12, 5), (13, 5)):
-        assert (distance_matrix(n, k) >= 0).all()
+        assert (graph(n, k).all_distances() >= 0).all()
 
 
 def test_graph_work_builds_no_vertex_list():
@@ -169,17 +169,35 @@ def test_graph_work_builds_no_vertex_list():
     assert "vertices" not in g.__dict__
 
 
-def test_sampled_sweep_draws_distinct_intersecting_pairs():
-    pairs = list(sweep([(14, 6)], sample=50, rng=Random(3)))
-    g, dmat = graph(14, 6), distance_matrix(14, 6)
+@pytest.mark.parametrize("n,k", [(14, 6), (21, 7)])
+def test_sampled_sweep_draws_distinct_intersecting_pairs(n, k):
+    pairs = list(sweep([(n, k)], sample=50, rng=Random(3)))
+    g = graph(n, k)
     seen = {(g.vertex_index(a), g.vertex_index(b)) for a, b, _ in pairs}
     assert len(pairs) == len(seen) == 50
     for a, b, dist in pairs:
         assert a.mask & b.mask and a != b
-        assert dist == dmat[g.vertex_index(a), g.vertex_index(b)]
-    assert [(a, b) for a, b, _ in sweep([(14, 6)], sample=50, rng=Random(3))] == [
+        assert dist == g.bfs_distance(a, b).distance
+    assert [(a, b) for a, b, _ in sweep([(n, k)], sample=50, rng=Random(3))] == [
         (a, b) for a, b, _ in pairs
     ]
+
+
+def test_exhaustive_sweep_reads_bfs_rows(monkeypatch):
+    # SG(21,8) has 2079 vertices; every distance comes from the sweep rows
+    g = graph(21, 8)
+    dmat = g.all_distances()
+
+    def refuse(*args):
+        raise AssertionError("per-pair BFS")
+
+    monkeypatch.setattr(SchrijverGraph, "bfs_distance", refuse)
+    masks = stable_masks(g.params)
+    index = {m: i for i, m in enumerate(masks.tolist())}
+    got = [(index[a.mask], index[b.mask], dist) for a, b, dist in sweep([(21, 8)], min_dist=4)]
+    meet = np.triu((masks[:, None] & masks[None, :]) != 0, 1)
+    want = [(i, j, int(dmat[i, j])) for i, j in zip(*np.nonzero(meet & (dmat >= 4)))]
+    assert got and got == want
 
 
 def test_pair_distance_stops_at_target_level():

@@ -20,7 +20,7 @@ from schrijver import (
     verify_certificate,
     witness_lower4,
 )
-from schrijver.suites import distance_matrix, graph, sweep
+from schrijver.suites import graph, sweep
 
 
 def lower4_shape(n, k):
@@ -184,7 +184,7 @@ def test_bound_path_exhaustive_sg12_5():
 
 def test_bound_path_delegation():
     g = graph(12, 5)
-    dmat = distance_matrix(12, 5)
+    dmat = graph(12, 5).all_distances()
     a = g.vertices[0]
     assert bound_path_m_plus_3(a, a).edge_count == 0
     for j in range(1, len(g)):

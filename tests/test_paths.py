@@ -25,7 +25,6 @@ from schrijver.suites import (
     check_reduction,
     check_star_pair,
     check_walks,
-    distance_matrix,
     graph,
     sweep,
 )
@@ -199,7 +198,7 @@ def test_path_via_reduction_exhaustive_small():
 def test_path_via_reduction_with_middle():
     g = graph(12, 5)
     a = g.vertices[0]
-    dmat = distance_matrix(12, 5)
+    dmat = graph(12, 5).all_distances()
     mid = g.vertices[10]
     b = g.vertices[20]
     cert = path_via_reduction(a, b, via=mid)

@@ -237,13 +237,22 @@ def cmd_verify_path(args) -> str:
     return f"ok: {len(seqs) - 1} edges within claimed bound {bound}\n"
 
 
+def _write(text: str, out: str | None) -> None:
+    """Send a command's report to --out when given, else to stdout."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_verify(args) -> str:
     result = SUITES[args.suite](args.k_max)
     lines = [result.summary()]
     lines.extend(f"  counterexample: {msg}" for msg in result.failures)
     text = "\n".join(lines) + "\n"
     if not result.ok:
-        sys.stdout.write(text)
+        _write(text, args.out)
         raise InvariantError(f"suite {args.suite} found violations")
     return text
 
@@ -269,12 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = _COMMANDS[args.command](args)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(_COMMANDS[args.command](args), args.out)
     except (InvariantError, CertificateError) as exc:
         print(f"schrijver: {exc}", file=sys.stderr)
         return 2

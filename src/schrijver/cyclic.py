@@ -160,9 +160,6 @@ class StableSet:
     def __contains__(self, x: int) -> bool:
         return 1 <= x <= self.params.n and bool(self.mask >> (x - 1) & 1)
 
-    def isdisjoint(self, other: "StableSet") -> bool:
-        return not self.mask & other.mask
-
     def intersection(self, other: "StableSet") -> tuple[int, ...]:
         return members_of(self.mask & other.mask)
 

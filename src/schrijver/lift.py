@@ -5,9 +5,9 @@ Two grow operations alternate, starting with the insertion step: `plus`
 opens a fresh vacant position inside a component of size >= 3 (leaving a
 singleton IV(H) block), `up` widens a singleton type-I block.  Their
 inverses delete a position again.  The pipeline lifts until the pair is
-provably at distance <= 3, pulls the middle vertex or middle pair back
-through the inverse operations, and assembles a certificate of length at
-most m + 3 where n = 3k - 2 - m.
+provably at distance <= 3, pulls the middle walk (one common neighbor or
+the middle pair) back through the inverse operations, and assembles a
+certificate of length at most m + 3 where n = 3k - 2 - m.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .blocks import (
     TYPE_I,
+    Decomposition,
     decompose,
     disjoint_middle_vertex,
     distance2_criterion,
@@ -51,20 +52,20 @@ def _shift_up(s: StableSet, threshold: int, params: CycleParams) -> StableSet:
     return StableSet(params, low | (s.mask ^ low) << 1)
 
 
-def op_plus(a: StableSet, b: StableSet) -> tuple[StableSet, StableSet, int]:
+def op_plus(d: Decomposition) -> tuple[StableSet, StableSet, int]:
     """Insert a vacant position after the second element of a component of
-    size >= 3; returns the lifted pair in [n+1] and the new position u."""
-    d = decompose(a, b)
-    n = a.params.n
+    size >= 3 of the decomposed pair; returns the lifted pair in [n+1] and
+    the new position u."""
+    n = d.params.n
     big = [c for c in d.components if c.interval.length >= 3]
     if not big:
         raise RegimeError("no component of size >= 3 (pair is at distance 2)")
     comp = min(big, key=lambda c: c.interval.start)
     second = wrap(comp.interval.start + 1, n)
     u = n + 1 if second == n else second + 1
-    params2 = CycleParams(n + 1, a.params.k)
-    a2 = _shift_up(a, u, params2)
-    b2 = _shift_up(b, u, params2)
+    params2 = CycleParams(n + 1, d.params.k)
+    a2 = _shift_up(d.a, u, params2)
+    b2 = _shift_up(d.b, u, params2)
 
     x2 = a2.mask | b2.mask
     prev_bit = 1 << (wrap(u - 1, n + 1) - 1)
@@ -82,28 +83,24 @@ def op_plus(a: StableSet, b: StableSet) -> tuple[StableSet, StableSet, int]:
     return a2, b2, u
 
 
-def _delete_position(s: StableSet, pos: int) -> StableSet:
-    """Members > pos move down by one; pos itself merges onto pos - 1 (0 = n)."""
-    n1 = s.params.n
-    if not 1 <= pos <= n1:
-        raise ParameterError(f"position {pos} outside 1..{n1}")
+def op_minus(y: StableSet, u: int) -> StableSet:
+    """Delete position u (inverse of plus): members > u move down by one,
+    u itself merges onto u - 1 (0 = n)."""
+    n1 = y.params.n
+    if not 1 <= u <= n1:
+        raise ParameterError(f"position {u} outside 1..{n1}")
     n = n1 - 1
-    mask = s.mask & ((1 << (pos - 1)) - 1) | (s.mask >> pos) << (pos - 1)
-    if s.mask >> (pos - 1) & 1:
-        mask |= 1 << (wrap(pos - 1, n) - 1)
+    mask = y.mask & ((1 << (u - 1)) - 1) | (y.mask >> u) << (u - 1)
+    if y.mask >> (u - 1) & 1:
+        mask |= 1 << (wrap(u - 1, n) - 1)
     clash = mask & rol_mask(mask, 1, n)
     if clash:
         j = (clash & -clash).bit_length()
         raise ParameterError(
-            f"deleting position {pos} breaks 2-stability: elements {wrap(j - 1, n)},{j} "
+            f"deleting position {u} breaks 2-stability: elements {wrap(j - 1, n)},{j} "
             f"become consecutive"
         )
-    return StableSet(CycleParams(n, s.params.k), mask)
-
-
-def op_minus(y: StableSet, u: int) -> StableSet:
-    """Delete the position opened by a plus step (elements >= u shift down)."""
-    return _delete_position(y, u)
+    return StableSet(CycleParams(n, y.params.k), mask)
 
 
 def op_up(a: StableSet, b: StableSet, t: int) -> tuple[StableSet, StableSet]:
@@ -128,7 +125,7 @@ def op_down(y: StableSet, t: int) -> StableSet:
     """Merge positions t and t+1 back into one (inverse of up)."""
     if not 1 <= t <= y.params.n - 1:
         raise ParameterError(f"position {t} outside 1..{y.params.n - 1}")
-    return _delete_position(y, t + 1)
+    return op_minus(y, t + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -136,31 +133,33 @@ def op_down(y: StableSet, t: int) -> StableSet:
 # ---------------------------------------------------------------------------
 
 
-def _lift_until_short(a: StableSet, b: StableSet, depth_cap: int):
+def _lift_until_short(a: StableSet, b: StableSet, depth_cap: int) -> tuple[LiftTrace, tuple]:
     """Lift alternately until the pair is provably at distance <= 3.
 
-    Stops at the first level where the distance-2 criterion holds or the
-    disjoint middle-pair construction succeeds; both are exact tests, so
-    no BFS runs in the lifted graphs.
+    Returns the trace and the middle walk of the top level: `(y,)`, a
+    common neighbor, when the distance-2 criterion holds, or `(y1, y2)`
+    when the disjoint middle-pair construction succeeds.  Both are exact
+    tests, so no BFS runs in the lifted graphs.
     """
     steps: list[LiftStep] = []
     a_levels = [a]
     b_levels = [b]
     while True:
-        level = len(steps)
-        d = decompose(a_levels[level], b_levels[level])
+        d = decompose(a_levels[-1], b_levels[-1])
         if distance2_criterion(d):
-            return "common", disjoint_middle_vertex(d), steps, a_levels, b_levels
-        pair = _disjoint_middle_pair(d)
-        if pair is not None:
-            return "pair", pair, steps, a_levels, b_levels
+            walk = (disjoint_middle_vertex(d),)
+        else:
+            walk = _disjoint_middle_pair(d)
+        if walk is not None:
+            return LiftTrace(tuple(steps), tuple(a_levels), tuple(b_levels)), walk
+        level = len(steps)
         if level >= depth_cap:
             raise InvariantError(
                 f"lift did not terminate within the proven depth {depth_cap}"
             )
-        n_here = a_levels[level].params.n
+        n_here = d.params.n
         if level % 2 == 0:
-            a2, b2, marker = op_plus(a_levels[level], b_levels[level])
+            a2, b2, marker = op_plus(d)
             steps.append(LiftStep("plus", marker, n_here, n_here + 1))
         else:
             singles = [
@@ -173,47 +172,47 @@ def _lift_until_short(a: StableSet, b: StableSet, depth_cap: int):
                     "middle-pair construction failed but no singleton type-I block exists"
                 )
             marker = min(singles)
-            a2, b2 = op_up(a_levels[level], b_levels[level], marker)
+            a2, b2 = op_up(d.a, d.b, marker)
             steps.append(LiftStep("up", marker, n_here, n_here + 1))
         a_levels.append(a2)
         b_levels.append(b2)
 
 
-def _project_common(y, steps, a_levels, b_levels) -> StableSet:
+def _lower(y: StableSet, step: LiftStep) -> StableSet:
+    """Pull y one level down through the inverse of `step`."""
+    if step.kind == "plus":
+        return op_minus(y, step.marker)
+    return op_down(y, step.marker)
+
+
+def _project_common(y: StableSet, trace: LiftTrace) -> StableSet:
     """Pull a common neighbor of the top pair down to level 0."""
-    for level in range(len(steps) - 1, -1, -1):
-        step = steps[level]
-        a_top, b_top = a_levels[level + 1], b_levels[level + 1]
+    for level in range(trace.p - 1, -1, -1):
+        step = trace.steps[level]
+        a_top, b_top = trace.a_levels[level + 1], trace.b_levels[level + 1]
         if step.kind == "plus":
             if y.mask & run_starts(a_top.mask | b_top.mask, a_top.params.n):
                 raise InvariantError(
                     "projected vertex touches the first element of a component"
                 )
-            y = op_minus(y, step.marker)
-        else:
-            if y.mask & a_top.mask & b_top.mask:
-                raise InvariantError("projected vertex meets A and B simultaneously")
-            y = op_down(y, step.marker)
-        if y.mask & a_levels[level].mask & b_levels[level].mask:
+        elif y.mask & a_top.mask & b_top.mask:
+            raise InvariantError("projected vertex meets A and B simultaneously")
+        y = _lower(y, step)
+        if y.mask & trace.a_levels[level].mask & trace.b_levels[level].mask:
             raise InvariantError("projection broke Y n A n B = empty")
     return y
 
 
-def _project_pair(y1, y2, steps, a_levels, b_levels):
+def _project_pair(y1: StableSet, y2: StableSet, trace: LiftTrace):
     """Pull the disjoint middle pair down, keeping y1 off A and y2 off B."""
+    a_levels, b_levels = trace.a_levels, trace.b_levels
     if y1.mask & a_levels[-1].mask or y2.mask & b_levels[-1].mask:
         raise InvariantError("middle pair is not adjacent to the lifted endpoints")
-    for level in range(len(steps) - 1, -1, -1):
-        step = steps[level]
-        if step.kind == "plus":
-            marker_bit = 1 << (step.marker - 1)
-            if (y1.mask | y2.mask) & marker_bit:
-                raise InvariantError("inserted position leaked into the middle pair")
-            y1 = op_minus(y1, step.marker)
-            y2 = op_minus(y2, step.marker)
-        else:
-            y1 = op_down(y1, step.marker)
-            y2 = op_down(y2, step.marker)
+    for level in range(trace.p - 1, -1, -1):
+        step = trace.steps[level]
+        if step.kind == "plus" and (y1.mask | y2.mask) >> (step.marker - 1) & 1:
+            raise InvariantError("inserted position leaked into the middle pair")
+        y1, y2 = _lower(y1, step), _lower(y2, step)
         if y1.mask & a_levels[level].mask or y2.mask & b_levels[level].mask:
             raise InvariantError("projection broke the endpoint adjacencies")
     return y1, y2
@@ -255,27 +254,21 @@ def bound_path_with_trace(a: StableSet, b: StableSet) -> tuple[PathCertificate, 
     if not a.mask & b.mask:
         return PathCertificate((a, b), 1), empty
 
-    branch, payload, steps, a_levels, b_levels = _lift_until_short(a, b, m)
-    p = len(steps)
-    trace = LiftTrace(tuple(steps), tuple(a_levels), tuple(b_levels))
-
-    if branch == "common":
-        if p == 0:
-            cert = PathCertificate((a, payload, b), 2)
-        else:
-            if p % 2 == 0:
-                raise InvariantError(
-                    f"common-neighbor branch reached with even p={p}; "
-                    "the projection argument requires the last step to be an insertion"
-                )
-            y0 = _project_common(payload, steps, a_levels, b_levels)
-            h_star = (y0.mask & a.mask).bit_count() + (y0.mask & b.mask).bit_count()
-            if h_star > (p + 1) // 2:
-                raise InvariantError("projection bookkeeping bound (p+1)/2 failed")
-            cert = path_via_reduction(a, b, via=y0)
+    trace, walk = _lift_until_short(a, b, m)
+    p = trace.p
+    if len(walk) == 1:
+        if p and p % 2 == 0:
+            raise InvariantError(
+                f"common-neighbor branch reached with even p={p}; "
+                "the projection argument requires the last step to be an insertion"
+            )
+        y0 = _project_common(walk[0], trace)
+        h_star = (y0.mask & a.mask).bit_count() + (y0.mask & b.mask).bit_count()
+        if h_star > (p + 1) // 2:
+            raise InvariantError("projection bookkeeping bound (p+1)/2 failed")
+        cert = path_via_reduction(a, b, via=y0)
     else:
-        y1, y2 = payload
-        y1, y2 = _project_pair(y1, y2, steps, a_levels, b_levels)
+        y1, y2 = _project_pair(*walk, trace)
         if (y1.mask & y2.mask).bit_count() > p // 2:
             raise InvariantError("projection bookkeeping bound p/2 failed")
         inner = path_via_reduction(y1, y2)

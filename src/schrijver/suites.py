@@ -46,7 +46,7 @@ from .closedform import (
 from .cyclic import CycleParams, StableSet
 from .errors import SchrijverError
 from .graph import SchrijverGraph, bfs_sweeps
-from .lift import bound_path_m_plus_3
+from .lift import bound_path_m_plus_3, regime_m
 from .paths import (
     build_star_pair,
     path_dist3,
@@ -248,7 +248,7 @@ def check_dist3(res: SuiteResult, a: StableSet, b: StableSet) -> None:
 def check_lift(res: SuiteResult, a: StableSet, b: StableSet, dist: int) -> None:
     """`bound_path_m_plus_3` gives a valid walk of dist..m+3 edges, m = 3k-2-n."""
     res.counts["lift"] += 1
-    m = 3 * a.params.k - 2 - a.params.n
+    m = regime_m(a.params)
     cert = bound_path_m_plus_3(a, b)
     verify_certificate(cert, source=a, target=b)
     if cert.edge_count > m + 3:

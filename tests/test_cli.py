@@ -103,6 +103,8 @@ EXPLAIN_CASES = {
     "dist3": (10, 4, "1,3,5,7", "1,3,6,8", 3, 3, ()),
     "lift": (12, 5, "1,3,5,7,10", "1,3,6,8,11", 4, 4, ("--trace",)),
     "walkthrough": (20, 7, "2,8,10,12,15,18,20", "1,6,8,10,12,14,17", 2, 2, ()),
+    "lift-p3": (16, 7, "1,3,5,7,9,11,13", "1,3,5,7,10,12,14", 4, 6, ("--trace",)),
+    "lift-p4": (18, 8, "1,3,5,7,9,11,13,15", "1,3,5,7,10,12,14,16", 5, 7, ("--trace",)),
 }
 
 
@@ -308,7 +310,7 @@ def test_verify_suite_passes(capsys, suite, k_max, line):
     assert out == line + "\n"
 
 
-def test_verify_suite_reports_counterexamples(capsys, monkeypatch):
+def test_verify_suite_reports_counterexamples(capsys, monkeypatch, tmp_path):
     # a criterion that always answers wrongly fails every one of the 1218 pairs
     real = suites.distance2_criterion
     monkeypatch.setattr(suites, "distance2_criterion", lambda d: not real(d))
@@ -321,6 +323,14 @@ def test_verify_suite_reports_counterexamples(capsys, monkeypatch):
         line.startswith("  counterexample: SG(") and "distance-2 criterion" in line
         for line in lines[1:]
     )
+    # with --out the failing report goes to the file, like a passing one
+    report = tmp_path / "report.txt"
+    code = main(["verify", "--suite", "blocks", "--k-max", "3", "--out", str(report)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "schrijver: suite blocks found violations\n"
+    assert report.read_text() == out
 
 
 def test_scan_output(capsys):

@@ -16,10 +16,12 @@ from schrijver import (
     op_minus,
     op_plus,
     op_up,
+    parse_set_text,
     stable_set,
     verify_certificate,
     witness_lower4,
 )
+from schrijver import lift
 from schrijver.suites import graph, sweep
 
 
@@ -37,7 +39,7 @@ def test_op_plus_on_singleton_block_pair():
     a, b = lower4_shape(13, 6)
     assert a.members == (1, 3, 5, 7, 9, 11)
     assert b.members == (1, 3, 6, 8, 10, 12)
-    a2, b2, u = op_plus(a, b)
+    a2, b2, u = op_plus(decompose(a, b))
     assert a2.params.n == 14 and b2.params.n == 14
     assert len(a2.members) == len(b2.members) == 6
     assert u not in a2 and u not in b2
@@ -48,7 +50,7 @@ def test_op_plus_on_singleton_block_pair():
 
 def test_op_plus_marker_is_vacant_everywhere():
     for a, b, _ in sweep([(12, 5)], min_dist=3):
-        a2, b2, u = op_plus(a, b)
+        a2, b2, u = op_plus(decompose(a, b))
         assert u not in a2 and u not in b2
         assert (a2.mask & b2.mask).bit_count() == (a.mask & b.mask).bit_count()
 
@@ -60,7 +62,7 @@ def test_op_plus_needs_a_big_component():
         if all(c.interval.length <= 2 for c in d.components):
             assert distance2_criterion(d)  # Observation: such pairs sit at distance 2
             with pytest.raises(RegimeError):
-                op_plus(a, b)
+                op_plus(d)
             found = True
             break
     assert found
@@ -68,7 +70,7 @@ def test_op_plus_needs_a_big_component():
 
 def test_op_minus_round_trip_bookkeeping():
     a, b = lower4_shape(12, 5)
-    a2, b2, u = op_plus(a, b)
+    a2, b2, u = op_plus(decompose(a, b))
     g2 = graph(13, 5)
     checked_plain = checked_holding = 0
     for y in g2.vertices:
@@ -94,7 +96,7 @@ def test_op_minus_round_trip_bookkeeping():
 
 def test_op_minus_pairwise_intersections_preserved():
     a, b = lower4_shape(12, 5)
-    a2, b2, u = op_plus(a, b)
+    a2, b2, u = op_plus(decompose(a, b))
     g2 = graph(13, 5)
     safe = [y for y in g2.vertices if u not in y and u + 1 not in y and u - 2 not in y]
     for y1, y2 in combinations(safe[:40], 2):
@@ -180,6 +182,31 @@ def test_bound_path_exhaustive_sg12_5():
         assert trace.p <= 1 or dist >= 4
         deep += dist >= 4
     assert deep == 108
+
+
+@pytest.mark.parametrize(
+    "n,k,a,b,p",
+    [
+        (16, 7, "1,3,5,7,9,11,13", "1,3,5,7,10,12,14", 3),
+        (18, 8, "1,3,5,7,9,11,13,15", "1,3,5,7,10,12,14,16", 4),
+    ],
+    ids=["p3", "p4"],
+)
+def test_lift_decomposes_each_level_once(monkeypatch, n, k, a, b, p):
+    real = lift.decompose
+    levels = []
+
+    def counting(x, y):
+        levels.append(x.params.n)
+        return real(x, y)
+
+    monkeypatch.setattr(lift, "decompose", counting)
+    params = CycleParams(n, k)
+    a, b = (stable_set(parse_set_text(s), params) for s in (a, b))
+    cert, trace = bound_path_with_trace(a, b)
+    verify_certificate(cert, source=a, target=b)
+    assert trace.p == p
+    assert levels == list(range(n, n + p + 1))
 
 
 def test_bound_path_delegation():

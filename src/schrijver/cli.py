@@ -248,6 +248,8 @@ def _write(text: str, out: str | None) -> None:
 
 def cmd_verify(args) -> str:
     result = SUITES[args.suite](args.k_max)
+    if not result.checked:
+        raise ParameterError(f"suite {args.suite} runs no check at --k-max {args.k_max}")
     lines = [result.summary()]
     lines.extend(f"  counterexample: {msg}" for msg in result.failures)
     text = "\n".join(lines) + "\n"
@@ -274,9 +276,11 @@ _COMMANDS = {
 }
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _write(_COMMANDS[args.command](args), args.out)
     except (InvariantError, CertificateError) as exc:

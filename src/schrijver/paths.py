@@ -28,7 +28,7 @@ from .blocks import (
 )
 from .certificates import PathCertificate
 from .cyclic import StableSet, lowest_bits, members_of, rol_mask, rotate, stable_set, wrap
-from .errors import DegenerateInputError, InvariantError, ParameterError, RegimeError
+from .errors import InvariantError, ParameterError, RegimeError
 
 
 @dataclass
@@ -125,20 +125,20 @@ def build_star_pair(d: Decomposition) -> StarPair:
 
 
 def reduce_intersection(a: StableSet, b: StableSet) -> tuple[StableSet, StableSet]:
-    """Produce (a', b') with a n a' = b n b' = empty and |a' n b'| <= h-1.
+    """Produce (a', b') with a n a' = b n b' = empty and |a' n b'| <= h-1."""
+    return _reduce(decompose(a, b))
+
+
+def _reduce(d: Decomposition) -> tuple[StableSet, StableSet]:
+    """The reduction step on a decomposed pair; see `reduce_intersection`.
 
     The reserve goes to a_star first (smallest elements, only as many as
     needed to reach size k), the rest to b_star; elements are re-used on
     both sides only when unavoidable, which caps the new intersection at
     |I'| <= h-1.
     """
-    if a.params != b.params:
-        raise ParameterError("vertices come from different SG(n,k)")
-    k = a.params.k
-    h = (a.mask & b.mask).bit_count()
-    if a.mask == b.mask or h == 0:
-        raise DegenerateInputError("reduce_intersection needs A != B with A n B != empty")
-    sp = build_star_pair(decompose(a, b))
+    k = d.params.k
+    sp = build_star_pair(d)
 
     take_a = lowest_bits(sp.i_prime, k - sp.a_star.bit_count())
     a_pool = sp.a_star | take_a
@@ -147,11 +147,11 @@ def reduce_intersection(a: StableSet, b: StableSet) -> tuple[StableSet, StableSe
     if a_pool.bit_count() < k or b_pool.bit_count() < k:
         raise InvariantError("star sets plus reserve cannot reach size k")
 
-    a2 = StableSet(a.params, lowest_bits(a_pool, k))
-    b2 = StableSet(a.params, lowest_bits(b_pool, k))
-    if a2.mask & a.mask or b2.mask & b.mask:
+    a2 = StableSet(d.params, lowest_bits(a_pool, k))
+    b2 = StableSet(d.params, lowest_bits(b_pool, k))
+    if a2.mask & d.a.mask or b2.mask & d.b.mask:
         raise InvariantError("reduced pair meets its own endpoint")
-    if (a2.mask & b2.mask).bit_count() > h - 1:
+    if (a2.mask & b2.mask).bit_count() > d.h - 1:
         raise InvariantError("intersection did not shrink")
     return a2, b2
 
@@ -220,8 +220,6 @@ def path_dist3(a: StableSet, b: StableSet) -> PathCertificate:
         raise RegimeError(
             f"path_dist3 needs 3k-2 <= n <= 4k-3, got n={n}, k={k}"
         )
-    if a.mask == b.mask or not a.mask & b.mask:
-        raise DegenerateInputError("pair is at distance 0 or 1")
     d = decompose(a, b)
     if distance2_criterion(d):
         raise RegimeError("pair is at distance 2")
@@ -266,7 +264,7 @@ def path_via_reduction(
     d = decompose(a, b)
     if distance2_criterion(d):
         return PathCertificate((a, disjoint_middle_vertex(d), b), bound)
-    a2, b2 = reduce_intersection(a, b)
+    a2, b2 = _reduce(d)
     inner = path_via_reduction(a2, b2)
     cert = PathCertificate((a,) + inner.vertices + (b,), bound)
     if cert.edge_count > bound:

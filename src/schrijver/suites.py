@@ -46,7 +46,7 @@ from .closedform import (
 from .cyclic import CycleParams, StableSet
 from .errors import SchrijverError
 from .graph import SchrijverGraph, bfs_sweeps
-from .lift import bound_path_m_plus_3, regime_m
+from .lift import bound_path_m_plus_3
 from .paths import (
     build_star_pair,
     path_dist3,
@@ -149,7 +149,8 @@ def sweep(cells, min_dist: int = 0, sample: int = 0, rng: random.Random | None =
 # ---------------------------------------------------------------------------
 # Invariant checks: one per fact, each counted under its own name.  A check
 # records violations into the result; a certificate builder or verifier that
-# raises is left to the caller (`verify` records it, a test fails on it).
+# raises is left to the caller (`verify` records it, a test fails on it), so a
+# contract its builder raises on is not checked again here.
 # ---------------------------------------------------------------------------
 
 
@@ -196,63 +197,49 @@ def check_blocks(res: SuiteResult, d: Decomposition, dist: int) -> None:
 
 
 def check_star_pair(res: SuiteResult, d: Decomposition) -> None:
-    """The star pair has s >= 1 and |I'| = h - s - r."""
+    """The star pair has s >= 1 (`build_star_pair` raises unless |I'| = h - s - r)."""
     res.counts["star_pair"] += 1
     sp = build_star_pair(d)
-    if sp.i_prime.bit_count() != sp.h - sp.s - sp.r_blocks:
-        res.fail("|I'| != h-s-r", d.a, d.b)
     if sp.s < 1:
         res.fail(f"star pair has s={sp.s}", d.a, d.b)
 
 
 def check_reduction(res: SuiteResult, a: StableSet, b: StableSet) -> None:
-    """Intersection reduction: sets avoiding their sources, meeting in < h.
-
-    The reduced sets are `StableSet`s, so they are 2-stable k-sets by
-    construction.
-    """
+    """Intersection reduction succeeds: `reduce_intersection` raises unless the
+    reduced sets avoid their sources and meet in fewer than h elements."""
     res.counts["reduction"] += 1
-    a2, b2 = reduce_intersection(a, b)
-    if (a2.mask & b2.mask).bit_count() > (a.mask & b.mask).bit_count() - 1:
-        res.fail("reduction left intersection too large", a, b)
-    if a2.mask & a.mask or b2.mask & b.mask:
-        res.fail("reduced set meets its source", a, b)
+    reduce_intersection(a, b)
 
 
 def check_walks(res: SuiteResult, a: StableSet, b: StableSet, dist: int) -> None:
-    """Valid walks: by reduction within [dist, 1 + 2h]; for h = 1 or h = k-1
-    the small-intersection walk within [dist, 3] or [dist, 2]."""
+    """Valid walks no shorter than BFS: by reduction (`path_via_reduction`
+    raises past 1 + 2h), and for h = 1 or h = k-1 the small-intersection
+    walk (3 or 2 edges by construction)."""
     res.counts["walks"] += 1
     h = (a.mask & b.mask).bit_count()
     if h in (1, a.params.k - 1):
         cert = path_small_intersection(a, b)
         verify_certificate(cert, source=a, target=b)
-        limit = 2 if h == a.params.k - 1 else 3
-        if not dist <= cert.edge_count <= limit:
-            res.fail(f"small-intersection walk length {cert.edge_count} outside [{dist}, {limit}]", a, b)
+        if cert.edge_count < dist:
+            res.fail(f"small-intersection walk length {cert.edge_count} below BFS distance {dist}", a, b)
     cert = path_via_reduction(a, b)
     verify_certificate(cert, source=a, target=b)
-    if cert.edge_count > 1 + 2 * h or cert.edge_count < dist:
-        res.fail(f"reduction walk length {cert.edge_count} outside [{dist}, {1 + 2 * h}]", a, b)
+    if cert.edge_count < dist:
+        res.fail(f"reduction walk length {cert.edge_count} below BFS distance {dist}", a, b)
 
 
 def check_dist3(res: SuiteResult, a: StableSet, b: StableSet) -> None:
-    """`path_dist3` gives a valid walk of exactly 3 edges."""
+    """`path_dist3` gives a valid walk (A - A' - B' - B by construction)."""
     res.counts["dist3"] += 1
-    cert = path_dist3(a, b)
-    verify_certificate(cert, source=a, target=b)
-    if cert.edge_count != 3:
-        res.fail("dist-3 certificate has wrong length", a, b)
+    verify_certificate(path_dist3(a, b), source=a, target=b)
 
 
 def check_lift(res: SuiteResult, a: StableSet, b: StableSet, dist: int) -> None:
-    """`bound_path_m_plus_3` gives a valid walk of dist..m+3 edges, m = 3k-2-n."""
+    """`bound_path_m_plus_3` gives a valid walk no shorter than BFS (it raises
+    past m+3 edges, m = 3k-2-n)."""
     res.counts["lift"] += 1
-    m = regime_m(a.params)
     cert = bound_path_m_plus_3(a, b)
     verify_certificate(cert, source=a, target=b)
-    if cert.edge_count > m + 3:
-        res.fail("certificate longer than m+3", a, b)
     if cert.edge_count < dist:
         res.fail("certificate shorter than BFS distance", a, b)
 
@@ -313,18 +300,12 @@ def check_class_diameters(res: SuiteResult, k: int) -> None:
             res.fail(f"SG(2k+2,k) for k={k}: induced {name} diameter {diam} != {want}")
 
 
-def _exhaustive_cells(k_max: int, n_cap: int) -> list[tuple[int, int]]:
-    """Cells with 2 <= k <= min(k_max, 5) and 2k+1 <= n <= min(4k-2, n_cap)."""
-    return [
-        (n, k) for k in range(2, min(k_max, 5) + 1) for n in range(2 * k + 1, min(4 * k - 2, n_cap) + 1)
-    ]
-
-
 def suite_blocks(k_max: int) -> SuiteResult:
     res = SuiteResult("blocks")
     sampled = [(n, k) for k in range(6, k_max + 1) for n in (2 * k + 2, 2 * k + 3, 3 * k - 2)]
     rng = random.Random(_SAMPLE_SEED)
-    pairs = chain(sweep(_exhaustive_cells(k_max, 18)), sweep(sampled, sample=250, rng=rng))
+    exhaustive = [(n, k) for n, k in table_grid(min(k_max, 5)) if n <= 18]
+    pairs = chain(sweep(exhaustive), sweep(sampled, sample=250, rng=rng))
     for a, b, dist in pairs:
         res.checked += 1
         d = decompose(a, b)
@@ -337,7 +318,8 @@ def suite_paths(k_max: int) -> SuiteResult:
     res = SuiteResult("paths")
     sampled = [(n, k) for k in range(6, k_max + 1) for n in (2 * k + 2, 3 * k - 2, 3 * k)]
     rng = random.Random(_SAMPLE_SEED + 1)
-    pairs = chain(sweep(_exhaustive_cells(k_max, 15)), sweep(sampled, sample=200, rng=rng))
+    exhaustive = [(n, k) for n, k in table_grid(min(k_max, 5)) if n <= 15]
+    pairs = chain(sweep(exhaustive), sweep(sampled, sample=200, rng=rng))
     for a, b, dist in pairs:
         res.checked += 1
         try:

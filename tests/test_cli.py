@@ -310,6 +310,14 @@ def test_verify_suite_passes(capsys, suite, k_max, line):
     assert out == line + "\n"
 
 
+@pytest.mark.parametrize("suite,k_max", [("lift", "4"), ("model", "2"), ("blocks", "1")])
+def test_verify_without_checks_exits_3(capsys, suite, k_max):
+    assert main(["verify", "--suite", suite, "--k-max", k_max]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"schrijver: suite {suite} runs no check at --k-max {k_max}\n"
+
+
 def test_verify_suite_reports_counterexamples(capsys, monkeypatch, tmp_path):
     # a criterion that always answers wrongly fails every one of the 1218 pairs
     real = suites.distance2_criterion
@@ -364,3 +372,12 @@ def test_vertex_count_cap_exits_3(capsys):
     ):
         code, out = run(capsys, *argv, "--n", "64", "--k", "10")
         assert (code, out) == (3, "")
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run(capsys, "distance", "--n", "10", "--k", "4", "--a", "1,3,5,7", "--b", "2,4,6,8") == (0, "1\n")
+    assert run(capsys, "enumerate", "--n", "5", "--k", "2")[0] == 0

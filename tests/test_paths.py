@@ -2,6 +2,7 @@
 
 import pytest
 
+from schrijver import paths
 from schrijver import (
     CycleParams,
     DegenerateInputError,
@@ -18,7 +19,7 @@ from schrijver import (
     zy_split,
 )
 from schrijver.blocks import Block, CyclicInterval
-from schrijver.cyclic import mask_of
+from schrijver.cyclic import mask_of, parse_set_text
 from schrijver.suites import (
     SuiteResult,
     check_dist3,
@@ -207,3 +208,20 @@ def test_path_via_reduction_with_middle():
     assert cert.edge_count <= 2 + 2 * h_star
     assert cert.edge_count >= dmat[0, 20]
     assert mid in cert.vertices
+
+
+def test_path_via_reduction_decomposes_each_step_once(monkeypatch):
+    real = paths.decompose
+    pairs = []
+
+    def counting(x, y):
+        pairs.append((x.mask, y.mask))
+        return real(x, y)
+
+    monkeypatch.setattr(paths, "decompose", counting)
+    params = CycleParams(13, 6)
+    a, b = (stable_set(parse_set_text(s), params) for s in ("1,3,5,7,9,11", "1,3,5,7,10,12"))
+    cert = path_via_reduction(a, b)
+    verify_certificate(cert, source=a, target=b)
+    assert cert.edge_count == 9  # four reduction steps, then a disjoint pair
+    assert len(pairs) == len(set(pairs)) == 4

@@ -4,8 +4,9 @@ The graph holds only the uint64 vertex masks; `StableSet` objects are built
 on demand.  Adjacency is mask disjointness; no adjacency lists are stored.
 BFS has two kernels, and one cost rule picks between them.
 
-* `_advance` (single source, early exit, and the fallback): each level scans
-  the unvisited pool against the frontier with chunked mask broadcasts,
+* `_advance` (single source, the fallback, and both ends of the pair kernel
+  `pair_distance`, which stops when the two frontiers touch): each level
+  scans the unvisited pool against the frontier with chunked mask broadcasts,
   dropping candidates as soon as they are hit.  A level costs up to
   |frontier| x |unvisited| mask tests, O(|V|) memory.
 * `_lattice_levels` (multi-source sweeps): subset inclusion-exclusion
@@ -26,7 +27,7 @@ it is nonzero exactly when the stored one is.
 
 Cost rule: `bfs_sweeps` runs the lattice kernel when it has more than one
 source and |F| <= _LATTICE_RATIO |V|; otherwise, and for single-source and
-early-exit calls (`distances_from`, `bfs_distance`), `_advance` runs.  The
+single-pair calls (`distances_from`, `bfs_distance`), `_advance` runs.  The
 rule needs nothing but the masks: F is built layer by layer and the build
 gives up as soon as it passes the cap.  The lattice is local to one call and
 never stored on the graph.
@@ -57,9 +58,10 @@ _CHUNK = 64
 _LATTICE_RATIO = 16
 
 # Byte budget of the lattice kernel's count matrix (|F| rows x batch
-# columns); the batch width is this over |F| x itemsize, at least 1 (15
-# sources for SG(22,7), 1 for SG(26,7)).  The gathers of one pass add at most
-# as much again: a pass touches only the sets that hold one element.
+# columns); the batch width is this over |F| x itemsize, but at least 8 (15
+# sources for SG(22,7); 8 for SG(24..26,7), a 4.7 MB matrix at SG(26,7)).
+# The gathers of one pass add at most as much again: a pass touches only the
+# sets that hold one element.
 _LATTICE_BYTES = 1 << 20
 
 
@@ -97,19 +99,19 @@ def _advance(frontier_masks: np.ndarray, cand_masks: np.ndarray) -> np.ndarray:
     return hit
 
 
-def bfs_levels(masks: np.ndarray, src: int, target: int | None = None) -> np.ndarray:
+def bfs_levels(masks: np.ndarray, src: int) -> np.ndarray:
     """BFS levels from src in the disjointness graph on `masks` (uint64).
 
-    -1 marks vertices not reached; the search stops once target is reached.
-    This is the single-source kernel (`_advance`); `bfs_sweeps` runs many
-    sources.  Both take any mask array, so induced subgraphs use them too.
+    -1 marks vertices not reached.  This is the single-source kernel
+    (`_advance`); `bfs_sweeps` runs many sources and `pair_distance` one
+    pair.  All take any mask array, so induced subgraphs use them too.
     """
     dist = np.full(masks.size, -1, dtype=np.int8)
     dist[src] = 0
     frontier = masks[src : src + 1]
     unvisited = np.flatnonzero(dist < 0)
     level = 0
-    while unvisited.size and (target is None or dist[target] < 0):
+    while unvisited.size:
         level += 1
         hit = _advance(frontier, masks[unvisited])
         if not hit.any():
@@ -119,6 +121,30 @@ def bfs_levels(masks: np.ndarray, src: int, target: int | None = None) -> np.nda
         frontier = masks[new]
         unvisited = unvisited[~hit]
     return dist
+
+
+def pair_distance(masks: np.ndarray, src: int, dst: int) -> int:
+    """Distance from src to dst on `masks` by bidirectional BFS; -1 if none.
+
+    Each end keeps a frontier and an unvisited pool, and their depths da, db
+    keep dist > da + db.  Once frontier masks of the two ends are disjoint,
+    dist = da + db + 1 (a shortest path has a vertex at da from src next to
+    one at db from dst); until then the end with the smaller
+    |frontier| x |unvisited| takes an `_advance` step.
+    """
+    if src == dst:
+        return 0
+    rest = np.arange(masks.size)
+    ends = [[masks[i : i + 1], rest[rest != i]] for i in (src, dst)]
+    depth = 0  # da + db
+    while not _advance(ends[0][0], ends[1][0]).any():
+        end = min(ends, key=lambda e: e[0].size * e[1].size)
+        hit = _advance(end[0], masks[end[1]])
+        if not hit.any():
+            return -1
+        end[0], end[1] = masks[end[1][hit]], end[1][~hit]
+        depth += 1
+    return depth + 1
 
 
 @dataclass(frozen=True)
@@ -217,7 +243,7 @@ def bfs_sweeps(masks: np.ndarray, sources) -> Iterator[tuple[int, np.ndarray]]:
             yield src, bfs_levels(masks, src)
         return
     itemsize = np.dtype(_count_type(masks.size)).itemsize
-    width = max(1, _LATTICE_BYTES // (lat.sets.size * itemsize))
+    width = max(8, _LATTICE_BYTES // (lat.sets.size * itemsize))
     for start in range(0, len(sources), width):
         batch = sources[start : start + width]
         yield from zip(batch, _lattice_levels(lat, masks, batch))
@@ -265,8 +291,7 @@ class SchrijverGraph:
     # -- distance, eccentricity, diameter ------------------------------------
 
     def bfs_distance(self, a: StableSet, b: StableSet) -> DistanceRecord:
-        ib = self.vertex_index(b)
-        d = int(bfs_levels(self._masks, self.vertex_index(a), target=ib)[ib])
+        d = pair_distance(self._masks, self.vertex_index(a), self.vertex_index(b))
         return DistanceRecord(a, b, None if d < 0 else d)
 
     def eccentricity(self, source: int | StableSet) -> int | None:

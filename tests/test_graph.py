@@ -1,4 +1,4 @@
-"""Graph oracle: adjacency, the two BFS kernels, eccentricity, brute-force diameter."""
+"""Graph oracle: adjacency, the two BFS kernels, the pair distance, eccentricity, brute-force diameter."""
 
 from collections import Counter
 from itertools import islice
@@ -200,12 +200,28 @@ def test_exhaustive_sweep_reads_bfs_rows(monkeypatch):
     assert got and got == want
 
 
-def test_pair_distance_stops_at_target_level():
+def test_pair_distance_stops_when_the_frontiers_touch(monkeypatch):
+    calls = []
+    inner = graph_module._advance
+
+    def counted(frontier, candidates):
+        calls.append((frontier.tolist(), candidates.size))
+        return inner(frontier, candidates)
+
+    monkeypatch.setattr(graph_module, "_advance", counted)
+    # adjacent: one 1 x 1 meet test, no level built from either end
     g = graph(13, 5)
-    a = g.vertices[0]
-    ia, ib = 0, g.vertex_index(g.neighbors(a)[0])
-    dist = bfs_levels(stable_masks(g.params), ia, target=ib)
-    assert dist[ib] == 1 and dist.max() == 1 and (dist < 0).any()
+    masks = stable_masks(g.params)
+    ib = g.vertex_index(g.neighbors(g.vertices[0])[0])
+    assert graph_module.pair_distance(masks, 0, ib) == 1
+    assert calls == [([int(masks[0])], 1)]
+    # SG(22,7), distance 3: each end grows its first level once, then they meet
+    calls.clear()
+    masks = stable_masks(CycleParams(22, 7))
+    assert graph_module.pair_distance(masks, 0, 495) == 3
+    grown = sorted(frontier for frontier, size in calls if size == masks.size - 1)
+    assert grown == sorted([[int(masks[0])], [int(masks[495])]])
+    assert len(calls) == 5  # three meet tests around the two steps
 
 
 # -- the batched lattice kernel ----------------------------------------------
@@ -219,6 +235,12 @@ SMALL_CELLS = [
 ]
 
 
+def _draw_masks(cell, keep, rng):
+    """The cell's masks, or an induced subset (possibly disconnected) if keep < 1."""
+    masks = stable_masks(CycleParams(*cell))
+    return masks if keep >= 1.0 else masks[rng.random(masks.size) < keep]
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     cell=st.sampled_from(SMALL_CELLS),
@@ -227,9 +249,7 @@ SMALL_CELLS = [
 )
 def test_lattice_levels_equal_bfs_levels(cell, keep, seed):
     rng = np.random.default_rng(seed)
-    masks = stable_masks(CycleParams(*cell))
-    if keep < 1.0:  # an induced subgraph, possibly disconnected
-        masks = masks[rng.random(masks.size) < keep]
+    masks = _draw_masks(cell, keep, rng)
     assume(masks.size >= 2)
     with patch.object(graph_module, "_LATTICE_RATIO", 64):  # past the cost rule too
         lat = graph_module.subset_lattice(masks)
@@ -238,6 +258,25 @@ def test_lattice_levels_equal_bfs_levels(cell, keep, seed):
     got = graph_module._lattice_levels(lat, masks, sources)
     for src, levels in zip(sources, got):
         assert np.array_equal(levels, bfs_levels(masks, src))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    cell=st.sampled_from(SMALL_CELLS),
+    keep=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_distance_equals_bfs_levels(cell, keep, seed):
+    rng = np.random.default_rng(seed)
+    masks = _draw_masks(cell, keep, rng)
+    assume(masks.size >= 1)
+    src = int(rng.integers(masks.size))
+    levels = bfs_levels(masks, src)
+    # the source itself, one unreachable vertex if any (the derandomized
+    # draws include over a hundred), and a sample
+    far = np.flatnonzero(levels < 0)[:1]
+    for dst in [src, *far, *rng.choice(masks.size, size=min(20, masks.size), replace=False)]:
+        assert graph_module.pair_distance(masks, src, int(dst)) == levels[dst]
 
 
 def _kernel_calls(monkeypatch):

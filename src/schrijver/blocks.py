@@ -3,14 +3,20 @@
 For intersecting A != B the cycle splits into the components of X = A u B
 and the complement intervals between them (the blocks).  Block boundaries
 are classified by which kind of end (A-, B- or H-end) sits on each side;
-those types drive every constructive path in this package, and the
-odd-block count decides whether the pair is at distance 2.
+those types drive every constructive path in this package.
+
+Whether the pair is at distance 2 needs none of that: it is whether the
+complement holds a stable k-set.  Its stable picks, every other element of
+each complement run counted from the run's first, are a largest one, and
+they come from the masks alone.  So `decompose` checks the pair and keeps
+its sets; the components, blocks and ends are built together on the first
+read of any of them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from .cyclic import CycleParams, StableSet, lowest_bits, members_of, rol_mask, run_starts, runs, wrap
 from .errors import DegenerateInputError, InvariantError, ParameterError
@@ -46,9 +52,10 @@ COMP_H_DPRIME = "H''"
 
 # Bits 0, 2, 4, ...: every other element of a run, from its first.
 _EVERY_OTHER = int("01" * 32, 2)
+_ODD_BITS = _EVERY_OTHER << 1
 
 
-@dataclass
+@dataclass(slots=True)
 class CyclicInterval:
     """Interval [start .. start+length-1] on the n-cycle; at most one wraps."""
 
@@ -72,7 +79,7 @@ class CyclicInterval:
         return f"[{self.start},{self.end}]"
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     """Maximal complement interval with its boundary type and usable count m."""
 
@@ -81,7 +88,7 @@ class Block:
     m: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Component:
     """Maximal interval of X = A u B with its class."""
 
@@ -89,7 +96,7 @@ class Component:
     cclass: str
 
 
-@dataclass
+@dataclass(slots=True)
 class EndSets:
     """A-, B- and H-ends as masks, with the singleton-component split e' / e''."""
 
@@ -102,27 +109,83 @@ class EndSets:
     eB_dprime: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Decomposition:
+    """An intersecting pair A != B; its parts are built on the first read."""
+
     a: StableSet
     b: StableSet
-    components: tuple[Component, ...]
-    blocks: tuple[Block, ...]
-    ends: EndSets
     h: int
+    _parts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def params(self) -> CycleParams:
         return self.a.params
 
+    @property
+    def components(self) -> tuple[Component, ...]:
+        return (self._parts or self._build())[0]
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        return (self._parts or self._build())[1]
+
+    @property
+    def ends(self) -> EndSets:
+        return (self._parts or self._build())[2]
+
+    def _build(self) -> tuple[tuple[Component, ...], tuple[Block, ...], EndSets]:
+        """Components, blocks and ends, all three at once.
+
+        A and B are 2-stable, so every element of A n B is a singleton
+        component of X = A u B: the A- and B-ends are the run starts and
+        stops of X outside A n B, and e'' holds the ends that are both
+        (singletons).
+        """
+        am, bm = self.a.mask, self.b.mask
+        hm = am & bm
+        n = self.params.n
+        xm = am | bm
+        starts = run_starts(xm, n)
+        stops = xm & ~rol_mask(xm, -1, n)
+
+        def side(x: int) -> str:
+            bit = 1 << (x - 1)
+            return "H" if hm & bit else "A" if am & bit else "B"
+
+        components = []
+        for start, length in runs(xm, n):
+            first = side(start)
+            if length == 1:
+                cls = COMP_H_PRIME if first == "H" else first  # COMP_A/COMP_B name the side
+            else:
+                cls = first if first == side((start + length - 2) % n + 1) else COMP_H_DPRIME
+            components.append(Component(CyclicInterval(start, length, n), cls))
+
+        blocks = []
+        for start, length in runs(~xm & self.params.full_mask, n):
+            btype = _BLOCK_TYPE[(side(start - 1 or n), side((start + length - 1) % n + 1))]
+            usable = length - 1 if btype in (TYPE_IVA, TYPE_IVB, TYPE_IVH) else length
+            blocks.append(Block(CyclicInterval(start, length, n), btype, usable))
+
+        end_bits = (starts | stops) & ~hm
+        singles = starts & stops
+        e_a, e_b = end_bits & am, end_bits & bm
+        ends = EndSets(
+            eA=e_a,
+            eB=e_b,
+            eH=hm,
+            eA_prime=e_a & ~singles,
+            eA_dprime=e_a & singles,
+            eB_prime=e_b & ~singles,
+            eB_dprime=e_b & singles,
+        )
+        self._parts = (tuple(components), tuple(blocks), ends)
+        return self._parts
+
 
 def decompose(a: StableSet, b: StableSet) -> Decomposition:
-    """Components, blocks, ends and h for an intersecting pair A != B.
-
-    A and B are 2-stable, so every element of A n B is a singleton
-    component of X = A u B: the A- and B-ends are the run starts and stops
-    of X outside A n B, and e'' holds the ends that are both (singletons).
-    """
+    """The decomposition of an intersecting pair A != B (parts built on first read)."""
     if a.params != b.params:
         raise ParameterError("vertices come from different SG(n,k)")
     am, bm = a.mask, b.mask
@@ -133,50 +196,35 @@ def decompose(a: StableSet, b: StableSet) -> Decomposition:
         raise DegenerateInputError(
             "decompose needs A and B to intersect (disjoint pairs are adjacent)"
         )
-    n = a.params.n
-    xm = am | bm
-    starts = run_starts(xm, n)
-    stops = xm & ~rol_mask(xm, -1, n)
+    return Decomposition(a, b, hm.bit_count())
 
-    def side(x: int) -> str:
-        bit = 1 << (x - 1)
-        return "H" if hm & bit else "A" if am & bit else "B"
 
-    components = []
-    for start, length in runs(xm, n):
-        first = side(start)
-        if length == 1:
-            cls = COMP_H_PRIME if first == "H" else first  # COMP_A/COMP_B name the side
-        else:
-            cls = first if first == side((start + length - 2) % n + 1) else COMP_H_DPRIME
-        components.append(Component(CyclicInterval(start, length, n), cls))
+def _picks(d: Decomposition) -> int:
+    """Every other element of each complement run, from its first: the Z halves.
 
-    blocks = []
-    for start, length in runs(~xm & a.params.full_mask, n):
-        btype = _BLOCK_TYPE[(side(start - 1 or n), side((start + length - 1) % n + 1))]
-        usable = length - 1 if btype in (TYPE_IVA, TYPE_IVB, TYPE_IVH) else length
-        blocks.append(Block(CyclicInterval(start, length, n), btype, usable))
-
-    end_bits = (starts | stops) & ~hm
-    singles = starts & stops
-    e_a, e_b = end_bits & am, end_bits & bm
-    ends = EndSets(
-        eA=e_a,
-        eB=e_b,
-        eH=hm,
-        eA_prime=e_a & ~singles,
-        eA_dprime=e_a & singles,
-        eB_prime=e_b & ~singles,
-        eB_dprime=e_b & singles,
-    )
-    return Decomposition(a, b, tuple(components), tuple(blocks), ends, hm.bit_count())
+    The complement is rotated so that a member of X sits on the top bit
+    and no run wraps.  Adding a run's start bit then clears that run and
+    nothing else, so g & ~(g + starts) keeps exactly the runs whose start
+    is among the added bits.  Runs starting on an even bit keep their even
+    bits, runs starting on an odd bit their odd ones.
+    """
+    n = d.params.n
+    xm = d.a.mask | d.b.mask
+    shift = n - xm.bit_length()  # the top member of X goes to bit n-1
+    g = rol_mask(~xm & d.params.full_mask, shift, n)
+    starts = g & ~(g << 1)
+    even = g & ~(g + (starts & _EVERY_OTHER)) & _EVERY_OTHER
+    odd = g & ~(g + (starts & _ODD_BITS)) & _ODD_BITS
+    return rol_mask(even | odd, -shift, n)
 
 
 def distance2_criterion(d: Decomposition) -> bool:
-    """True iff dist(A,B) = 2: (|odd blocks| + |complement|) / 2 >= k."""
-    odd = sum(1 for blk in d.blocks if blk.interval.length % 2)
-    total = sum(blk.interval.length for blk in d.blocks)
-    return odd + total >= 2 * d.params.k
+    """True iff dist(A,B) = 2: the complement holds a stable k-set.
+
+    That is (|odd blocks| + |complement|) / 2 >= k, and the left side
+    counts the stable picks, ceil(length / 2) of each block.
+    """
+    return _picks(d).bit_count() >= d.params.k
 
 
 def component_counts(d: Decomposition) -> Counter:
@@ -210,9 +258,7 @@ def disjoint_middle_vertex(d: Decomposition) -> StableSet:
     Takes the Z half of each block (every other element from its first: the
     maximum stable subset of that block), then keeps the k smallest.
     """
-    picks = 0
-    for blk in d.blocks:
-        picks |= zy_split(blk)[0]
+    picks = _picks(d)
     if picks.bit_count() < d.params.k:
         raise InvariantError(
             "no common neighbor: the distance-2 criterion does not hold"

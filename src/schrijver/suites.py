@@ -141,8 +141,7 @@ def sweep(cells, min_dist: int = 0, sample: int = 0, rng: random.Random | None =
         if len(g) < 2:
             continue
         verts = g.vertices
-        masks = np.array([v.mask for v in verts], dtype=np.uint64)
-        for i, j, dist in _pair_distances(masks, min_dist, sample, rng):
+        for i, j, dist in _pair_distances(g._masks, min_dist, sample, rng):
             yield verts[i], verts[j], dist
 
 
@@ -165,12 +164,13 @@ def check_blocks(res: SuiteResult, d: Decomposition, dist: int) -> None:
     """Block and end-set identities; the m-sum lower bound past distance 2."""
     res.counts["blocks"] += 1
     a, b = d.a, d.b
-    if len(d.components) != len(d.blocks):
+    components, blocks = d.components, d.blocks
+    if len(components) != len(blocks):
         res.fail("|X-components| != |blocks|", a, b)
-    covered = sum(c.interval.length for c in d.components)
-    if covered + sum(blk.interval.length for blk in d.blocks) != a.params.n:
+    covered = sum(c.interval.length for c in components)
+    if covered + sum(blk.interval.length for blk in blocks) != a.params.n:
         res.fail("components and blocks do not partition the cycle", a, b)
-    for blk in d.blocks:
+    for blk in blocks:
         short = blk.btype in (TYPE_IVA, TYPE_IVB, TYPE_IVH)  # type IV: m = length - 1
         if blk.m != blk.interval.length - (1 if short else 0):
             res.fail(f"block {blk.interval} has m={blk.m}", a, b)

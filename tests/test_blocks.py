@@ -1,13 +1,17 @@
 """Pair decomposition: components, blocks, ends, counting identities, criterion."""
 
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from schrijver import (
     CycleParams,
     DegenerateInputError,
     InvariantError,
+    StableSet,
+    blocks,
     component_counts,
     decompose,
     disjoint_middle_vertex,
@@ -15,9 +19,10 @@ from schrijver import (
     m_sum_bound,
     stable_set,
     witness_lower4,
+    zy_split,
 )
-from schrijver.cyclic import mask_of
-from schrijver.suites import SuiteResult, check_blocks, graph, sweep
+from schrijver.cyclic import lowest_bits, mask_of, rol_mask, runs
+from schrijver.suites import SuiteResult, check_blocks, graph, sweep, table_grid
 
 EX1 = CycleParams(20, 7)
 
@@ -158,3 +163,71 @@ def test_wrapping_block_normalized():
     wrapped = [blk for blk in d.blocks if blk.interval.start > blk.interval.end]
     assert len(wrapped) == 1
     assert wrapped[0].interval.elements() == (11, 12, 1)
+
+
+def assert_matches_blocks(a, b):
+    """Criterion and middle vertex equal their block-based definitions:
+    odd + total >= 2k, and the k lowest bits of the blocks' Z halves."""
+    d = decompose(a, b)
+    odd = total = z = 0
+    for blk in decompose(a, b).blocks:  # a second decomposition: d builds no parts
+        odd += blk.interval.length % 2
+        total += blk.interval.length
+        z |= zy_split(blk)[0]
+    k = a.params.k
+    assert distance2_criterion(d) == (odd + total >= 2 * k), (a, b)
+    if odd + total >= 2 * k:
+        assert disjoint_middle_vertex(d).mask == lowest_bits(z, k), (a, b)
+    else:
+        with pytest.raises(InvariantError):
+            disjoint_middle_vertex(d)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in table_grid(5) if n <= 16])
+def test_criterion_and_middle_vertex_match_blocks_exhaustive(n, k):
+    for a, b in combinations(graph(n, k).vertices, 2):
+        if a.mask & b.mask:
+            assert_matches_blocks(a, b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from([(63, 30), (64, 30)]), st.data())
+def test_criterion_and_middle_vertex_match_blocks_near_cap(cell, data):
+    """Random pairs near the single-word cap.  Half of them are rotated so
+    that their longest complement run starts at element n: it wraps past
+    bit n-1 whenever it has two elements (about one pair in five)."""
+    n = cell[0]
+    verts = graph(*cell).vertices
+    a, b = (verts[data.draw(st.integers(0, len(verts) - 1))] for _ in range(2))
+    assume(a.mask != b.mask and a.mask & b.mask)
+    start, _ = max(runs(~(a.mask | b.mask) & a.params.full_mask, n), key=lambda run: run[1])
+    shift = n - start if data.draw(st.booleans()) else data.draw(st.integers(0, n - 1))
+    a, b = (StableSet(v.params, rol_mask(v.mask, shift, n)) for v in (a, b))
+    assert_matches_blocks(a, b)
+
+
+def test_parts_built_once_on_first_read(monkeypatch):
+    """The criterion and middle vertex build no part; the first read of a
+    part builds all of them, once."""
+    built = {"Component": 0, "Block": 0}
+
+    def counting(name):
+        real = getattr(blocks, name)
+
+        def make(*args):
+            built[name] += 1
+            return real(*args)
+
+        return make
+
+    for name in built:
+        monkeypatch.setattr(blocks, name, counting(name))
+    d = decompose(*ex1_pair())
+    assert distance2_criterion(d)
+    disjoint_middle_vertex(d)
+    assert built == {"Component": 0, "Block": 0}
+    assert len(d.blocks) == 7
+    assert built == {"Component": 7, "Block": 7}
+    assert len(d.components) == 7
+    assert d.ends.eH == mask_of({8, 10, 12})
+    assert built == {"Component": 7, "Block": 7}

@@ -21,7 +21,6 @@ from .blocks import (
 )
 from .certificates import (
     PathCertificate,
-    certificate_from_json,
     certificate_to_json,
     check_certificate_data,
     parse_certificate,
@@ -42,12 +41,10 @@ from .closedform import (
 from .cyclic import (
     CycleParams,
     StableSet,
-    canonical_form,
     enumerate_stable_sets,
     format_set_text,
     is_2_stable,
     parse_set_text,
-    reflect,
     rotate,
     stable_count,
     stable_masks,
@@ -61,7 +58,7 @@ from .errors import (
     RegimeError,
     SchrijverError,
 )
-from .graph import DistanceRecord, SchrijverGraph, adjacent
+from .graph import DistanceRecord, SchrijverGraph
 from .lift import (
     LiftStep,
     LiftTrace,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cyclic import MAX_N, SET_TEXT, CycleParams, StableSet, stable_set
+from .cyclic import MAX_N, SET_TEXT, StableSet
 from .errors import CertificateError, ParameterError
 
 
@@ -156,9 +156,3 @@ def parse_certificate(data: object) -> tuple[int, int, int, list[tuple[int, ...]
             f"malformed certificate payload: needs 2 <= n <= {MAX_N} and k >= 1, got n={n}, k={k}"
         )
     return n, k, bound, [tuple(int(x) for x in text.split(",")) for text in texts]
-
-
-def certificate_from_json(data: dict) -> PathCertificate:
-    n, k, bound, seqs = parse_certificate(data)
-    params = CycleParams(n, k)
-    return PathCertificate(tuple(stable_set(seq, params) for seq in seqs), bound)

@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _vertex(text: str, params: CycleParams) -> StableSet:
-    return stable_set(parse_set_text(text, params), params)
+    return stable_set(parse_set_text(text), params)
 
 
 def cmd_enumerate(args) -> str:

@@ -153,15 +153,8 @@ class StableSet:
         """Members in strictly increasing order."""
         return members_of(self.mask)
 
-    @property
-    def n(self) -> int:
-        return self.params.n
-
     def __contains__(self, x: int) -> bool:
         return 1 <= x <= self.params.n and bool(self.mask >> (x - 1) & 1)
-
-    def intersection(self, other: "StableSet") -> tuple[int, ...]:
-        return members_of(self.mask & other.mask)
 
     def __str__(self) -> str:
         return format_set_text(self.members)
@@ -253,32 +246,15 @@ def rotate(s: StableSet, shift: int) -> StableSet:
     return StableSet(s.params, rol_mask(s.mask, shift, s.params.n))
 
 
-def reflect(s: StableSet) -> StableSet:
-    """Mirror the cycle about element 1: m maps to n - m + 2 (mod n)."""
-    return StableSet(s.params, reflect_mask(s.mask, s.params.n))
-
-
-def canonical_form(s: StableSet) -> StableSet:
-    """Lexicographically least member sequence over the 2n dihedral images.
-
-    Only the images that place a member at 1 can be least: every other
-    image starts at an element > 1.
-    """
-    n = s.params.n
-    images = (
-        rol_mask(base, 1 - m, n)
-        for base in (s.mask, reflect_mask(s.mask, n))
-        for m in members_of(base)
-    )
-    return StableSet(s.params, min(images, key=members_of))
-
-
 # Set text: ASCII decimal elements joined by commas, nothing else.
 SET_TEXT = re.compile(r"[0-9]+(?:,[0-9]+)*")
 
 
-def parse_set_text(text: str, params: CycleParams | None = None) -> tuple[int, ...]:
-    """Parse `1,3,6,8` (ascending, no spaces); rejects any other text."""
+def parse_set_text(text: str) -> tuple[int, ...]:
+    """Parse `1,3,6,8` (ascending, no spaces); rejects any other text.
+
+    Element ranges are left to `stable_set`.
+    """
     if not SET_TEXT.fullmatch(text):
         raise ParameterError(f"bad set text {text!r}: expected integers like 1,3,6,8")
     mems = tuple(int(part) for part in text.split(","))
@@ -287,10 +263,6 @@ def parse_set_text(text: str, params: CycleParams | None = None) -> tuple[int, .
             raise ParameterError(
                 f"set text {text!r} must be strictly ascending"
             )
-    if params is not None:
-        for x in mems:
-            if not 1 <= x <= params.n:
-                raise ParameterError(f"element {x} out of range 1..{params.n}")
     return mems
 
 

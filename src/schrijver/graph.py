@@ -26,11 +26,11 @@ that power of two; the true count is at most |V| - 1, below the modulus, so
 it is nonzero exactly when the stored one is.
 
 Cost rule: `bfs_sweeps` runs the lattice kernel when it has more than one
-source and |F| <= _LATTICE_RATIO |V|; otherwise, and for single-source and
-single-pair calls (`distances_from`, `bfs_distance`), `_advance` runs.  The
-rule needs nothing but the masks: F is built layer by layer and the build
-gives up as soon as it passes the cap.  The lattice is local to one call and
-never stored on the graph.
+source and |F| <= _LATTICE_RATIO |V|; otherwise, and for the single-source
+call `distances_from` and the single-pair call `bfs_distance`, `_advance`
+runs.  The rule needs nothing but the masks: F is built layer by layer and
+the build gives up as soon as it passes the cap.  The lattice is local to
+one call and never stored on the graph.
 """
 
 from __future__ import annotations
@@ -72,13 +72,6 @@ class DistanceRecord:
     a: StableSet
     b: StableSet
     distance: int | None
-
-
-def adjacent(a: StableSet, b: StableSet) -> bool:
-    """True iff the two vertices are disjoint."""
-    if a.params != b.params:
-        raise ParameterError("vertices come from different SG(n,k)")
-    return not a.mask & b.mask
 
 
 def _advance(frontier_masks: np.ndarray, cand_masks: np.ndarray) -> np.ndarray:
@@ -274,38 +267,21 @@ class SchrijverGraph:
             raise ParameterError(f"{s} is not a vertex of SG{self.params}")
         return int(hit[0])
 
-    def neighbor_indices(self, s: StableSet) -> np.ndarray:
-        return np.flatnonzero((self._masks & np.uint64(s.mask)) == 0)
-
-    def neighbors(self, s: StableSet) -> list[StableSet]:
-        return [self._vertex(i) for i in self.neighbor_indices(s)]
-
-    def degree(self, s: StableSet) -> int:
-        return int(self.neighbor_indices(s).size)
-
-    def distances_from(self, source: int | StableSet) -> np.ndarray:
-        """Exact BFS distances from one vertex; -1 where unreachable."""
-        src = source if isinstance(source, int) else self.vertex_index(source)
+    def distances_from(self, src: int) -> np.ndarray:
+        """Exact BFS distances from vertex index src; -1 where unreachable."""
         return bfs_levels(self._masks, src)
 
-    # -- distance, eccentricity, diameter ------------------------------------
+    # -- distance, diameter --------------------------------------------------
 
     def bfs_distance(self, a: StableSet, b: StableSet) -> DistanceRecord:
         d = pair_distance(self._masks, self.vertex_index(a), self.vertex_index(b))
         return DistanceRecord(a, b, None if d < 0 else d)
 
-    def eccentricity(self, source: int | StableSet) -> int | None:
-        """Max distance from source; None when some vertex is unreachable."""
-        dist = self.distances_from(source)
-        if (dist < 0).any():
-            return None
-        return int(dist.max())
-
     def orbit_representatives(self) -> list[int]:
         """One vertex index per dihedral orbit.
 
         Enumeration is lexicographic, so the first vertex met in each orbit
-        is exactly its canonical form.
+        has the orbit's least member sequence.
         """
         n = self.params.n
         covered: set[int] = set()

@@ -14,6 +14,16 @@ def brute_force_stable(n: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def orbit_minimum(members, n: int) -> tuple[int, ...]:
+    """Independent orbit oracle: the least sorted member tuple over the 2n
+    dihedral images m -> m + t and m -> t - m (mod n, elements 1..n)."""
+    return min(
+        tuple(sorted((image - 1) % n + 1 for image in images))
+        for t in range(n)
+        for images in ([m + t for m in members], [t - m for m in members])
+    )
+
+
 # Certificate payloads with a malformed shape: a non-numeric element, a
 # string where the vertex list belongs (once read one character at a time),
 # a JSON boolean as k, n above the library's single-word cap, n below 2 and

@@ -219,6 +219,8 @@ def test_distance_rejects_bad_set_text(capsys):
     assert code == 3
     code, _ = run(capsys, "distance", "--n", "10", "--k", "4", "--a", " 1,3,5,7", "--b", "1,3,6,8")
     assert code == 3
+    assert main(["distance", "--n", "10", "--k", "4", "--a", "1,3,5,12", "--b", "1,3,6,8"]) == 3
+    assert capsys.readouterr().err == "schrijver: element 12 out of range 1..10\n"
 
 
 def test_diameter_formula_and_bfs(capsys):

@@ -1,4 +1,4 @@
-"""Ground-set core: stability predicate, enumeration, rotations, canonical forms."""
+"""Ground-set core: stability predicate, enumeration, rotations and reflections, set text."""
 
 import tracemalloc
 from math import comb
@@ -11,12 +11,11 @@ from schrijver import (
     CycleParams,
     ParameterError,
     SchrijverGraph,
-    canonical_form,
+    StableSet,
     enumerate_stable_sets,
     format_set_text,
     is_2_stable,
     parse_set_text,
-    reflect,
     rotate,
     stable_count,
     stable_masks,
@@ -166,30 +165,7 @@ def test_rotate_composition_and_invariance():
             for b in (2, 5, 10):
                 assert rotate(rotate(s, a), b) == rotate(s, (a + b) % p.n)
         # rotations and reflections preserve stability (constructor re-checks)
-        reflect(rotate(s, 4))
-
-
-def test_canonical_form_examples():
-    p = CycleParams(10, 4)
-    assert canonical_form(stable_set([2, 4, 6, 8], p)).members == (1, 3, 5, 7)
-    assert canonical_form(stable_set([1, 3, 5, 7], p)).members == (1, 3, 5, 7)
-
-
-def test_canonical_form_matches_brute_force_orbit_minimum():
-    p = CycleParams(12, 5)
-    for s in enumerate_stable_sets(p):
-        images = [rotate(s, t).members for t in range(p.n)]
-        images += [rotate(reflect(s), t).members for t in range(p.n)]
-        assert canonical_form(s).members == min(images)
-
-
-def test_canonical_form_idempotent_and_orbit_constant():
-    p = CycleParams(11, 4)
-    for s in enumerate_stable_sets(p):
-        c = canonical_form(s)
-        assert canonical_form(c) == c
-        assert canonical_form(rotate(s, 3)) == c
-        assert canonical_form(reflect(s)) == c
+        StableSet(p, reflect_mask(rotate(s, 4).mask, p.n))
 
 
 def test_set_text_parsing():
@@ -207,5 +183,7 @@ def test_set_text_parsing():
     for text in (" 1,3,5,7", "+1,3,5,7", "1,3,5,0_7", "\uff11,3,5,7", "1,3,5,7 "):
         with pytest.raises(ParameterError):
             parse_set_text(text)
-    with pytest.raises(ParameterError):
-        parse_set_text("1,3,12", CycleParams(10, 3))
+    # ranges are checked once, by stable_set
+    assert parse_set_text("1,3,12") == (1, 3, 12)
+    with pytest.raises(ParameterError, match=r"^element 12 out of range 1\.\.10$"):
+        stable_set(parse_set_text("1,3,12"), CycleParams(10, 3))

@@ -1,7 +1,6 @@
-"""Graph oracle: adjacency, the two BFS kernels, the pair distance, eccentricity, brute-force diameter."""
+"""Graph oracle: the BFS kernels, the pair distance, orbit representatives, brute-force diameter."""
 
 from collections import Counter
-from itertools import islice
 from random import Random
 from unittest.mock import patch
 
@@ -15,16 +14,15 @@ from schrijver import (
     CycleParams,
     ParameterError,
     SchrijverGraph,
-    adjacent,
-    canonical_form,
     rotate,
     stable_count,
     stable_masks,
     stable_set,
 )
+from conftest import orbit_minimum
 from schrijver import graph as graph_module
 from schrijver.graph import bfs_levels
-from schrijver.suites import graph, sweep
+from schrijver.suites import graph, sweep, table_grid
 
 
 def nx_oracle(g):
@@ -38,22 +36,10 @@ def nx_oracle(g):
     return gx
 
 
-def test_adjacent_examples():
-    p = CycleParams(10, 4)
-    assert adjacent(stable_set([1, 3, 5, 7], p), stable_set([2, 4, 6, 8], p))
-    assert not adjacent(stable_set([1, 3, 5, 7], p), stable_set([1, 4, 6, 9], p))
-    with pytest.raises(ParameterError):
-        adjacent(stable_set([1, 3, 5, 7], p), stable_set([1, 3, 5], CycleParams(10, 3)))
-
-
-def test_adjacent_symmetric_irreflexive_and_shift():
-    g = graph(13, 5)
-    for s in g.vertices:
-        assert not adjacent(s, s)
+def test_rotation_is_a_neighbor():
+    for s in graph(13, 5).vertices:
         # a rotation of a 2-stable set never meets the set itself
-        assert adjacent(s, rotate(s, 1))
-    for a, b, _ in islice(sweep([(13, 5)]), 500):
-        assert adjacent(a, b) == adjacent(b, a)
+        assert not s.mask & rotate(s, 1).mask
 
 
 @pytest.mark.parametrize("n,k", [(10, 4), (9, 4), (8, 3)])
@@ -96,10 +82,10 @@ def test_triangle_inequality_sampled():
 
 
 def test_eccentricity_examples():
-    assert graph(9, 4).eccentricity(0) == 4
-    assert graph(7, 3).eccentricity(0) == 3
+    assert graph(9, 4).distances_from(0).max() == 4
+    assert graph(7, 3).distances_from(0).max() == 3
     g = graph(10, 4)
-    assert g.eccentricity(stable_set([1, 3, 5, 7], g.params)) == 3
+    assert g.distances_from(g.vertex_index(stable_set([1, 3, 5, 7], g.params))).max() == 3
 
 
 def test_eccentricity_constant_on_orbits():
@@ -107,7 +93,7 @@ def test_eccentricity_constant_on_orbits():
         g = graph(n, k)
         eccs = {}
         for i, s in enumerate(g.vertices):
-            eccs.setdefault(canonical_form(s).mask, set()).add(g.eccentricity(i))
+            eccs.setdefault(orbit_minimum(s.members, n), set()).add(int(g.distances_from(i).max()))
         assert all(len(vals) == 1 for vals in eccs.values())
 
 
@@ -130,26 +116,29 @@ def test_diameter_bruteforce_examples(n, k, expected):
 
 
 def test_orbit_reduction_matches_full_sweep():
+    # both source orders meet the least vertex of the first orbit that
+    # reaches the diameter first, so the witnesses agree too
     for n, k in ((9, 4), (10, 4), (11, 4), (12, 4)):
         g = graph(n, k)
-        assert (
-            g.diameter_bruteforce(orbit_reduction=True).value
-            == g.diameter_bruteforce(orbit_reduction=False).value
+        assert g.diameter_bruteforce(orbit_reduction=True) == g.diameter_bruteforce(
+            orbit_reduction=False
         )
 
 
 def test_orbit_representatives_are_canonical():
-    g = graph(12, 5)
-    reps = g.orbit_representatives()
-    rep_masks = {g.vertices[i].mask for i in reps}
-    assert rep_masks == {canonical_form(s).mask for s in g.vertices}
+    # one representative per orbit, the orbit's least member tuple, in order
+    for n, k in table_grid(5):
+        g = graph(n, k)
+        reps = g.orbit_representatives()
+        want = sorted({orbit_minimum(s.members, n) for s in g.vertices})
+        assert [g.vertices[i].members for i in reps] == want
 
 
 def test_distance_record_symmetry_and_unreachable_marker():
     g = graph(8, 4)  # two disjoint alternating sets: a single edge
     a, b = g.vertices
     assert g.bfs_distance(a, b).distance == 1
-    assert g.eccentricity(0) == 1
+    assert g.distances_from(0).max() == 1
 
 
 def test_connectedness_small():
@@ -162,7 +151,7 @@ def test_graph_work_builds_no_vertex_list():
     a = stable_set([1, 3, 5, 7], g.params)
     b = stable_set([1, 3, 6, 8], g.params)
     assert g.bfs_distance(a, b).distance == 3
-    g.distances_from(a)
+    g.distances_from(g.vertex_index(a))
     g.orbit_representatives()
     assert g.diameter_bruteforce().witness is not None
     g.all_distances()
@@ -210,9 +199,8 @@ def test_pair_distance_stops_when_the_frontiers_touch(monkeypatch):
 
     monkeypatch.setattr(graph_module, "_advance", counted)
     # adjacent: one 1 x 1 meet test, no level built from either end
-    g = graph(13, 5)
-    masks = stable_masks(g.params)
-    ib = g.vertex_index(g.neighbors(g.vertices[0])[0])
+    masks = stable_masks(CycleParams(13, 5))
+    ib = int(np.flatnonzero((masks & masks[0]) == 0)[0])
     assert graph_module.pair_distance(masks, 0, ib) == 1
     assert calls == [([int(masks[0])], 1)]
     # SG(22,7), distance 3: each end grows its first level once, then they meet

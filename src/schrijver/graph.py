@@ -20,10 +20,13 @@ BFS has two kernels, and one cost rule picks between them.
   off the masks directly.  A level costs about 2 sum_{S in F} |S| row
   operations for the whole batch, and memory is fixed in advance.
 
-Counts are kept modulo 2^16 when |V| < 2^16 and modulo 2^32 otherwise.  Both
-passes use only additions and subtractions, so the result is exact modulo
-that power of two; the true count is at most |V| - 1, below the modulus, so
-it is nonzero exactly when the stored one is.
+Counts are kept modulo 2^16 when no count can reach 2^16, and modulo 2^32
+otherwise.  The count at vertex v, #{u in frontier : u & v = 0}, is at most
+|V| - 1, and at most C(|U| - k, k) when the masks are k-sets with union U:
+the k-sets of U that avoid v.  That is 50 388 for the 68 952 vertices of
+SG(26,7), but 77 520 for SG(27,7).  Both passes use only additions and
+subtractions, so the result is exact modulo that power of two; the true
+count is below the modulus, so it is nonzero exactly when the stored one is.
 
 Cost rule: `bfs_sweeps` runs the lattice kernel when it has more than one
 source and |F| <= _LATTICE_RATIO |V|; otherwise, and for the single-source
@@ -38,6 +41,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -58,9 +62,14 @@ _CHUNK = 64
 _LATTICE_RATIO = 16
 
 # Byte budget of the lattice kernel's count matrix (|F| rows x batch
-# columns); the batch width is this over |F| x itemsize, but at least 8 (15
-# sources for SG(22,7); 8 for SG(24..26,7), a 4.7 MB matrix at SG(26,7)).
-# The gathers of one pass add at most as much again: a pass touches only the
+# columns).  A row is as many whole 32-byte blocks as fit in the budget, and
+# at least one.  Moving rows with `take` and `put` sets the kernel's cost,
+# and 32-byte rows move the cheapest per source: over the rows of one
+# SG(22,7) pass on a 2-vCPU Xeon, a `take` plus a `put` cost about 5.3 ns a
+# row at 32 bytes, 6.9 ns at 30 and 15-17 ns at 64.  So SG(21,7), SG(22,6)
+# and SG(22..26,7) run 16 sources of uint16 counts (a 5 MB matrix at
+# SG(26,7)), and small cells wider batches (128 sources for SG(18,5)).  The
+# gathers of one pass add at most as much again: a pass touches only the
 # sets that hold one element.
 _LATTICE_BYTES = 1 << 20
 
@@ -154,22 +163,46 @@ class SubsetLattice:
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending; a sort and one comparison pass, which
+    runs several times faster here than `np.unique`."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def subset_lattice(masks: np.ndarray) -> SubsetLattice | None:
-    """F for `masks`, or None as soon as |F| passes the cost rule's cap."""
+    """F for `masks`, or None as soon as |F| passes the cost rule's cap.
+
+    F is built one layer per set size, from the masks down to the empty set,
+    so the layers are disjoint.  None also when the masks differ in size.
+    """
     cap = _LATTICE_RATIO * masks.size
     union = int(np.bitwise_or.reduce(masks)) if masks.size else 0
     bits = [np.uint64(1 << i) for i in range(union.bit_length()) if union >> i & 1]
-    layer = np.unique(masks)
+    layer = _distinct(masks)
     layers = [layer]
     size = layer.size
-    while layer.size > 1 or (layer.size and layer[0]):
-        # the next layer: every set of this one with one element removed
-        layer = np.unique(np.concatenate([layer[(layer & bit) != 0] ^ bit for bit in bits]))
+    j = int(layer[0]).bit_count() if layer.size else 0
+    while j:
+        # the next layer: each j-set less one element, taking its lowest
+        # remaining bit j times
+        rest = layer.copy()
+        children = np.empty((j, layer.size), dtype=layer.dtype)
+        for child in children:
+            low = rest & -rest
+            np.bitwise_xor(layer, low, out=child)
+            rest ^= low
+        if rest.any() or not low.all():  # some mask has more or fewer than j
+            return None
+        layer = _distinct(children)
         layers.append(layer)
         size += layer.size
         if size > cap:
             return None
-    sets = np.unique(np.concatenate(layers))
+        j -= 1
+    sets = np.sort(np.concatenate(layers))
     pairs = []
     for bit in bits:
         upper = np.flatnonzero(sets & bit)
@@ -177,9 +210,14 @@ def subset_lattice(masks: np.ndarray) -> SubsetLattice | None:
     return SubsetLattice(sets, np.searchsorted(sets, masks), tuple(pairs))
 
 
-def _count_type(size: int) -> type:
-    """Counts modulo 2^16, or 2^32 from |V| = 2^16 on: exact, as counts < |V|."""
-    return np.uint16 if size < 1 << 16 else np.uint32
+def _count_type(masks: np.ndarray) -> type:
+    """uint16 if no count can reach 2^16, else uint32, by the module
+    docstring's bound min(|V| - 1, C(|U| - k, k)) for k-set masks (the masks
+    of a lattice all have one size)."""
+    k = int(masks[0]).bit_count()
+    free = int(np.bitwise_or.reduce(masks)).bit_count() - k
+    bound = min(masks.size - 1, comb(free, k))
+    return np.uint16 if bound < 1 << 16 else np.uint32
 
 
 def _lattice_levels(lat: SubsetLattice, masks: np.ndarray, sources) -> np.ndarray:
@@ -188,24 +226,26 @@ def _lattice_levels(lat: SubsetLattice, masks: np.ndarray, sources) -> np.ndarra
     The count matrix has one row per set of F and one column per source;
     rows are gathered with `take` and written back with `put` through a
     one-item-per-row view, which is several times faster than row fancy
-    indexing at these widths.
+    indexing at these widths.  The level bookkeeping shares that (vertex,
+    source) layout and is transposed once at the end.
     """
     src = np.asarray(sources, dtype=np.intp)
-    dist = np.full((src.size, masks.size), -1, dtype=np.int8)
-    levels = dist.T  # (vertex, source), the layout of the counts
+    batch = np.arange(src.size)
+    # a vertex's level counts the levels that start with it unvisited: 1 for
+    # all but the source, then one more after each level that leaves it so
     frontier = (masks[:, None] & masks[src][None, :]) == 0
-    levels[frontier] = 1
-    dist[np.arange(src.size), src] = 0
-    unvisited = levels < 0
-    counts = np.empty((lat.sets.size, src.size), dtype=_count_type(masks.size))
+    unvisited = ~frontier
+    unvisited[src, batch] = False
+    levels = np.ones((masks.size, src.size), dtype=np.int8)
+    levels[src, batch] = 0
+    levels += unvisited
+    counts = np.empty((lat.sets.size, src.size), dtype=_count_type(masks))
     rows = counts.view(np.dtype((np.void, counts.itemsize * src.size))).reshape(-1)
 
     def write(at: np.ndarray, values: np.ndarray) -> None:
         rows.put(at, values.view(rows.dtype).reshape(-1))
 
-    level = 1
     while unvisited.any() and frontier.any():
-        level += 1
         counts.fill(0)
         write(lat.vertex_rows, frontier.astype(counts.dtype))
         for lower, upper in lat.pairs:  # superset sums: frontier sets above S
@@ -217,9 +257,10 @@ def _lattice_levels(lat: SubsetLattice, masks: np.ndarray, sources) -> np.ndarra
             diff -= counts.take(lower, axis=0)
             write(upper, diff)
         frontier = unvisited & (counts.take(lat.vertex_rows, axis=0) != 0)
-        levels[frontier] = level
-        unvisited &= ~frontier
-    return dist
+        unvisited ^= frontier
+        levels += unvisited
+    levels[unvisited] = -1
+    return np.ascontiguousarray(levels.T)
 
 
 def bfs_sweeps(masks: np.ndarray, sources) -> Iterator[tuple[int, np.ndarray]]:
@@ -235,8 +276,8 @@ def bfs_sweeps(masks: np.ndarray, sources) -> Iterator[tuple[int, np.ndarray]]:
         for src in sources:
             yield src, bfs_levels(masks, src)
         return
-    itemsize = np.dtype(_count_type(masks.size)).itemsize
-    width = max(8, _LATTICE_BYTES // (lat.sets.size * itemsize))
+    row_bytes = 32 * max(1, _LATTICE_BYTES // (32 * lat.sets.size))
+    width = row_bytes // np.dtype(_count_type(masks)).itemsize
     for start in range(0, len(sources), width):
         batch = sources[start : start + width]
         yield from zip(batch, _lattice_levels(lat, masks, batch))

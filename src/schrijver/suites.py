@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain, combinations, repeat
 
 import numpy as np
@@ -140,9 +140,9 @@ def sweep(cells, min_dist: int = 0, sample: int = 0, rng: random.Random | None =
         g = graph(n, k)
         if len(g) < 2:
             continue
-        verts = g.vertices
+        vertex = cache(g._vertex)  # only the vertices it yields, each once
         for i, j, dist in _pair_distances(g._masks, min_dist, sample, rng):
-            yield verts[i], verts[j], dist
+            yield vertex(i), vertex(j), dist
 
 
 # ---------------------------------------------------------------------------

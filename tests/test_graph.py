@@ -2,6 +2,7 @@
 
 from collections import Counter
 from random import Random
+from time import perf_counter
 from unittest.mock import patch
 
 import networkx as nx
@@ -158,8 +159,13 @@ def test_graph_work_builds_no_vertex_list():
     assert "vertices" not in g.__dict__
 
 
+def _refuse(*args):
+    raise AssertionError("refused call")
+
+
 @pytest.mark.parametrize("n,k", [(14, 6), (21, 7)])
-def test_sampled_sweep_draws_distinct_intersecting_pairs(n, k):
+def test_sampled_sweep_draws_distinct_intersecting_pairs(monkeypatch, n, k):
+    monkeypatch.setattr(SchrijverGraph, "vertices", property(_refuse))  # no vertex list
     pairs = list(sweep([(n, k)], sample=50, rng=Random(3)))
     g = graph(n, k)
     seen = {(g.vertex_index(a), g.vertex_index(b)) for a, b, _ in pairs}
@@ -176,11 +182,8 @@ def test_exhaustive_sweep_reads_bfs_rows(monkeypatch):
     # SG(21,8) has 2079 vertices; every distance comes from the sweep rows
     g = graph(21, 8)
     dmat = g.all_distances()
-
-    def refuse(*args):
-        raise AssertionError("per-pair BFS")
-
-    monkeypatch.setattr(SchrijverGraph, "bfs_distance", refuse)
+    monkeypatch.setattr(SchrijverGraph, "bfs_distance", _refuse)  # no per-pair BFS
+    monkeypatch.setattr(SchrijverGraph, "vertices", property(_refuse))  # no vertex list
     masks = stable_masks(g.params)
     index = {m: i for i, m in enumerate(masks.tolist())}
     got = [(index[a.mask], index[b.mask], dist) for a, b, dist in sweep([(21, 8)], min_dist=4)]
@@ -248,6 +251,64 @@ def test_lattice_levels_equal_bfs_levels(cell, keep, seed):
         assert np.array_equal(levels, bfs_levels(masks, src))
 
 
+def _down_closure(masks, cap):
+    """Independent oracle: every submask of every mask, ascending, with Python
+    ints only; None once there are more than `cap`."""
+    family = set()
+    for mask in masks:
+        sub = mask
+        while True:  # submasks of mask, largest first
+            family.add(sub)
+            if len(family) > cap:
+                return None
+            if not sub:
+                break
+            sub = (sub - 1) & mask
+    return sorted(family)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    cell=st.sampled_from(SMALL_CELLS),
+    keep=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_subset_lattice_matches_its_definition(cell, keep, seed):
+    masks = _draw_masks(cell, keep, np.random.default_rng(seed))
+    lat = graph_module.subset_lattice(masks)
+    family = _down_closure(masks.tolist(), graph_module._LATTICE_RATIO * masks.size)
+    assert (lat is None) == (family is None)
+    if family is None:
+        return
+    row = {s: r for r, s in enumerate(family)}
+    assert lat.sets.tolist() == family
+    assert lat.vertex_rows.tolist() == [row[m] for m in masks.tolist()]
+    union = int(np.bitwise_or.reduce(masks))
+    pairs = []
+    for i in range(union.bit_length()):
+        if union >> i & 1:
+            upper = [r for r, s in enumerate(family) if s >> i & 1]
+            pairs.append(([row[family[r] ^ 1 << i] for r in upper], upper))
+    assert [(lower.tolist(), upper.tolist()) for lower, upper in lat.pairs] == pairs
+
+
+def test_subset_lattice_gives_up_early():
+    # SG(63,30) has |F| about 10^13; its second layer already passes the cap
+    masks = stable_masks(CycleParams(63, 30))
+    start = perf_counter()
+    assert graph_module.subset_lattice(masks) is None
+    assert perf_counter() - start < 1.0
+
+
+# a mask with fewer elements than the least mask, and one with more
+@pytest.mark.parametrize("masks", [[0b0011, 0b0100], [0b0001, 0b0110]])
+def test_lattice_needs_masks_of_one_size(masks):
+    masks = np.array(masks, dtype=np.uint64)
+    assert graph_module.subset_lattice(masks) is None
+    for src, levels in graph_module.bfs_sweeps(masks, [0, 1]):
+        assert np.array_equal(levels, bfs_levels(masks, src))
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     cell=st.sampled_from(SMALL_CELLS),
@@ -302,14 +363,48 @@ def test_single_source_sweep_runs_advance(monkeypatch):
     assert set(calls) == {"_advance"}
 
 
-def test_lattice_counts_modulo_2_32():
-    # SG(26,7) has 68 952 >= 2^16 vertices, so counts are uint32
-    masks = stable_masks(CycleParams(26, 7))
-    assert masks.size == 68952 and graph_module._count_type(masks.size) is np.uint32
+def _lattice_levels_from_both_ends(masks):
     lat = graph_module.subset_lattice(masks)
     sources = [0, masks.size - 1]
     got = graph_module._lattice_levels(lat, masks, sources)
     for src, levels in zip(sources, got):
+        assert np.array_equal(levels, bfs_levels(masks, src))
+
+
+def test_lattice_counts_modulo_2_16():
+    # SG(26,7) has 68 952 >= 2^16 vertices, but a count is at most the
+    # C(19,7) = 50 388 7-sets that avoid a vertex, so counts are uint16
+    masks = stable_masks(CycleParams(26, 7))
+    assert masks.size == 68952 and graph_module._count_type(masks) is np.uint16
+    _lattice_levels_from_both_ends(masks)
+
+
+def test_lattice_counts_modulo_2_32():
+    # SG(27,7): 104 652 vertices and C(20,7) = 77 520 >= 2^16, so uint32
+    masks = stable_masks(CycleParams(27, 7))
+    assert masks.size == 104652 and graph_module._count_type(masks) is np.uint32
+    _lattice_levels_from_both_ends(masks)
+
+
+# SG(21,7): |F| = 21 991, one 32-byte row of uint16 counts, 16 sources.
+# SG(18,5): |F| = 3 769, eight 32-byte blocks fit in the budget, 128 sources.
+@pytest.mark.parametrize("n,k,width", [(21, 7, 16), (18, 5, 128)])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_sweep_batches_split_at_the_width(monkeypatch, n, k, width, extra):
+    masks = stable_masks(CycleParams(n, k))
+    sources = np.random.default_rng(width + extra).permutation(masks.size)[: width + extra].tolist()
+    batches = []
+    inner = graph_module._lattice_levels
+
+    def counted(lat, masks, batch):
+        batches.append(len(batch))
+        return inner(lat, masks, batch)
+
+    monkeypatch.setattr(graph_module, "_lattice_levels", counted)
+    swept = list(graph_module.bfs_sweeps(masks, sources))
+    assert batches == ([width, 1] if extra > 0 else [width + extra])
+    assert [src for src, _ in swept] == sources
+    for src, levels in swept:
         assert np.array_equal(levels, bfs_levels(masks, src))
 
 

@@ -151,7 +151,7 @@ def pair_distance(masks: np.ndarray, src: int, dst: int) -> int:
 
 @dataclass(frozen=True)
 class SubsetLattice:
-    """The down-closed family F of all subsets of some distinct vertex masks.
+    """The down-closed family F of all subsets of some vertex masks of one size.
 
     `sets` is F in ascending order and `vertex_rows` the row of each vertex
     in it; `pairs` holds, per ground-set element i, the rows of S - {i} and
@@ -184,8 +184,8 @@ def subset_lattice(masks: np.ndarray) -> SubsetLattice | None:
     layer = _distinct(masks)
     layers = [layer]
     size = layer.size
-    j = int(layer[0]).bit_count() if layer.size else 0
-    while j:
+    k = int(layer[0]).bit_count() if layer.size else 0
+    for j in range(k, 0, -1):
         # the next layer: each j-set less one element, taking its lowest
         # remaining bit j times
         rest = layer.copy()
@@ -201,7 +201,6 @@ def subset_lattice(masks: np.ndarray) -> SubsetLattice | None:
         size += layer.size
         if size > cap:
             return None
-        j -= 1
     sets = np.sort(np.concatenate(layers))
     pairs = []
     for bit in bits:

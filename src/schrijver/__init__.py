@@ -42,7 +42,6 @@ from .cyclic import (
     CycleParams,
     StableSet,
     enumerate_stable_sets,
-    format_set_text,
     is_2_stable,
     parse_set_text,
     rotate,

@@ -26,7 +26,7 @@ from .cyclic import CycleParams, StableSet, enumerate_stable_sets, parse_set_tex
 from .errors import CertificateError, InvariantError, ParameterError, RegimeError, SchrijverError
 from .graph import SchrijverGraph
 from .lift import bound_path_with_trace, regime_m
-from .paths import path_dist3, path_via_reduction
+from .paths import in_dist3_regime, path_dist3, path_via_reduction
 from .suites import SUITES, scan_rows, table_rows
 
 TABLE_SCHEMA = "# schrijver table v1: n,k,r,formula_lo,formula_hi,bfs,agree"
@@ -107,8 +107,6 @@ def cmd_enumerate(args) -> str:
 
 def _certificate_for(g: SchrijverGraph, a: StableSet, b: StableSet, dist: int, want_trace: bool):
     """Constructive certificate matched to the regime, plus an optional lift trace."""
-    n, k = g.params.n, g.params.k
-    trace = None
     if dist == 0:
         return None, None
     if dist == 1:
@@ -116,7 +114,7 @@ def _certificate_for(g: SchrijverGraph, a: StableSet, b: StableSet, dist: int, w
     if dist == 2:
         d = decompose(a, b)
         return PathCertificate((a, disjoint_middle_vertex(d), b), 2), None
-    if 3 * k - 2 <= n <= 4 * k - 3:
+    if in_dist3_regime(g.params.n, g.params.k):
         return path_dist3(a, b), None
     try:  # the lift pipeline's own regime check decides, word cap included
         regime_m(g.params)

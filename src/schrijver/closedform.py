@@ -136,18 +136,7 @@ class Sg2k2Model:
 
     k: int
     vertices: tuple[Sg2k2Coordinate, ...]
-    adjacency: dict[Sg2k2Coordinate, frozenset[Sg2k2Coordinate]] = field(repr=False)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
-
-    def adjacent(self, c1: Sg2k2Coordinate, c2: Sg2k2Coordinate) -> bool:
-        return c2 in self.adjacency[c1]
+    edges: frozenset[frozenset[Sg2k2Coordinate]] = field(repr=False)
 
 
 def sg2k2_model(k: int) -> Sg2k2Model:
@@ -186,16 +175,7 @@ def sg2k2_model(k: int) -> Sg2k2Model:
         for v in range(n):
             edges.add(frozenset((node(top, v), node(top, v + k + 1))))
 
-    adjacency: dict[Sg2k2Coordinate, set[Sg2k2Coordinate]] = {c: set() for c in vertices}
-    for edge in edges:
-        c1, c2 = tuple(edge)
-        adjacency[c1].add(c2)
-        adjacency[c2].add(c1)
-    return Sg2k2Model(
-        k,
-        tuple(vertices),
-        {c: frozenset(nbrs) for c, nbrs in adjacency.items()},
-    )
+    return Sg2k2Model(k, tuple(vertices), frozenset(edges))
 
 
 def classify_sg2k2_vertex(s: StableSet) -> tuple[str, int]:

@@ -60,11 +60,6 @@ class CycleParams:
             )
 
     @property
-    def r(self) -> int:
-        """The excess n - 2k."""
-        return self.n - 2 * self.k
-
-    @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -153,11 +148,8 @@ class StableSet:
         """Members in strictly increasing order."""
         return members_of(self.mask)
 
-    def __contains__(self, x: int) -> bool:
-        return 1 <= x <= self.params.n and bool(self.mask >> (x - 1) & 1)
-
     def __str__(self) -> str:
-        return format_set_text(self.members)
+        return ",".join(map(str, self.members))
 
 
 def stable_set(members: Iterable[int], params: CycleParams) -> StableSet:
@@ -217,18 +209,23 @@ def _path_masks(length: int, size: int, memo: dict, top: int) -> np.ndarray:
     return out
 
 
-def stable_masks(params: CycleParams) -> np.ndarray:
-    """Vertex masks of SG(n,k) as uint64, lexicographic on the member sequence.
-
-    Sets holding 1 are 1 plus a path subset of 3..n-1; all others are path
-    subsets of 2..n.
-    """
+def check_vertex_cap(params: CycleParams) -> None:
+    """Refuse SG(n,k) if it has more than MAX_VERTICES vertices."""
     count = stable_count(params)
     if count > MAX_VERTICES:
         raise ParameterError(
             f"SG({params.n},{params.k}) has {count} vertices, "
             f"more than the enumeration cap of {MAX_VERTICES}"
         )
+
+
+def stable_masks(params: CycleParams) -> np.ndarray:
+    """Vertex masks of SG(n,k) as uint64, lexicographic on the member sequence.
+
+    Sets holding 1 are 1 plus a path subset of 3..n-1; all others are path
+    subsets of 2..n.
+    """
+    check_vertex_cap(params)
     n, k = params.n, params.k
     memo: dict = {}
     with_one = (_path_masks(n - 3, k - 1, memo, k) << _TWO) | _ONE
@@ -264,7 +261,3 @@ def parse_set_text(text: str) -> tuple[int, ...]:
                 f"set text {text!r} must be strictly ascending"
             )
     return mems
-
-
-def format_set_text(members: Iterable[int]) -> str:
-    return ",".join(str(x) for x in sorted(members))

@@ -155,12 +155,14 @@ class SubsetLattice:
 
     `sets` is F in ascending order and `vertex_rows` the row of each vertex
     in it; `pairs` holds, per ground-set element i, the rows of S - {i} and
-    of S for every S in F that contains i.
+    of S for every S in F that contains i.  `count_type` is uint16 when the
+    module docstring's bound on a count is below 2^16, else uint32.
     """
 
     sets: np.ndarray
     vertex_rows: np.ndarray
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    count_type: type
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -206,17 +208,9 @@ def subset_lattice(masks: np.ndarray) -> SubsetLattice | None:
     for bit in bits:
         upper = np.flatnonzero(sets & bit)
         pairs.append((np.searchsorted(sets, sets[upper] ^ bit), upper))
-    return SubsetLattice(sets, np.searchsorted(sets, masks), tuple(pairs))
-
-
-def _count_type(masks: np.ndarray) -> type:
-    """uint16 if no count can reach 2^16, else uint32, by the module
-    docstring's bound min(|V| - 1, C(|U| - k, k)) for k-set masks (the masks
-    of a lattice all have one size)."""
-    k = int(masks[0]).bit_count()
-    free = int(np.bitwise_or.reduce(masks)).bit_count() - k
-    bound = min(masks.size - 1, comb(free, k))
-    return np.uint16 if bound < 1 << 16 else np.uint32
+    bound = min(masks.size - 1, comb(len(bits) - k, k))
+    count_type = np.uint16 if bound < 1 << 16 else np.uint32
+    return SubsetLattice(sets, np.searchsorted(sets, masks), tuple(pairs), count_type)
 
 
 def _lattice_levels(lat: SubsetLattice, masks: np.ndarray, sources) -> np.ndarray:
@@ -238,7 +232,7 @@ def _lattice_levels(lat: SubsetLattice, masks: np.ndarray, sources) -> np.ndarra
     levels = np.ones((masks.size, src.size), dtype=np.int8)
     levels[src, batch] = 0
     levels += unvisited
-    counts = np.empty((lat.sets.size, src.size), dtype=_count_type(masks))
+    counts = np.empty((lat.sets.size, src.size), dtype=lat.count_type)
     rows = counts.view(np.dtype((np.void, counts.itemsize * src.size))).reshape(-1)
 
     def write(at: np.ndarray, values: np.ndarray) -> None:
@@ -276,7 +270,7 @@ def bfs_sweeps(masks: np.ndarray, sources) -> Iterator[tuple[int, np.ndarray]]:
             yield src, bfs_levels(masks, src)
         return
     row_bytes = 32 * max(1, _LATTICE_BYTES // (32 * lat.sets.size))
-    width = row_bytes // np.dtype(_count_type(masks)).itemsize
+    width = row_bytes // np.dtype(lat.count_type).itemsize
     for start in range(0, len(sources), width):
         batch = sources[start : start + width]
         yield from zip(batch, _lattice_levels(lat, masks, batch))

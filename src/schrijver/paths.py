@@ -44,8 +44,6 @@ class StarPair:
     b_star: int
     i_prime: int
     s: int
-    r_blocks: int
-    h: int
 
 
 def _apply_rules(d: Decomposition) -> tuple[int, int, int, int, int]:
@@ -121,7 +119,7 @@ def build_star_pair(d: Decomposition) -> StarPair:
         raise InvariantError("star sets do not contain the opposite difference")
     if i_prime.bit_count() != d.h - s - r_blocks:
         raise InvariantError("|I'| != h - s - r")
-    return StarPair(a_star, b_star, i_prime, s, r_blocks, d.h)
+    return StarPair(a_star, b_star, i_prime, s)
 
 
 def reduce_intersection(a: StableSet, b: StableSet) -> tuple[StableSet, StableSet]:
@@ -211,12 +209,17 @@ def _disjoint_middle_pair(d: Decomposition) -> tuple[StableSet, StableSet] | Non
     return a2, b2
 
 
+def in_dist3_regime(n: int, k: int) -> bool:
+    """3k-2 <= n <= 4k-3, i.e. k-2 <= r <= 2k-3: where `path_dist3` applies."""
+    return 3 * k - 2 <= n <= 4 * k - 3
+
+
 def path_dist3(a: StableSet, b: StableSet) -> PathCertificate:
     """Length-3 certificate A - A' - B' - B for dist >= 3 pairs, k-2 <= r <= 2k-3."""
     if a.params != b.params:
         raise ParameterError("vertices come from different SG(n,k)")
     n, k = a.params.n, a.params.k
-    if not 3 * k - 2 <= n <= 4 * k - 3:
+    if not in_dist3_regime(n, k):
         raise RegimeError(
             f"path_dist3 needs 3k-2 <= n <= 4k-3, got n={n}, k={k}"
         )

@@ -4,9 +4,10 @@ This module is the single home of the checks of the structural facts the
 package relies on: the distance-2 criterion against BFS, the block and
 end-set identities, the star-pair and reduction contracts, the short-walk,
 length-3 and m+3 certificates, and the SG(2k+2,k) coordinate model.  Each
-check records into a `SuiteResult`.  `verify` runs them through `SUITES`
-(exhaustively for k <= 5 on small ground sets, on seeded samples for
-k >= 6); the acceptance tests run the same checks over the spec ranges.
+check records into a `SuiteResult`.  `verify` runs them through `SUITES`:
+`blocks`/`paths` on every pair of small cells for k <= 5 and seeded samples
+for k >= 6, `lift` on every distance->=4 pair but 1500 seeded ones in each of
+SG(17,7) and SG(18,7).  The acceptance tests run them over the spec ranges.
 """
 
 from __future__ import annotations
@@ -43,12 +44,13 @@ from .closedform import (
     sg2k2_model,
     sg2k2_vertex,
 )
-from .cyclic import CycleParams, StableSet
+from .cyclic import CycleParams, StableSet, check_vertex_cap
 from .errors import SchrijverError
 from .graph import SchrijverGraph, bfs_sweeps
 from .lift import bound_path_m_plus_3
 from .paths import (
     build_star_pair,
+    in_dist3_regime,
     path_dist3,
     path_small_intersection,
     path_via_reduction,
@@ -263,13 +265,13 @@ def check_model(res: SuiteResult, k: int) -> None:
         res.fail(f"{label}: coordinate map is not injective")
     if set(image.values()) != set(masks):
         res.fail(f"{label}: coordinate map is not onto the vertex set")
-    if model.n_vertices != len(g):
+    if len(model.vertices) != len(g):
         res.fail(f"{label}: vertex counts differ")
-    if model.n_edges != sum(1 for x, y in combinations(masks, 2) if not x & y):
+    if len(model.edges) != sum(1 for x, y in combinations(masks, 2) if not x & y):
         res.fail(f"{label}: edge counts differ")
     for c1, c2 in combinations(model.vertices, 2):
         res.counts["model"] += 1
-        if model.adjacent(c1, c2) != (not image[c1] & image[c2]):
+        if (frozenset((c1, c2)) in model.edges) != (not image[c1] & image[c2]):
             res.fail(f"{label}: adjacency mismatch at {c1}, {c2}")
 
     classes = _classes(k)
@@ -327,7 +329,7 @@ def suite_paths(k_max: int) -> SuiteResult:
             if dist >= 3:
                 check_star_pair(res, decompose(a, b))
                 check_reduction(res, a, b)
-                if 3 * a.params.k - 2 <= a.params.n <= 4 * a.params.k - 3:
+                if in_dist3_regime(a.params.n, a.params.k):
                     check_dist3(res, a, b)
         except SchrijverError as exc:
             res.fail(str(exc), a, b)
@@ -393,8 +395,12 @@ def table_grid(k_max: int) -> list[tuple[int, int]]:
 
 
 def table_rows(k_max: int) -> list[dict]:
-    """One row per cell of `table_grid(k_max)`, in its order."""
-    return [table_cell(n, k) for n, k in table_grid(k_max)]
+    """One row per cell of `table_grid(k_max)`, in its order; every cell is
+    checked against the n <= 64 and vertex caps before the first diameter."""
+    cells = table_grid(k_max)
+    for n, k in cells:
+        check_vertex_cap(CycleParams(n, k))
+    return [table_cell(n, k) for n, k in cells]
 
 
 def scan_rows(k_max: int) -> list[dict]:

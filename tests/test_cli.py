@@ -246,6 +246,27 @@ def test_table_matches_golden_file(capsys, tmp_path):
     assert out_path.read_text() == GOLDEN.read_text()
 
 
+def test_scan_matches_golden_file(capsys, tmp_path):
+    out_path = tmp_path / "scan.csv"
+    code, _ = run(capsys, "scan", "--k-max", "5", "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_text() == (DATA / "scan_k5.csv").read_text()
+
+
+@pytest.mark.parametrize("command", ["table", "scan"])
+def test_capped_cell_fails_before_the_first_diameter(capsys, monkeypatch, command):
+    def refuse(self, orbit_reduction=True):
+        raise AssertionError(f"computed the diameter of SG{self.params}")
+
+    monkeypatch.setattr(SchrijverGraph, "diameter_bruteforce", refuse)
+    code = main([command, "--k-max", "10"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        "schrijver: SG(37,10) has 11560835 vertices, more than the enumeration cap of 8000000\n"
+    )
+
+
 def test_table_deterministic(capsys):
     _, first = run(capsys, "table", "--k-max", "3")
     _, second = run(capsys, "table", "--k-max", "3")

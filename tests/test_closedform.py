@@ -9,6 +9,7 @@ from schrijver import (
     ParameterError,
     RegimeError,
     Sg2k2Coordinate,
+    Sg2k2Model,
     classify_sg2k2_vertex,
     decompose,
     diameter_formula,
@@ -19,6 +20,7 @@ from schrijver import (
     witness_dist3,
     witness_lower4,
 )
+from schrijver import suites
 from schrijver.cyclic import wrap
 from schrijver.suites import SuiteResult, check_model, graph
 
@@ -77,7 +79,8 @@ def test_sg2k2_diameters_are_ceil_3k_over_4():
         assert graph(2 * k + 2, k).diameter_bruteforce().value == ceil(3 * k / 4), k
     for k in range(3, 13):
         model = sg2k2_model(k)
-        gx = nx.Graph((c, d) for c in model.vertices for d in model.adjacency[c])
+        gx = nx.Graph(tuple(edge) for edge in model.edges)
+        gx.add_nodes_from(model.vertices)
         assert nx.diameter(gx) == ceil(3 * k / 4), k
 
 
@@ -142,6 +145,31 @@ def test_model_counts_small(k):
     res = SuiteResult("model")
     check_model(res, k)
     assert res.ok, res.failures
+
+
+def _broken_model_failures(monkeypatch, k, drop, add=()):
+    """check_model's failure kinds for the real model less `drop`, plus `add`."""
+    model = sg2k2_model(k)
+    assert drop in model.edges and not set(add) & model.edges
+    broken = Sg2k2Model(k, model.vertices, model.edges - {drop} | set(add))
+    monkeypatch.setattr(suites, "sg2k2_model", lambda _: broken)
+    res = SuiteResult("model")
+    check_model(res, k)
+    return [msg.split(": ", 1)[1].split(" at ")[0] for msg in res.failures]
+
+
+def test_model_check_catches_a_broken_model(monkeypatch):
+    chord = frozenset((Sg2k2Coordinate(0, 0), Sg2k2Coordinate(0, 1)))
+    non_edge = frozenset((Sg2k2Coordinate(0, 0), Sg2k2Coordinate(0, 2)))
+    assert _broken_model_failures(monkeypatch, 4, chord) == [
+        "edge counts differ",
+        "adjacency mismatch",
+    ]
+    # an edge swapped for a non-edge keeps the edge count
+    assert _broken_model_failures(monkeypatch, 4, chord, [non_edge]) == [
+        "adjacency mismatch",
+        "adjacency mismatch",
+    ]
 
 
 def test_witness_lower4_examples():

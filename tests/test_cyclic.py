@@ -13,7 +13,6 @@ from schrijver import (
     SchrijverGraph,
     StableSet,
     enumerate_stable_sets,
-    format_set_text,
     is_2_stable,
     parse_set_text,
     rotate,
@@ -51,7 +50,6 @@ def test_params_validation():
         CycleParams(9, True)
     with pytest.raises(ParameterError):
         CycleParams(True, True)
-    assert CycleParams(12, 5).r == 2
 
 
 def test_stable_set_validation():
@@ -170,7 +168,7 @@ def test_rotate_composition_and_invariance():
 
 def test_set_text_parsing():
     assert parse_set_text("1,3,6,8") == (1, 3, 6, 8)
-    assert format_set_text([8, 1, 6, 3]) == "1,3,6,8"
+    assert str(stable_set([8, 1, 6, 3], CycleParams(10, 4))) == "1,3,6,8"
     with pytest.raises(ParameterError):
         parse_set_text("3,1,6")
     with pytest.raises(ParameterError):

@@ -364,26 +364,29 @@ def test_single_source_sweep_runs_advance(monkeypatch):
 
 
 def _lattice_levels_from_both_ends(masks):
+    """Lattice levels from the first and last vertex equal `bfs_levels`;
+    returns the lattice's count type."""
     lat = graph_module.subset_lattice(masks)
     sources = [0, masks.size - 1]
     got = graph_module._lattice_levels(lat, masks, sources)
     for src, levels in zip(sources, got):
         assert np.array_equal(levels, bfs_levels(masks, src))
+    return lat.count_type
 
 
 def test_lattice_counts_modulo_2_16():
     # SG(26,7) has 68 952 >= 2^16 vertices, but a count is at most the
     # C(19,7) = 50 388 7-sets that avoid a vertex, so counts are uint16
     masks = stable_masks(CycleParams(26, 7))
-    assert masks.size == 68952 and graph_module._count_type(masks) is np.uint16
-    _lattice_levels_from_both_ends(masks)
+    assert masks.size == 68952
+    assert _lattice_levels_from_both_ends(masks) is np.uint16
 
 
 def test_lattice_counts_modulo_2_32():
     # SG(27,7): 104 652 vertices and C(20,7) = 77 520 >= 2^16, so uint32
     masks = stable_masks(CycleParams(27, 7))
-    assert masks.size == 104652 and graph_module._count_type(masks) is np.uint32
-    _lattice_levels_from_both_ends(masks)
+    assert masks.size == 104652
+    assert _lattice_levels_from_both_ends(masks) is np.uint32
 
 
 # SG(21,7): |F| = 21 991, one 32-byte row of uint16 counts, 16 sources.

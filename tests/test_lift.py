@@ -42,7 +42,7 @@ def test_op_plus_on_singleton_block_pair():
     a2, b2, u = op_plus(decompose(a, b))
     assert a2.params.n == 14 and b2.params.n == 14
     assert len(a2.members) == len(b2.members) == 6
-    assert u not in a2 and u not in b2
+    assert u not in a2.members and u not in b2.members
     d2 = decompose(a2, b2)
     blk = next(blk for blk in d2.blocks if blk.interval.elements() == (u,))
     assert blk.btype == "IV(H)"
@@ -51,7 +51,7 @@ def test_op_plus_on_singleton_block_pair():
 def test_op_plus_marker_is_vacant_everywhere():
     for a, b, _ in sweep([(12, 5)], min_dist=3):
         a2, b2, u = op_plus(decompose(a, b))
-        assert u not in a2 and u not in b2
+        assert u not in a2.members and u not in b2.members
         assert (a2.mask & b2.mask).bit_count() == (a.mask & b.mask).bit_count()
 
 
@@ -74,14 +74,14 @@ def test_op_minus_round_trip_bookkeeping():
     g2 = graph(13, 5)
     checked_plain = checked_holding = 0
     for y in g2.vertices:
-        if u in y:
+        if u in y.members:
             # u present: the merge shifts it onto u-1
-            if u - 2 not in y:
+            if u - 2 not in y.members:
                 y0 = op_minus(y, u)
                 assert len(y0.members) == 5
                 checked_holding += 1
             continue
-        if u - 1 in y and u + 1 in y:
+        if u - 1 in y.members and u + 1 in y.members:
             continue  # deletion would make them consecutive
         y0 = op_minus(y, u)
         # intersections with the lifted pair survive the deletion
@@ -98,7 +98,11 @@ def test_op_minus_pairwise_intersections_preserved():
     a, b = lower4_shape(12, 5)
     a2, b2, u = op_plus(decompose(a, b))
     g2 = graph(13, 5)
-    safe = [y for y in g2.vertices if u not in y and u + 1 not in y and u - 2 not in y]
+    safe = [
+        y
+        for y in g2.vertices
+        if u not in y.members and u + 1 not in y.members and u - 2 not in y.members
+    ]
     for y1, y2 in combinations(safe[:40], 2):
         assert (
             op_minus(y1, u).mask & op_minus(y2, u).mask

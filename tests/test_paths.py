@@ -10,6 +10,7 @@ from schrijver import (
     RegimeError,
     build_star_pair,
     decompose,
+    diameter_formula,
     path_dist3,
     path_small_intersection,
     path_via_reduction,
@@ -71,7 +72,9 @@ def test_star_pair_example_walkthrough():
     assert sp.a_star == mask_of({1, 3, 6, 14, 17, 19})
     assert sp.b_star == mask_of({2, 4, 7, 13, 15, 18, 20})
     assert sp.i_prime == mask_of({9, 11})
-    assert (sp.s, sp.r_blocks, sp.h) == (1, 0, 3)
+    # r = 0: no type-I block of length >= 2
+    assert sp.s == 1 and d.h == 3
+    assert not any(blk.btype == "I" and blk.interval.length >= 2 for blk in d.blocks)
     assert mask_of({1, 3, 6, 9, 11, 14, 17, 19}) & ~(sp.a_star | sp.i_prime) == 0
 
 
@@ -174,6 +177,16 @@ def test_path_dist3_regime_errors():
     b = stable_set([1, 3, 6, 8, 11], p)
     with pytest.raises(RegimeError):
         path_dist3(a, b)
+
+
+def test_dist3_regime_is_where_the_formula_gives_3():
+    # the constructive n-form and the closed form's r-form, k-2 <= r <= 2k-3,
+    # name the same cells; SG(5,2), the 5-cycle, is the one exception k >= 2
+    for k in range(3, 32):
+        for n in range(2 * k + 1, 65):
+            fm = diameter_formula(n, k)
+            assert paths.in_dist3_regime(n, k) == (fm.exact and fm.value == 3), (n, k)
+    assert paths.in_dist3_regime(5, 2) and diameter_formula(5, 2).value == 2
 
 
 def test_path_via_reduction_examples():

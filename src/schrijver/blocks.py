@@ -3,7 +3,7 @@
 For intersecting A != B the cycle splits into the components of X = A u B
 and the complement intervals between them (the blocks).  Block boundaries
 are classified by which kind of end (A-, B- or H-end) sits on each side;
-those types drive every constructive path in this package.
+the counting identities and the JSON report name blocks by those types.
 
 Whether the pair is at distance 2 needs none of that: it is whether the
 complement holds a stable k-set.  Its stable picks, every other element of

@@ -2,9 +2,11 @@
 
 Everything here emits PathCertificate values; validity is established by
 the independent verifier in `certificates`, never assumed.  The central
-construction grows two supersets (one avoiding A, one avoiding B) from the
-complement blocks via eight per-type assignment rules, leaving singleton
-type-I blocks in a reserve that is distributed last.
+construction grows two supersets, a_star avoiding A and b_star avoiding B,
+by one rule: each complement block splits into its two alternating
+halves, and the one-sided boundary of the block (in A or B only) decides
+which half each star takes, so that both stay 2-stable.  Singleton blocks
+between two elements of A n B go to a reserve that is distributed last.
 """
 
 from __future__ import annotations
@@ -12,13 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import (
-    TYPE_I,
-    TYPE_IIA,
-    TYPE_IIB,
-    TYPE_IIIA,
-    TYPE_IIIB,
-    TYPE_IVA,
-    TYPE_IVB,
     TYPE_IVH,
     Decomposition,
     decompose,
@@ -27,13 +22,13 @@ from .blocks import (
     zy_split,
 )
 from .certificates import PathCertificate
-from .cyclic import StableSet, lowest_bits, members_of, rol_mask, rotate, stable_set, wrap
+from .cyclic import StableSet, lowest_bits, members_of, rol_mask, rotate, stable_set
 from .errors import InvariantError, ParameterError, RegimeError
 
 
 @dataclass
 class StarPair:
-    """Supersets grown by rules R1-R8 before the type-I reserve is placed.
+    """Supersets grown by the boundary rule before the type-I reserve is placed.
 
     All three sets are masks: a_star avoids A, b_star avoids B, the two are
     disjoint, and i_prime holds the still-unassigned singleton type-I block
@@ -47,62 +42,61 @@ class StarPair:
 
 
 def _apply_rules(d: Decomposition) -> tuple[int, int, int, int, int]:
-    a_star = d.b.mask & ~d.a.mask
-    b_star = d.a.mask & ~d.b.mask
-    i_prime = 0
-    r_blocks = 0
-    two_s = 0
-    a_side = d.a.mask & ~d.b.mask
+    """The boundary rule: (a_star, b_star, I', s, r) from the pair's masks.
+
+    a_star starts as B\\A and b_star as A\\B.  A block [i..j] splits into
+    halves Z, Y counted from i and Z', Y' counted from j (`zy_split`).  If
+    i-1 is one-sided, Z goes to i-1's star (a_star when i-1 is in A only:
+    i-1 itself is in b_star, so i cannot be); otherwise, if j+1 is
+    one-sided, Z' goes to j+1's star.  The other half goes to the other
+    star, and each star drops every j whose j+1 it already holds.  By block
+    type (sides of i-1, j+1), the eight per-type rules R1-R8 are this rule:
+
+    - R1, I (H,H): a singleton to I', else Z/Y to a_star/b_star, counted in r;
+    - R2-R3, II(A)/II(B) (H,A)/(H,B): Z' to j+1's star, Y' to the other;
+    - R4-R5, III(A)/III(B) (A,H)/(B,H): Z to i-1's star, Y to the other;
+    - R6-R7, IV(A)/IV(B) (A,A)/(B,B): as III, less j from the Y half;
+    - R8, IV(H) (A,B)/(B,A): as III, less j from the Z half.
+
+    Types II and III, with exactly one end in A n B, count toward 2s.
+    """
+    n = d.params.n
+    am, bm = d.a.mask, d.b.mask
+    hm = am & bm
+    a_only, b_only = am & ~hm, bm & ~hm
+    a_star, b_star = b_only, a_only
+    i_prime = r_blocks = two_s = 0
 
     for blk in d.blocks:
+        start, length = blk.interval.start, blk.interval.length
         z, y, zp, yp = zy_split(blk)
-        not_j = ~(1 << (blk.interval.end - 1))
-        t = blk.btype
-        if t == TYPE_I:
-            if blk.interval.length >= 2:
-                a_star |= z
-                b_star |= y
-                r_blocks += 1
-            else:
-                i_prime |= z
-        elif t == TYPE_IIA:
-            a_star |= zp
-            b_star |= yp
-            two_s += 1
-        elif t == TYPE_IIB:
-            b_star |= zp
-            a_star |= yp
-            two_s += 1
-        elif t == TYPE_IIIA:
-            a_star |= z
-            b_star |= y
-            two_s += 1
-        elif t == TYPE_IIIB:
-            b_star |= z
-            a_star |= y
-            two_s += 1
-        elif t == TYPE_IVA:
-            a_star |= z
-            b_star |= y & not_j
-        elif t == TYPE_IVB:
-            b_star |= z
-            a_star |= y & not_j
-        else:  # IV(H): orientation decided by the left boundary's side
-            left = wrap(blk.interval.start - 1, d.params.n)
-            if a_side >> (left - 1) & 1:
-                a_star |= z & not_j
-                b_star |= y
-            else:
-                b_star |= z & not_j
-                a_star |= y
+        left = 1 << (start - 2) % n  # i-1
+        right = 1 << (start + length - 1) % n  # j+1
+        if not left & hm:  # i-1 one-sided: Z to its side's star
+            half_a, half_b = (z, y) if left & a_only else (y, z)
+        elif not right & hm:  # j+1 one-sided: Z' to its side's star
+            half_a, half_b = (zp, yp) if right & a_only else (yp, zp)
+        elif length == 1:  # type I singleton
+            i_prime |= z
+            continue
+        else:  # type I
+            half_a, half_b = z, y
+            r_blocks += 1
+        a_star |= half_a
+        b_star |= half_b
+        two_s += bool(left & hm) != bool(right & hm)
 
+    # the only element below a B\A element that a_star can hold is a block's
+    # j; dropping it keeps a_star 2-stable (and likewise for b_star)
+    a_star &= ~rol_mask(b_only, -1, n)
+    b_star &= ~rol_mask(a_only, -1, n)
     if two_s % 2:
         raise InvariantError("odd number of type II/III blocks")
     return a_star, b_star, i_prime, two_s // 2, r_blocks
 
 
 def build_star_pair(d: Decomposition) -> StarPair:
-    """Apply R1-R8 plus B\\A -> a_star, A\\B -> b_star; validate the outcome.
+    """Grow the stars by the boundary rule (`_apply_rules`); validate the outcome.
 
     Total on every decomposable pair: the rules and the counting behind
     |I'| = h - s - r need intersection and A != B, nothing about distance.
@@ -189,7 +183,7 @@ def path_small_intersection(a: StableSet, b: StableSet) -> PathCertificate:
 
 
 def _disjoint_middle_pair(d: Decomposition) -> tuple[StableSet, StableSet] | None:
-    """Disjoint (A', B') adjacent to A resp. B via R1-R8, or None.
+    """Disjoint (A', B') adjacent to A resp. B via the star pair, or None.
 
     The reserve distribution follows the large-n argument: a_star takes
     the smallest elements it needs, b_star all the rest.  Below n = 3k-2

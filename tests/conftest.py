@@ -3,6 +3,18 @@ come from `schrijver.suites`, whose caches the checks and the tests share."""
 
 from itertools import combinations
 
+from schrijver import CycleParams, stable_set
+
+EX1 = CycleParams(20, 7)
+
+
+def ex1_pair():
+    """The worked example pair of SG(20,7): |A n B| = 3, seven blocks."""
+    return (
+        stable_set([2, 8, 10, 12, 15, 18, 20], EX1),
+        stable_set([1, 6, 8, 10, 12, 14, 17], EX1),
+    )
+
 
 def brute_force_stable(n: int, k: int) -> list[tuple[int, ...]]:
     """Independent oracle: filter every k-subset with a local adjacency test."""

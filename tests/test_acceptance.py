@@ -137,8 +137,8 @@ def test_criterion_03_distance2_oracle_equivalence():
 def test_criterion_04_constructive_distance3():
     res = SuiteResult("criterion 4")
     cells = ((n, k) for k in range(3, 6) for n in range(3 * k - 2, 4 * k - 2))
-    for a, b, _ in sweep(cells, min_dist=3):
-        check_dist3(res, a, b)
+    for a, b, dist in sweep(cells, min_dist=3):
+        check_dist3(res, a, b, dist)
     built = passed(res).counts["dist3"]
     assert built > 10_000
     report(4, True, f"length-3 certificates for all {built} distance>=3 pairs")
@@ -148,7 +148,7 @@ def test_criterion_05_intersection_reduction():
     res = SuiteResult("criterion 5")
     cells = ((n, k) for k in range(2, 6) for n in range(2 * k + 1, 18))
     for a, b, _ in sweep(cells, min_dist=3):
-        check_reduction(res, a, b)
+        check_reduction(res, decompose(a, b))
     checked = passed(res).counts["reduction"]
     assert checked > 15_000
     report(5, True, f"reduction contract on all {checked} distance>=3 pairs")

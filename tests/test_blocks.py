@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import ex1_pair
 from schrijver import (
     CycleParams,
     DegenerateInputError,
@@ -23,16 +24,6 @@ from schrijver import (
 )
 from schrijver.cyclic import lowest_bits, mask_of, rol_mask, runs
 from schrijver.suites import SuiteResult, check_blocks, graph, sweep, table_grid
-
-EX1 = CycleParams(20, 7)
-
-
-def ex1_pair():
-    return (
-        stable_set([2, 8, 10, 12, 15, 18, 20], EX1),
-        stable_set([1, 6, 8, 10, 12, 14, 17], EX1),
-    )
-
 
 def test_example_walkthrough_components_and_blocks():
     d = decompose(*ex1_pair())

@@ -1,7 +1,12 @@
 """Constructive paths: parity splits, star rules, reduction, short walks."""
 
+import hashlib
+import random
+from itertools import combinations
+
 import pytest
 
+from conftest import ex1_pair
 from schrijver import paths
 from schrijver import (
     CycleParams,
@@ -29,17 +34,8 @@ from schrijver.suites import (
     check_walks,
     graph,
     sweep,
+    table_grid,
 )
-
-EX1 = CycleParams(20, 7)
-
-
-def ex1_pair():
-    return (
-        stable_set([2, 8, 10, 12, 15, 18, 20], EX1),
-        stable_set([1, 6, 8, 10, 12, 14, 17], EX1),
-    )
-
 
 def _block(start, end, n=14):
     length = (end - start) % n + 1
@@ -85,6 +81,35 @@ def test_star_pair_invariants_exhaustive():
     assert res.ok, res.failures
 
 
+def _star_pair_digest_pairs():
+    """Every intersecting pair of the table cells with n <= 15, then 2000
+    seeded pairs each of SG(22,7), SG(63,30) and SG(64,30)."""
+    for n, k in table_grid(5):
+        if n <= 15:
+            for a, b in combinations(graph(n, k).vertices, 2):
+                if a.mask & b.mask:
+                    yield a, b
+    rng = random.Random(2021)
+    for cell in ((22, 7), (63, 30), (64, 30)):
+        verts = graph(*cell).vertices
+        drawn = 0
+        while drawn < 2000:
+            a, b = rng.choice(verts), rng.choice(verts)
+            if a.mask != b.mask and a.mask & b.mask:
+                drawn += 1
+                yield a, b
+
+
+def test_star_pairs_match_the_per_type_rules_digest():
+    # (a_star, b_star, I', s) of 138 938 pairs, hashed; the digest was taken
+    # from the eight per-block-type rules R1-R8 written out one by one
+    digest = hashlib.sha256()
+    for a, b in _star_pair_digest_pairs():
+        sp = build_star_pair(decompose(a, b))
+        digest.update(f"{sp.a_star:x} {sp.b_star:x} {sp.i_prime:x} {sp.s};".encode())
+    assert digest.hexdigest() == "e6a3c00ae926bc3eb6e7f73332a59281754b83b183dc1af57504375134c5445d"
+
+
 def test_i_prime_empty_without_singleton_type_i():
     seen = 0
     for a, b, _ in sweep([(13, 5)]):
@@ -108,7 +133,7 @@ def test_reduce_intersection_example():
 def test_reduce_intersection_contract_exhaustive():
     res = SuiteResult("reduction")
     for a, b, _ in sweep([(10, 4), (11, 4), (13, 5)], min_dist=3):
-        check_reduction(res, a, b)
+        check_reduction(res, decompose(a, b))
     assert res.ok, res.failures
     assert res.counts["reduction"]
 
@@ -163,12 +188,24 @@ def test_path_dist3_exhaustive(n, k):
     res = SuiteResult("dist3")
     for a, b, dist in sweep([(n, k)]):
         if dist >= 3:
-            check_dist3(res, a, b)
+            check_dist3(res, a, b, dist)
         else:
             with pytest.raises((RegimeError, DegenerateInputError)):
                 path_dist3(a, b)
     assert res.ok, res.failures
     assert res.counts["dist3"]
+
+
+def test_check_dist3_fails_below_the_bfs_distance():
+    p = CycleParams(10, 4)
+    a, b = stable_set([1, 3, 5, 7], p), stable_set([1, 3, 6, 8], p)
+    assert graph(10, 4).bfs_distance(a, b).distance == 3
+    res = SuiteResult("dist3")
+    check_dist3(res, a, b, 3)
+    assert res.ok, res.failures
+    check_dist3(res, a, b, 4)
+    assert res.failure_count == 1
+    assert "length-3 walk length 3 below BFS distance 4" in res.failures[0]
 
 
 def test_path_dist3_regime_errors():

@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .blocks import decompose, decomposition_to_json, disjoint_middle_vertex
+from .blocks import Decomposition, decompose, decomposition_to_json, disjoint_middle_vertex
 from .certificates import (
     PathCertificate,
     certificate_to_json,
@@ -26,7 +26,7 @@ from .cyclic import CycleParams, StableSet, enumerate_stable_sets, parse_set_tex
 from .errors import CertificateError, InvariantError, ParameterError, RegimeError, SchrijverError
 from .graph import SchrijverGraph
 from .lift import bound_path_with_trace, regime_m
-from .paths import in_dist3_regime, path_dist3, path_via_reduction
+from .paths import _path_dist3, _reduction_path, in_dist3_regime
 from .suites import SUITES, scan_rows, table_rows
 
 TABLE_SCHEMA = "# schrijver table v1: n,k,r,formula_lo,formula_hi,bfs,agree"
@@ -105,21 +105,25 @@ def cmd_enumerate(args) -> str:
     return "".join(f"{v}\n" for v in vertices)
 
 
-def _certificate_for(g: SchrijverGraph, a: StableSet, b: StableSet, dist: int, want_trace: bool):
-    """Constructive certificate matched to the regime, plus an optional lift trace."""
+def _certificate_for(
+    a: StableSet, b: StableSet, d: Decomposition | None, dist: int, want_trace: bool
+):
+    """Constructive certificate matched to the regime, plus an optional lift trace.
+
+    `d` is the pair's decomposition, None at distance 0 or 1.
+    """
     if dist == 0:
         return None, None
     if dist == 1:
         return PathCertificate((a, b), 1), None
     if dist == 2:
-        d = decompose(a, b)
         return PathCertificate((a, disjoint_middle_vertex(d), b), 2), None
-    if in_dist3_regime(g.params.n, g.params.k):
-        return path_dist3(a, b), None
+    if in_dist3_regime(a.params.n, a.params.k):
+        return _path_dist3(d), None
     try:  # the lift pipeline's own regime check decides, word cap included
-        regime_m(g.params)
+        regime_m(a.params)
     except RegimeError:
-        return path_via_reduction(a, b), None
+        return _reduction_path(d), None
     cert, trace = bound_path_with_trace(a, b)
     return cert, trace if want_trace else None
 
@@ -135,7 +139,9 @@ def cmd_distance(args) -> str:
     if not args.explain and not args.trace and args.format == "plain":
         return f"{record.distance}\n"
 
-    cert, trace = _certificate_for(g, a, b, record.distance, args.trace)
+    # distance >= 2 is exactly A != B intersecting: the pairs `decompose` takes
+    d = decompose(a, b) if record.distance >= 2 else None
+    cert, trace = _certificate_for(a, b, d, record.distance, args.trace)
     payload: dict = {
         "n": params.n,
         "k": params.k,
@@ -148,8 +154,8 @@ def cmd_distance(args) -> str:
         if cert.edge_count < record.distance:
             raise InvariantError("certificate shorter than the BFS distance")
         payload["certificate"] = certificate_to_json(cert)
-    if args.explain and a.mask != b.mask and a.mask & b.mask:
-        payload["decomposition"] = decomposition_to_json(decompose(a, b))
+    if args.explain and d is not None:
+        payload["decomposition"] = decomposition_to_json(d)
     if trace is not None:
         payload["lift_trace"] = {
             "steps": [asdict(st) for st in trace.steps],

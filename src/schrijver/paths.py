@@ -210,14 +210,16 @@ def in_dist3_regime(n: int, k: int) -> bool:
 
 def path_dist3(a: StableSet, b: StableSet) -> PathCertificate:
     """Length-3 certificate A - A' - B' - B for dist >= 3 pairs, k-2 <= r <= 2k-3."""
-    if a.params != b.params:
-        raise ParameterError("vertices come from different SG(n,k)")
-    n, k = a.params.n, a.params.k
+    return _path_dist3(decompose(a, b))
+
+
+def _path_dist3(d: Decomposition) -> PathCertificate:
+    """`path_dist3` on a decomposed pair."""
+    n, k = d.params.n, d.params.k
     if not in_dist3_regime(n, k):
         raise RegimeError(
             f"path_dist3 needs 3k-2 <= n <= 4k-3, got n={n}, k={k}"
         )
-    d = decompose(a, b)
     if distance2_criterion(d):
         raise RegimeError("pair is at distance 2")
     pair = _disjoint_middle_pair(d)
@@ -232,7 +234,7 @@ def path_dist3(a: StableSet, b: StableSet) -> PathCertificate:
     if leaked:
         t = (leaked & -leaked).bit_length()
         raise InvariantError(f"singleton IV(H) element {t} leaked into the path")
-    return PathCertificate((a, a2, b2, b), 3)
+    return PathCertificate((d.a, a2, b2, d.b), 3)
 
 
 def path_via_reduction(
@@ -254,11 +256,16 @@ def path_via_reduction(
         raise ParameterError("vertices come from different SG(n,k)")
     if a.mask == b.mask:
         return PathCertificate((a,), 0)
-    h = (a.mask & b.mask).bit_count()
-    if h == 0:
+    if not a.mask & b.mask:
         return PathCertificate((a, b), 1)
-    bound = 1 + 2 * h
-    d = decompose(a, b)
+    return _reduction_path(decompose(a, b))
+
+
+def _reduction_path(d: Decomposition) -> PathCertificate:
+    """`path_via_reduction` on a decomposed pair: its first step here, the
+    rest through `path_via_reduction` on the reduced pair."""
+    a, b = d.a, d.b
+    bound = 1 + 2 * d.h
     if distance2_criterion(d):
         return PathCertificate((a, disjoint_middle_vertex(d), b), bound)
     a2, b2 = _reduce(d)

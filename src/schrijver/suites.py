@@ -49,12 +49,12 @@ from .errors import SchrijverError
 from .graph import SchrijverGraph, bfs_sweeps
 from .lift import bound_path_m_plus_3
 from .paths import (
+    _path_dist3,
     _reduce,
+    _reduction_path,
     build_star_pair,
     in_dist3_regime,
-    path_dist3,
     path_small_intersection,
-    path_via_reduction,
 )
 
 _SAMPLE_SEED = 7150  # fixed seed: sampled sweeps are reproducible
@@ -222,22 +222,22 @@ def _check_walk(
         res.fail(f"{label} length {cert.edge_count} below BFS distance {dist}", a, b)
 
 
-def check_walks(res: SuiteResult, a: StableSet, b: StableSet, dist: int) -> None:
+def check_walks(res: SuiteResult, d: Decomposition, dist: int) -> None:
     """Valid walks no shorter than BFS: by reduction (`path_via_reduction`
     raises past 1 + 2h), and for h = 1 or h = k-1 the small-intersection
     walk (3 or 2 edges by construction)."""
     res.counts["walks"] += 1
-    h = (a.mask & b.mask).bit_count()
-    if h in (1, a.params.k - 1):
+    a, b = d.a, d.b
+    if d.h in (1, a.params.k - 1):
         _check_walk(res, path_small_intersection(a, b), a, b, dist, "small-intersection walk")
-    _check_walk(res, path_via_reduction(a, b), a, b, dist, "reduction walk")
+    _check_walk(res, _reduction_path(d), a, b, dist, "reduction walk")
 
 
-def check_dist3(res: SuiteResult, a: StableSet, b: StableSet, dist: int) -> None:
+def check_dist3(res: SuiteResult, d: Decomposition, dist: int) -> None:
     """`path_dist3` gives a valid walk (A - A' - B' - B by construction) no
     shorter than BFS."""
     res.counts["dist3"] += 1
-    _check_walk(res, path_dist3(a, b), a, b, dist, "length-3 walk")
+    _check_walk(res, _path_dist3(d), d.a, d.b, dist, "length-3 walk")
 
 
 def check_lift(res: SuiteResult, a: StableSet, b: StableSet, dist: int) -> None:
@@ -326,13 +326,13 @@ def suite_paths(k_max: int) -> SuiteResult:
     for a, b, dist in pairs:
         res.checked += 1
         try:
-            check_walks(res, a, b, dist)
+            d = decompose(a, b)
+            check_walks(res, d, dist)
             if dist >= 3:
-                d = decompose(a, b)
                 check_star_pair(res, d)
                 check_reduction(res, d)
                 if in_dist3_regime(a.params.n, a.params.k):
-                    check_dist3(res, a, b, dist)
+                    check_dist3(res, d, dist)
         except SchrijverError as exc:
             res.fail(str(exc), a, b)
     return res

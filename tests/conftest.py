@@ -3,7 +3,7 @@ come from `schrijver.suites`, whose caches the checks and the tests share."""
 
 from itertools import combinations
 
-from schrijver import CycleParams, stable_set
+from schrijver import CycleParams, blocks, cli, lift, paths, stable_set, suites
 
 EX1 = CycleParams(20, 7)
 
@@ -14,6 +14,21 @@ def ex1_pair():
         stable_set([2, 8, 10, 12, 15, 18, 20], EX1),
         stable_set([1, 6, 8, 10, 12, 14, 17], EX1),
     )
+
+
+def record_decompositions(monkeypatch) -> list[tuple[int, int, int]]:
+    """Patch `decompose` in every module that binds it; returns the list of
+    (n, A mask, B mask) that the calls receive, in call order."""
+    calls = []
+    real = blocks.decompose
+
+    def recording(a, b):
+        calls.append((a.params.n, a.mask, b.mask))
+        return real(a, b)
+
+    for module in (blocks, cli, lift, paths, suites):
+        monkeypatch.setattr(module, "decompose", recording)
+    return calls
 
 
 def brute_force_stable(n: int, k: int) -> list[tuple[int, ...]]:

@@ -138,7 +138,7 @@ def test_criterion_04_constructive_distance3():
     res = SuiteResult("criterion 4")
     cells = ((n, k) for k in range(3, 6) for n in range(3 * k - 2, 4 * k - 2))
     for a, b, dist in sweep(cells, min_dist=3):
-        check_dist3(res, a, b, dist)
+        check_dist3(res, decompose(a, b), dist)
     built = passed(res).counts["dist3"]
     assert built > 10_000
     report(4, True, f"length-3 certificates for all {built} distance>=3 pairs")

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MALFORMED_PAYLOADS
+from conftest import MALFORMED_PAYLOADS, record_decompositions
 from schrijver import SchrijverGraph, cli, suites
 from schrijver.cli import main
+from schrijver.cyclic import mask_of, parse_set_text
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "table_k5.csv"
@@ -389,6 +390,19 @@ def test_scan_output(capsys):
         by_k.setdefault(int(row[0]), []).append(int(row[3]))
     for diams in by_k.values():
         assert diams == sorted(diams, reverse=True)
+
+
+@pytest.mark.parametrize("case", ["middle-vertex", "dist3", "reduction", "far-63-30"])
+def test_distance_explain_decomposes_the_pair_once(capsys, monkeypatch, case):
+    # the certificate and the decomposition in the payload share one
+    # `decompose`; the reduction's later steps decompose other pairs
+    n, k, a, b = EXPLAIN_CASES[case][:4]
+    calls = record_decompositions(monkeypatch)
+    code, out = run(capsys, "distance", "--n", str(n), "--k", str(k), "--a", a, "--b", b, "--explain")
+    assert code == 0
+    assert out == (DATA / "explain" / f"{case}.json").read_text()
+    assert calls.count((n, mask_of(parse_set_text(a)), mask_of(parse_set_text(b)))) == 1
+    assert len(calls) == len(set(calls))
 
 
 def test_exit_codes(capsys):

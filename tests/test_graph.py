@@ -1,5 +1,6 @@
 """Graph oracle: the BFS kernels, the pair distance, orbit representatives, brute-force diameter."""
 
+import threading
 from collections import Counter
 from random import Random
 from time import perf_counter
@@ -400,15 +401,76 @@ def test_sweep_batches_split_at_the_width(monkeypatch, n, k, width, extra):
     inner = graph_module._lattice_levels
 
     def counted(lat, masks, batch):
-        batches.append(len(batch))
+        batches.append(list(batch))
         return inner(lat, masks, batch)
 
     monkeypatch.setattr(graph_module, "_lattice_levels", counted)
     swept = list(graph_module.bfs_sweeps(masks, sources))
-    assert batches == ([width, 1] if extra > 0 else [width + extra])
+    # helper threads may start a later batch first
+    batches.sort(key=lambda batch: sources.index(batch[0]))
+    assert [len(batch) for batch in batches] == ([width, 1] if extra > 0 else [width + extra])
+    assert sum(batches, []) == sources
     assert [src for src, _ in swept] == sources
     for src, levels in swept:
         assert np.array_equal(levels, bfs_levels(masks, src))
+
+
+def _set_cpus(monkeypatch, count):
+    monkeypatch.setattr(graph_module.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize(
+    "n,k,budget",
+    # SG(21,7): its 133 orbit representatives in 9 batches of 16; SG(14,5):
+    # 196 sources, 13 batches of 16 with a one-row budget
+    [(21, 7, None), (14, 5, 1)],
+)
+def test_sweep_rows_do_not_depend_on_the_cpu_count(monkeypatch, n, k, budget):
+    g = graph(n, k)
+    masks = g._masks
+    sources = g.orbit_representatives() if budget is None else list(range(len(g)))
+    if budget is not None:
+        monkeypatch.setattr(graph_module, "_LATTICE_BYTES", budget)
+    batches = []
+    inner = graph_module._lattice_levels
+
+    def counted(lat, masks, batch):
+        batches.append(len(batch))
+        return inner(lat, masks, batch)
+
+    monkeypatch.setattr(graph_module, "_lattice_levels", counted)
+    swept = {}
+    for cpus in (1, 4):
+        _set_cpus(monkeypatch, cpus)
+        swept[cpus] = list(graph_module.bfs_sweeps(masks, sources))
+    assert len(batches) == 2 * (9 if budget is None else 13)
+    assert [src for src, _ in swept[1]] == [src for src, _ in swept[4]] == sources
+    for (src, one), (_, four) in zip(swept[1], swept[4]):
+        assert np.array_equal(one, four)
+        assert np.array_equal(one, bfs_levels(masks, src))
+
+
+def test_closing_a_sweep_joins_its_helpers(monkeypatch):
+    _set_cpus(monkeypatch, 4)
+    masks = stable_masks(CycleParams(21, 7))
+    before = threading.active_count()
+    sweep_rows = graph_module.bfs_sweeps(masks, range(64))  # four batches
+    src, levels = next(sweep_rows)
+    assert threading.active_count() > before  # the helpers are running
+    sweep_rows.close()
+    assert threading.active_count() == before
+    assert np.array_equal(levels, bfs_levels(masks, src))
+
+
+def test_cpu_count_without_affinity(monkeypatch):
+    # macOS and Windows have no sched_getaffinity
+    monkeypatch.delattr(graph_module.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(graph_module.os, "cpu_count", lambda: 3)
+    assert graph_module._cpus() == 3
+    monkeypatch.setattr(graph_module.os, "cpu_count", lambda: None)
+    assert graph_module._cpus() == 1
+    masks = stable_masks(CycleParams(21, 7))
+    assert [src for src, _ in graph_module.bfs_sweeps(masks, range(40))] == list(range(40))
 
 
 @pytest.mark.parametrize("n,k", [(14, 6), (17, 7), (22, 7)])

@@ -6,8 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import ex1_pair
-from schrijver import paths
+from conftest import ex1_pair, record_decompositions
+from schrijver import paths, suites
 from schrijver import (
     CycleParams,
     DegenerateInputError,
@@ -33,6 +33,7 @@ from schrijver.suites import (
     check_star_pair,
     check_walks,
     graph,
+    suite_paths,
     sweep,
     table_grid,
 )
@@ -172,7 +173,7 @@ def test_path_small_intersection_k_minus_1():
 def test_path_small_intersection_sweeps():
     res = SuiteResult("walks")
     for a, b, dist in sweep([(10, 4), (12, 5)]):
-        check_walks(res, a, b, dist)
+        check_walks(res, decompose(a, b), dist)
     assert res.ok, res.failures
 
 
@@ -188,7 +189,7 @@ def test_path_dist3_exhaustive(n, k):
     res = SuiteResult("dist3")
     for a, b, dist in sweep([(n, k)]):
         if dist >= 3:
-            check_dist3(res, a, b, dist)
+            check_dist3(res, decompose(a, b), dist)
         else:
             with pytest.raises((RegimeError, DegenerateInputError)):
                 path_dist3(a, b)
@@ -201,9 +202,9 @@ def test_check_dist3_fails_below_the_bfs_distance():
     a, b = stable_set([1, 3, 5, 7], p), stable_set([1, 3, 6, 8], p)
     assert graph(10, 4).bfs_distance(a, b).distance == 3
     res = SuiteResult("dist3")
-    check_dist3(res, a, b, 3)
+    check_dist3(res, decompose(a, b), 3)
     assert res.ok, res.failures
-    check_dist3(res, a, b, 4)
+    check_dist3(res, decompose(a, b), 4)
     assert res.failure_count == 1
     assert "length-3 walk length 3 below BFS distance 4" in res.failures[0]
 
@@ -242,7 +243,7 @@ def test_path_via_reduction_examples():
 def test_path_via_reduction_exhaustive_small():
     res = SuiteResult("walks")
     for a, b, dist in sweep([(9, 4), (10, 4), (11, 4)]):
-        check_walks(res, a, b, dist)
+        check_walks(res, decompose(a, b), dist)
     assert res.ok, res.failures
 
 
@@ -275,3 +276,23 @@ def test_path_via_reduction_decomposes_each_step_once(monkeypatch):
     verify_certificate(cert, source=a, target=b)
     assert cert.edge_count == 9  # four reduction steps, then a disjoint pair
     assert len(pairs) == len(set(pairs)) == 4
+
+
+def test_suite_paths_decomposes_each_pair_once(monkeypatch):
+    # the swept pair goes into the call list ahead of the calls its checks
+    # make; the reduction's own steps decompose other pairs
+    calls = record_decompositions(monkeypatch)
+    real_sweep = suites.sweep
+
+    def marking(*args, **kwargs):
+        for a, b, dist in real_sweep(*args, **kwargs):
+            calls.append(("pair", a.params.n, a.mask, b.mask))
+            yield a, b, dist
+
+    monkeypatch.setattr(suites, "sweep", marking)
+    res = suite_paths(4)
+    assert res.ok, res.failures
+    starts = [i for i, call in enumerate(calls) if call[0] == "pair"]
+    assert len(starts) == res.checked == 51570
+    for start, end in zip(starts, starts[1:] + [len(calls)]):
+        assert calls[start + 1 : end].count(calls[start][1:]) == 1, calls[start]

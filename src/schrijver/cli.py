@@ -25,7 +25,7 @@ from .closedform import diameter_formula, witness_dist3, witness_lower4
 from .cyclic import CycleParams, StableSet, enumerate_stable_sets, parse_set_text, stable_set
 from .errors import CertificateError, InvariantError, ParameterError, RegimeError, SchrijverError
 from .graph import SchrijverGraph
-from .lift import bound_path_with_trace, regime_m
+from .lift import _bound_path, regime_m
 from .paths import _path_dist3, _reduction_path, in_dist3_regime
 from .suites import SUITES, scan_rows, table_rows
 
@@ -124,7 +124,7 @@ def _certificate_for(
         regime_m(a.params)
     except RegimeError:
         return _reduction_path(d), None
-    cert, trace = bound_path_with_trace(a, b)
+    cert, trace = _bound_path(d)
     return cert, trace if want_trace else None
 
 

@@ -21,12 +21,12 @@ from .errors import ParameterError
 MAX_N = 64
 
 # Vertex-count cap for enumeration.  Building the masks of SG(64,5)
-# (5 430 656 vertices, 43 MB as uint64) peaks at 188 MB RSS, about three
-# times the result plus the interpreter: the two halves being joined and
-# the memoised smaller segments are alive alongside it.  SG(48,6)
-# (5 995 184 vertices) peaks at 196 MB, so a graph at the cap stays near
-# 250 MB.  SG(64,10) has 28 362 326 720 vertices and would exhaust memory
-# instead of failing.
+# (5 430 656 vertices, 43 MB as uint64) peaks at 115 MB RSS: the result,
+# one array of its size holding the first-element bits, and 29 MB of
+# interpreter and NumPy.  SG(48,6) (5 995 184 vertices, 48 MB) peaks at
+# 126 MB, so a graph at the cap (64 MB of masks) stays near 160 MB.
+# SG(64,10) has 28 362 326 720 vertices and would exhaust memory instead of
+# failing.
 MAX_VERTICES = 8_000_000
 
 
@@ -183,30 +183,12 @@ def stable_count(params: CycleParams) -> int:
 
 
 _ONE, _TWO = np.uint64(1), np.uint64(2)
+_BITS = _ONE << np.arange(MAX_N, dtype=np.uint64)
 
 
-def _path_masks(length: int, size: int, memo: dict, top: int) -> np.ndarray:
-    """Masks of the size-subsets of the path 1..length with no two
-    consecutive elements, lexicographic: those holding 1 come first (1 plus
-    a subset of 3..length), then the subsets of 2..length.
-
-    Segments smaller than `top` are memoised; each top-size segment is used
-    once, by the next longer one, so it is dropped as soon as that is built.
-    """
-    key = (length, size)
-    if key in memo:
-        return memo[key]
-    if size == 0:
-        out = np.zeros(1, dtype=np.uint64)
-    elif length < 2 * size - 1:
-        out = np.zeros(0, dtype=np.uint64)
-    else:
-        with_one = (_path_masks(length - 2, size - 1, memo, top) << _TWO) | _ONE
-        without = _path_masks(length - 1, size, memo, top) << _ONE
-        out = np.concatenate((with_one, without))
-    if size < top:
-        memo[key] = out
-    return out
+def _suffixes(masks: np.ndarray, counts: list[int]) -> np.ndarray:
+    """The last counts[t] masks, for each t in turn, in one new array."""
+    return np.concatenate([masks[masks.size - c :] for c in counts])
 
 
 def check_vertex_cap(params: CycleParams) -> None:
@@ -222,15 +204,34 @@ def check_vertex_cap(params: CycleParams) -> None:
 def stable_masks(params: CycleParams) -> np.ndarray:
     """Vertex masks of SG(n,k) as uint64, lexicographic on the member sequence.
 
-    Sets holding 1 are 1 plus a path subset of 3..n-1; all others are path
-    subsets of 2..n.
+    Built one set size at a time from the subsets of a path with no two
+    consecutive elements.  The s-subsets of the path 1..L whose first
+    element is t+1 are 1 << t plus an (s-1)-subset of t+3..L: one of the
+    (s-1)-subsets of 1..L-2 that avoid 1..t, moved up two bits, and in
+    lexicographic order those are the last C(L-t-s, s-1) of them.  Size s
+    is built on the path of length n-3-2(k-1-s), so the loop ends at the
+    (k-1)-subsets of 1..n-3.  On the cycle, a set whose first element is
+    t+1 is 1 << t plus a (k-1)-subset of 3..n-1 if t = 0, of t+3..n if not:
+    a subset of 1..n-3 moved up two bits, or one that avoids 1..t-1 moved
+    up three.
     """
     check_vertex_cap(params)
     n, k = params.n, params.k
-    memo: dict = {}
-    with_one = (_path_masks(n - 3, k - 1, memo, k) << _TWO) | _ONE
-    without = _path_masks(n - 1, k, memo, k) << _ONE
-    return np.concatenate((with_one, without))
+    if n < 2 * k:
+        return np.zeros(0, dtype=np.uint64)
+    path = np.zeros(1, dtype=np.uint64)  # the empty set
+    for s in range(1, k):
+        length = n - 3 - 2 * (k - 1 - s)
+        counts = [comb(length - t - s, s - 1) for t in range(length - 2 * s + 2)]
+        path = _suffixes(path, counts)
+        path <<= _TWO
+        path |= np.repeat(_BITS[: len(counts)], counts)
+    counts = [path.size] + [comb(n - t - k, k - 1) for t in range(1, n - 2 * k + 2)]
+    out = _suffixes(path, counts)
+    out[path.size :] <<= _ONE
+    out <<= _TWO
+    out |= np.repeat(_BITS[: len(counts)], counts)
+    return out
 
 
 def enumerate_stable_sets(params: CycleParams) -> list[StableSet]:

@@ -5,10 +5,13 @@ on demand.  Adjacency is mask disjointness; no adjacency lists are stored.
 BFS has two kernels, and one cost rule picks between them.
 
 * `_advance` (single source, the fallback, and both ends of the pair kernel
-  `pair_distance`, which stops when the two frontiers touch): each level
-  scans the unvisited pool against the frontier with chunked mask broadcasts,
-  dropping candidates as soon as they are hit.  A level costs up to
-  |frontier| x |unvisited| mask tests, O(|V|) memory.
+  `pair_distance`): each level scans the unvisited pool against the frontier
+  with chunked mask broadcasts, dropping candidates as soon as they are hit.
+  A level costs up to |frontier| x |unvisited| mask tests, O(|V|) memory.
+  `pair_distance` grows the end with the smaller frontier from one pool that
+  neither end has visited, and stops when `_touches` finds a disjoint pair
+  across the two frontiers; that test returns at the first chunk of the
+  smaller frontier that holds one.
 * `_lattice_levels` (multi-source sweeps): subset inclusion-exclusion
   (Bjorklund-Husfeldt-Koivisto) on the down-closed family F of all subsets
   of the vertex masks, batched over sources as in MS-BFS.  Per level, a
@@ -143,26 +146,44 @@ def bfs_levels(masks: np.ndarray, src: int) -> np.ndarray:
     return dist
 
 
+def _touches(one: np.ndarray, other: np.ndarray) -> bool:
+    """True iff some mask of `one` is disjoint from some mask of `other`.
+
+    Chunks of the smaller array go against the whole larger one, and the
+    first chunk holding a disjoint pair ends the test.
+    """
+    if one.size > other.size:
+        one, other = other, one
+    for s in range(0, one.size, _CHUNK):
+        if ((other[:, None] & one[None, s : s + _CHUNK]) == 0).any():
+            return True
+    return False
+
+
 def pair_distance(masks: np.ndarray, src: int, dst: int) -> int:
     """Distance from src to dst on `masks` by bidirectional BFS; -1 if none.
 
-    Each end keeps a frontier and an unvisited pool, and their depths da, db
-    keep dist > da + db.  Once frontier masks of the two ends are disjoint,
-    dist = da + db + 1 (a shortest path has a vertex at da from src next to
-    one at db from dst); until then the end with the smaller
-    |frontier| x |unvisited| takes an `_advance` step.
+    Each end keeps a frontier, and their depths da, db keep dist > da + db.
+    Once frontier masks of the two ends are disjoint (`_touches`), dist =
+    da + db + 1 (a shortest path has a vertex at da from src next to one at
+    db from dst).  Otherwise dist > da + db + 1, so the ball of radius
+    da + 1 around src misses the ball of radius db around dst: both ends
+    draw their next level from one pool of vertices neither has visited,
+    and the end with the smaller frontier takes an `_advance` step.
     """
     if src == dst:
         return 0
     rest = np.arange(masks.size)
-    ends = [[masks[i : i + 1], rest[rest != i]] for i in (src, dst)]
+    rest = rest[(rest != src) & (rest != dst)]
+    fronts = [masks[src : src + 1], masks[dst : dst + 1]]
     depth = 0  # da + db
-    while not _advance(ends[0][0], ends[1][0]).any():
-        end = min(ends, key=lambda e: e[0].size * e[1].size)
-        hit = _advance(end[0], masks[end[1]])
+    while not _touches(*fronts):
+        end = 0 if fronts[0].size <= fronts[1].size else 1
+        hit = _advance(fronts[end], masks[rest])
         if not hit.any():
             return -1
-        end[0], end[1] = masks[end[1][hit]], end[1][~hit]
+        fronts[end] = masks[rest[hit]]
+        rest = rest[~hit]
         depth += 1
     return depth + 1
 

@@ -133,8 +133,8 @@ def op_down(y: StableSet, t: int) -> StableSet:
 # ---------------------------------------------------------------------------
 
 
-def _lift_until_short(a: StableSet, b: StableSet, depth_cap: int) -> tuple[LiftTrace, tuple]:
-    """Lift alternately until the pair is provably at distance <= 3.
+def _lift_until_short(d: Decomposition, depth_cap: int) -> tuple[LiftTrace, tuple]:
+    """Lift the decomposed pair alternately until it is provably at distance <= 3.
 
     Returns the trace and the middle walk of the top level: `(y,)`, a
     common neighbor, when the distance-2 criterion holds, or `(y1, y2)`
@@ -142,10 +142,9 @@ def _lift_until_short(a: StableSet, b: StableSet, depth_cap: int) -> tuple[LiftT
     tests, so no BFS runs in the lifted graphs.
     """
     steps: list[LiftStep] = []
-    a_levels = [a]
-    b_levels = [b]
+    a_levels = [d.a]
+    b_levels = [d.b]
     while True:
-        d = decompose(a_levels[-1], b_levels[-1])
         if distance2_criterion(d):
             walk = (disjoint_middle_vertex(d),)
         else:
@@ -176,6 +175,7 @@ def _lift_until_short(a: StableSet, b: StableSet, depth_cap: int) -> tuple[LiftT
             steps.append(LiftStep("up", marker, n_here, n_here + 1))
         a_levels.append(a2)
         b_levels.append(b2)
+        d = decompose(a2, b2)
 
 
 def _lower(y: StableSet, step: LiftStep) -> StableSet:
@@ -247,14 +247,20 @@ def bound_path_with_trace(a: StableSet, b: StableSet) -> tuple[PathCertificate, 
     """`bound_path_m_plus_3` together with the lift levels it went through."""
     if a.params != b.params:
         raise ParameterError("vertices come from different SG(n,k)")
-    m = regime_m(a.params)
+    regime_m(a.params)
     empty = LiftTrace((), (a,), (b,))
     if a.mask == b.mask:
         return PathCertificate((a,), 0), empty
     if not a.mask & b.mask:
         return PathCertificate((a, b), 1), empty
+    return _bound_path(decompose(a, b))
 
-    trace, walk = _lift_until_short(a, b, m)
+
+def _bound_path(d: Decomposition) -> tuple[PathCertificate, LiftTrace]:
+    """`bound_path_with_trace` on a decomposed pair (A != B, intersecting)."""
+    a, b = d.a, d.b
+    m = regime_m(d.params)
+    trace, walk = _lift_until_short(d, m)
     p = trace.p
     if len(walk) == 1:
         if p and p % 2 == 0:

@@ -392,13 +392,18 @@ def test_scan_output(capsys):
         assert diams == sorted(diams, reverse=True)
 
 
-@pytest.mark.parametrize("case", ["middle-vertex", "dist3", "reduction", "far-63-30"])
+@pytest.mark.parametrize(
+    "case", ["middle-vertex", "dist3", "reduction", "far-63-30", "lift", "lift-p3"]
+)
 def test_distance_explain_decomposes_the_pair_once(capsys, monkeypatch, case):
     # the certificate and the decomposition in the payload share one
-    # `decompose`; the reduction's later steps decompose other pairs
-    n, k, a, b = EXPLAIN_CASES[case][:4]
+    # `decompose`; the reduction's later steps and the lift's higher levels
+    # decompose other pairs
+    n, k, a, b, _, _, flags = EXPLAIN_CASES[case]
     calls = record_decompositions(monkeypatch)
-    code, out = run(capsys, "distance", "--n", str(n), "--k", str(k), "--a", a, "--b", b, "--explain")
+    code, out = run(
+        capsys, "distance", "--n", str(n), "--k", str(k), "--a", a, "--b", b, "--explain", *flags
+    )
     assert code == 0
     assert out == (DATA / "explain" / f"{case}.json").read_text()
     assert calls.count((n, mask_of(parse_set_text(a)), mask_of(parse_set_text(b)))) == 1

@@ -1,5 +1,6 @@
 """Ground-set core: stability predicate, enumeration, rotations and reflections, set text."""
 
+import hashlib
 import tracemalloc
 from math import comb
 
@@ -90,6 +91,23 @@ def test_stable_masks_match_brute_force():
             assert masks.dtype == np.uint64
             expect = [mask_of(c) for c in sorted(brute_force_stable(n, k))]
             assert masks.tolist() == expect
+
+
+def test_stable_masks_digest_past_brute_force():
+    # n = 19..64, every cell up to 200 000 vertices (416 cells, one empty
+    # cell past n = 2k each); the digest is that of the masks built by the
+    # earlier memoised recursion over path segments
+    digest = hashlib.sha256()
+    for n in range(19, 65):
+        for k in range(1, n // 2 + 2):
+            params = CycleParams(n, k)
+            if stable_count(params) > 200_000:
+                continue
+            masks = stable_masks(params)
+            assert masks.dtype == np.uint64
+            digest.update(f"{n},{k},{masks.size};".encode())
+            digest.update(masks.astype("<u8").tobytes())
+    assert digest.hexdigest() == "1c91e5b3386c0e8e401a03250628f6b7d2935201593731ebeb7064902356e7d5"
 
 
 def test_stable_masks_count_to_word_cap():

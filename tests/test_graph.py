@@ -194,26 +194,51 @@ def test_exhaustive_sweep_reads_bfs_rows(monkeypatch):
 
 
 def test_pair_distance_stops_when_the_frontiers_touch(monkeypatch):
-    calls = []
-    inner = graph_module._advance
+    advanced, touched = [], []
+    advance, touches = graph_module._advance, graph_module._touches
 
-    def counted(frontier, candidates):
-        calls.append((frontier.tolist(), candidates.size))
-        return inner(frontier, candidates)
+    def counted_advance(frontier, candidates):
+        advanced.append(frontier.tolist())
+        return advance(frontier, candidates)
 
-    monkeypatch.setattr(graph_module, "_advance", counted)
-    # adjacent: one 1 x 1 meet test, no level built from either end
+    def counted_touches(one, other):
+        touched.append((one.size, other.size))
+        return touches(one, other)
+
+    monkeypatch.setattr(graph_module, "_advance", counted_advance)
+    monkeypatch.setattr(graph_module, "_touches", counted_touches)
+    # adjacent: one 1 x 1 meeting test, no level built from either end
     masks = stable_masks(CycleParams(13, 5))
     ib = int(np.flatnonzero((masks & masks[0]) == 0)[0])
     assert graph_module.pair_distance(masks, 0, ib) == 1
-    assert calls == [([int(masks[0])], 1)]
+    assert (advanced, touched) == ([], [(1, 1)])
     # SG(22,7), distance 3: each end grows its first level once, then they meet
-    calls.clear()
+    advanced.clear()
+    touched.clear()
     masks = stable_masks(CycleParams(22, 7))
     assert graph_module.pair_distance(masks, 0, 495) == 3
-    grown = sorted(frontier for frontier, size in calls if size == masks.size - 1)
-    assert grown == sorted([[int(masks[0])], [int(masks[495])]])
-    assert len(calls) == 5  # three meet tests around the two steps
+    assert sorted(advanced) == sorted([[int(masks[0])], [int(masks[495])]])
+    assert len(touched) == 3  # three meeting tests around the two steps
+
+
+@pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 200])
+def test_touches_matches_any_disjoint_pair(size):
+    rng = np.random.default_rng(size)
+    for other_size in (0, 1, 64, 130):
+        for density in (0.2, 0.5, 0.8):
+            # sparse masks on 12 bits: disjoint pairs common; dense: rare
+            bits = rng.random((size + other_size, 12)) < density
+            masks = (bits * (1 << np.arange(12))).sum(axis=1).astype(np.uint64)
+            one, other = masks[:size], masks[size:]
+            want = any(not a & b for a in one.tolist() for b in other.tolist())
+            assert graph_module._touches(one, other) is want
+            assert graph_module._touches(other, one) is want
+    if size:  # one disjoint pair, both masks last: found past the first chunk
+        one = np.full(size, 0xFFF, dtype=np.uint64)
+        other = np.full(130, 0xFFF, dtype=np.uint64)
+        one[-1], other[-1] = 0x0F0, 0x00F
+        assert graph_module._touches(one, other) and graph_module._touches(other, one)
+        assert not graph_module._touches(one[:-1], other)
 
 
 # -- the batched lattice kernel ----------------------------------------------

@@ -16,7 +16,7 @@ read of any of them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .cyclic import CycleParams, StableSet, lowest_bits, members_of, rol_mask, run_starts, runs, wrap
 from .errors import DegenerateInputError, InvariantError, ParameterError
@@ -111,12 +111,17 @@ class EndSets:
 
 @dataclass(slots=True)
 class Decomposition:
-    """An intersecting pair A != B; its parts are built on the first read."""
+    """An intersecting pair A != B; its parts are built on the first read.
+
+    `_star` keeps the pair's `paths.StarPair` once `paths._star_pair` has
+    built it, so the reduction and the middle-pair step share one.
+    """
 
     a: StableSet
     b: StableSet
     h: int
     _parts: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _star: object | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def params(self) -> CycleParams:
@@ -267,6 +272,7 @@ def disjoint_middle_vertex(d: Decomposition) -> StableSet:
 
 
 def decomposition_to_json(d: Decomposition) -> dict:
+    ends = d.ends
     return {
         "h": d.h,
         "x_components": [
@@ -289,6 +295,6 @@ def decomposition_to_json(d: Decomposition) -> dict:
             for blk in d.blocks
         ],
         # keyed by field name without its "e": A, B, H, A_prime, ...
-        "ends": {name[1:]: list(members_of(m)) for name, m in asdict(d.ends).items()},
+        "ends": {name[1:]: list(members_of(getattr(ends, name))) for name in EndSets.__slots__},
         "distance2": distance2_criterion(d),
     }

@@ -105,7 +105,14 @@ class DistanceRecord:
 
 
 def _advance(frontier_masks: np.ndarray, cand_masks: np.ndarray) -> np.ndarray:
-    """Boolean array over candidates: adjacent to some frontier vertex."""
+    """Boolean array over candidates: adjacent to some frontier vertex.
+
+    A one-mask frontier (the first level from a source, and each end's
+    first step in `pair_distance`) is one comparison; larger ones are
+    scanned in chunks.
+    """
+    if frontier_masks.size == 1:
+        return (cand_masks & frontier_masks[0]) == 0
     hit = np.zeros(cand_masks.size, dtype=bool)
     alive = np.arange(cand_masks.size)
     live = cand_masks
@@ -168,22 +175,25 @@ def pair_distance(masks: np.ndarray, src: int, dst: int) -> int:
     da + db + 1 (a shortest path has a vertex at da from src next to one at
     db from dst).  Otherwise dist > da + db + 1, so the ball of radius
     da + 1 around src misses the ball of radius db around dst: both ends
-    draw their next level from one pool of vertices neither has visited,
-    and the end with the smaller frontier takes an `_advance` step.
+    draw their next level from one pool of the masks neither has visited,
+    and the end with the smaller frontier takes an `_advance` step.  The
+    pool holds masks, not indices, so a level's new frontier and the next
+    pool are both split off it.
     """
     if src == dst:
         return 0
-    rest = np.arange(masks.size)
-    rest = rest[(rest != src) & (rest != dst)]
+    keep = np.ones(masks.size, dtype=bool)
+    keep[[src, dst]] = False
+    pool = masks[keep]
     fronts = [masks[src : src + 1], masks[dst : dst + 1]]
     depth = 0  # da + db
     while not _touches(*fronts):
         end = 0 if fronts[0].size <= fronts[1].size else 1
-        hit = _advance(fronts[end], masks[rest])
-        if not hit.any():
+        hit = _advance(fronts[end], pool)
+        fronts[end] = pool[hit]
+        if not fronts[end].size:
             return -1
-        fronts[end] = masks[rest[hit]]
-        rest = rest[~hit]
+        pool = pool[~hit]
         depth += 1
     return depth + 1
 

@@ -116,6 +116,13 @@ def build_star_pair(d: Decomposition) -> StarPair:
     return StarPair(a_star, b_star, i_prime, s)
 
 
+def _star_pair(d: Decomposition) -> StarPair:
+    """`build_star_pair(d)`, built on the first call for `d` and kept on it."""
+    if d._star is None:
+        d._star = build_star_pair(d)
+    return d._star
+
+
 def reduce_intersection(a: StableSet, b: StableSet) -> tuple[StableSet, StableSet]:
     """Produce (a', b') with a n a' = b n b' = empty and |a' n b'| <= h-1."""
     return _reduce(decompose(a, b))
@@ -130,7 +137,7 @@ def _reduce(d: Decomposition) -> tuple[StableSet, StableSet]:
     |I'| <= h-1.
     """
     k = d.params.k
-    sp = build_star_pair(d)
+    sp = _star_pair(d)
 
     take_a = lowest_bits(sp.i_prime, k - sp.a_star.bit_count())
     a_pool = sp.a_star | take_a
@@ -190,7 +197,7 @@ def _disjoint_middle_pair(d: Decomposition) -> tuple[StableSet, StableSet] | Non
     this can fail (return None); at n >= 3k-2 it cannot.
     """
     k = d.params.k
-    sp = build_star_pair(d)
+    sp = _star_pair(d)
     need_a = k - sp.a_star.bit_count()
     if need_a > sp.i_prime.bit_count():
         return None

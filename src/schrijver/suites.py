@@ -52,7 +52,7 @@ from .paths import (
     _path_dist3,
     _reduce,
     _reduction_path,
-    build_star_pair,
+    _star_pair,
     in_dist3_regime,
     path_small_intersection,
 )
@@ -201,7 +201,7 @@ def check_blocks(res: SuiteResult, d: Decomposition, dist: int) -> None:
 def check_star_pair(res: SuiteResult, d: Decomposition) -> None:
     """The star pair has s >= 1 (`build_star_pair` raises unless |I'| = h - s - r)."""
     res.counts["star_pair"] += 1
-    sp = build_star_pair(d)
+    sp = _star_pair(d)
     if sp.s < 1:
         res.fail(f"star pair has s={sp.s}", d.a, d.b)
 

@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MALFORMED_PAYLOADS, record_decompositions
 from schrijver import SchrijverGraph, cli, suites
@@ -281,6 +283,7 @@ def test_witness_commands(capsys):
     code, out = run(
         capsys, "witness", "--n", "10", "--k", "4", "--kind", "dist3", "--format", "json"
     )
+    assert out == (DATA / "witness-dist3.json").read_text()
     payload = json.loads(out)
     assert payload["a"] == "1,4,6,8"
     assert payload["certificate"]["claimed_bound"] == 3
@@ -436,3 +439,37 @@ def test_parser_is_built_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", refuse)
     assert run(capsys, "distance", "--n", "10", "--k", "4", "--a", "1,3,5,7", "--b", "2,4,6,8") == (0, "1\n")
     assert run(capsys, "enumerate", "--n", "5", "--k", "2")[0] == 0
+
+
+# JSON values the report writer takes: str keys; strings with non-ASCII,
+# quotes, backslashes and control characters; ints past 64 bits either way
+_JSON_SCALARS = (
+    st.text(st.sampled_from(["a", " ", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "→", "😀"]))
+    | st.text()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**70)
+    | st.integers(max_value=-(2**64))
+    | st.booleans()
+    | st.none()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(), max_size=5)  # the writer joins these in one step
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_JSON_VALUES)
+def test_report_writer_equals_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[], {}, [[]], {"": {}}, [1, "a", True], [True, False, None], [1, -1, 2**80, -(2**80)], [0, True]],
+)
+def test_report_writer_edge_cases(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)

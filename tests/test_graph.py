@@ -354,6 +354,24 @@ def test_pair_distance_equals_bfs_levels(cell, keep, seed):
         assert graph_module.pair_distance(masks, src, int(dst)) == levels[dst]
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    cell=st.sampled_from(SMALL_CELLS),
+    keep=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_advance_from_one_mask_equals_the_chunked_scan(cell, keep, seed):
+    rng = np.random.default_rng(seed)
+    masks = _draw_masks(cell, keep, rng)
+    assume(masks.size >= 1)
+    one = masks[rng.integers(masks.size)][None]
+    # the same mask twice takes the chunked scan
+    want = graph_module._advance(np.repeat(one, 2), masks)
+    got = graph_module._advance(one, masks)
+    assert got.dtype == bool and np.array_equal(got, want)
+    assert np.array_equal(got, [not m & int(one[0]) for m in masks.tolist()])
+
+
 def _kernel_calls(monkeypatch):
     calls = Counter()
     for name in ("_advance", "_lattice_levels"):

@@ -296,3 +296,22 @@ def test_suite_paths_decomposes_each_pair_once(monkeypatch):
     assert len(starts) == res.checked == 51570
     for start, end in zip(starts, starts[1:] + [len(calls)]):
         assert calls[start + 1 : end].count(calls[start][1:]) == 1, calls[start]
+
+
+def test_suite_paths_builds_each_star_pair_once(monkeypatch):
+    # the walk, star-pair, reduction and middle-pair checks of a deep pair
+    # share its decomposition, and so the star pair kept on it
+    built = []
+    real = paths.build_star_pair
+
+    def recording(d):
+        built.append(d)
+        return real(d)
+
+    monkeypatch.setattr(paths, "build_star_pair", recording)
+    res = suite_paths(4)
+    assert res.ok, res.failures
+    # 896 deep pairs and 9 pairs of later reduction steps; 3575 builds when
+    # each check built its own
+    assert res.counts["star_pair"] == res.counts["reduction"] == 896
+    assert len({id(d) for d in built}) == len(built) == 905

@@ -17,7 +17,6 @@ from .blocks import (
     disjoint_middle_vertex,
     distance2_criterion,
     m_sum_bound,
-    zy_split,
 )
 from .certificates import (
     PathCertificate,

@@ -67,10 +67,6 @@ class CyclicInterval:
     def end(self) -> int:
         return wrap(self.start + self.length - 1, self.n)
 
-    @property
-    def mask(self) -> int:
-        return rol_mask((1 << self.length) - 1, self.start - 1, self.n)
-
     def elements(self) -> tuple[int, ...]:
         n = self.n
         return tuple(wrap(self.start + t, n) for t in range(self.length))
@@ -241,20 +237,6 @@ def m_sum_bound(d: Decomposition) -> bool:
     """Whether sum of m over blocks >= n - 3k + 2h + 2 (holds when dist >= 3)."""
     n, k = d.params.n, d.params.k
     return sum(blk.m for blk in d.blocks) >= n - 3 * k + 2 * d.h + 2
-
-
-def zy_split(block: Block) -> tuple[int, int, int, int]:
-    """Parity split of a block as masks: (Z, Y, Z', Y').
-
-    Z holds the elements at odd clockwise distance from the left boundary
-    i-1 (so the first, third, ... element of the block); Y the even ones.
-    Z'/Y' count from the right boundary j+1 instead: the same split for an
-    odd length, swapped for an even one.
-    """
-    iv = block.interval
-    z = rol_mask(_EVERY_OTHER & ((1 << iv.length) - 1), iv.start - 1, iv.n)
-    y = iv.mask & ~z
-    return (z, y, z, y) if iv.length % 2 else (z, y, y, z)
 
 
 def disjoint_middle_vertex(d: Decomposition) -> StableSet:

@@ -23,7 +23,7 @@ from .certificates import (
     verify_certificate,
 )
 from .closedform import diameter_formula, witness_dist3, witness_lower4
-from .cyclic import CycleParams, StableSet, enumerate_stable_sets, parse_set_text, stable_set
+from .cyclic import CycleParams, StableSet, members_of, parse_set_text, stable_masks, stable_set
 from .errors import CertificateError, InvariantError, ParameterError, RegimeError, SchrijverError
 from .graph import SchrijverGraph
 from .lift import _bound_path, regime_m
@@ -154,12 +154,31 @@ def _vertex(text: str, params: CycleParams) -> StableSet:
     return stable_set(parse_set_text(text), params)
 
 
+# Masks formatted per `cmd_enumerate` chunk.
+_ENUMERATE_CHUNK = 65_536
+
+
 def cmd_enumerate(args) -> str:
-    params = CycleParams(args.n, args.k)
-    vertices = enumerate_stable_sets(params)
+    """Every vertex's set text, one a line or as a JSON list of strings.
+
+    The text comes from the masks a chunk at a time, with no `StableSet`
+    per vertex: those took `enumerate --n 64 --k 5` to a 1.2 GB peak.
+    """
+    masks = stable_masks(CycleParams(args.n, args.k))
     if args.format == "json":
-        return json.dumps([str(v) for v in vertices]) + "\n"
-    return "".join(f"{v}\n" for v in vertices)
+        head, sep, tail, empty = '["', '", "', '"]\n', "[]\n"
+    else:
+        head, sep, tail, empty = "", "\n", "\n", ""
+    chunks = [
+        sep.join([",".join(map(str, members_of(m))) for m in masks[i : i + _ENUMERATE_CHUNK].tolist()])
+        for i in range(0, masks.size, _ENUMERATE_CHUNK)
+    ]
+    if not chunks:
+        return empty
+    # head and tail go onto the end chunks: no extra copy of the whole text
+    chunks[0] = head + chunks[0]
+    chunks[-1] += tail
+    return sep.join(chunks)
 
 
 def _certificate_for(

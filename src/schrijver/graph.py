@@ -47,9 +47,10 @@ other h, and the round's rows are yielded in source order before the next
 round is submitted.  So at most h + 1 batches are in flight, and
 `diameter_bruteforce`'s witness (the first row reaching the maximum, and
 that row's first argmax) comes from the same rows in the same order as with
-one CPU; one CPU or one batch runs the plain loop.  The calling thread
-works instead of waiting on a pool of c threads because each new thread
-also costs a malloc arena: on the `diameters` benchmark workload a pool of
+one CPU.  One CPU or one batch makes rounds of one batch, which the
+calling thread runs with no thread started.  The calling thread works
+instead of waiting on a pool of c threads because each new thread also
+costs a malloc arena: on the `diameters` benchmark workload a pool of
 two raised peak RSS by 13.5 %, the caller plus one helper by 7-8 %.  The
 helpers are joined when the generator finishes or is closed.  `_advance`
 stays serial: two threads over per-source `bfs_levels` on SG(33,14) took
@@ -333,14 +334,11 @@ def bfs_sweeps(masks: np.ndarray, sources) -> Iterator[tuple[int, np.ndarray]]:
     width = row_bytes // np.dtype(lat.count_type).itemsize
     batches = [sources[start : start + width] for start in range(0, len(sources), width)]
     helpers = min(_cpus(), len(batches)) - 1
-    if helpers < 1:
-        for batch in batches:
-            yield from zip(batch, _lattice_levels(lat, masks, batch))
-        return
     # imported here: at module top it costs every import about 10 ms
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(helpers) as pool:
+    # with no helper, rounds of one batch submit nothing, so no thread starts
+    with ThreadPoolExecutor(max(1, helpers)) as pool:
         for start in range(0, len(batches), helpers + 1):
             own, *rest = batches[start : start + helpers + 1]
             futures = [pool.submit(_lattice_levels, lat, masks, batch) for batch in rest]

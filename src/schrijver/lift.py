@@ -14,13 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import (
-    TYPE_I,
-    Decomposition,
-    decompose,
-    disjoint_middle_vertex,
-    distance2_criterion,
-)
+from .blocks import Decomposition, decompose, disjoint_middle_vertex, distance2_criterion
 from .certificates import PathCertificate
 from .cyclic import MAX_N, CycleParams, StableSet, rol_mask, run_starts, wrap
 from .errors import InvariantError, ParameterError, RegimeError
@@ -57,11 +51,12 @@ def op_plus(d: Decomposition) -> tuple[StableSet, StableSet, int]:
     size >= 3 of the decomposed pair; returns the lifted pair in [n+1] and
     the new position u."""
     n = d.params.n
-    big = [c for c in d.components if c.interval.length >= 3]
+    xm = d.a.mask | d.b.mask
+    # first elements of the runs of X that go on for two more elements
+    big = run_starts(xm, n) & rol_mask(xm, -1, n) & rol_mask(xm, -2, n)
     if not big:
         raise RegimeError("no component of size >= 3 (pair is at distance 2)")
-    comp = min(big, key=lambda c: c.interval.start)
-    second = wrap(comp.interval.start + 1, n)
+    second = wrap((big & -big).bit_length() + 1, n)
     u = n + 1 if second == n else second + 1
     params2 = CycleParams(n + 1, d.params.k)
     a2 = _shift_up(d.a, u, params2)
@@ -161,16 +156,14 @@ def _lift_until_short(d: Decomposition, depth_cap: int) -> tuple[LiftTrace, tupl
             a2, b2, marker = op_plus(d)
             steps.append(LiftStep("plus", marker, n_here, n_here + 1))
         else:
-            singles = [
-                blk.interval.start
-                for blk in d.blocks
-                if blk.btype == TYPE_I and blk.interval.length == 1
-            ]
+            hm = d.a.mask & d.b.mask
+            # singleton type-I blocks: vacant t between two elements of A n B
+            singles = ~(d.a.mask | d.b.mask) & rol_mask(hm, 1, n_here) & rol_mask(hm, -1, n_here)
             if not singles:
                 raise InvariantError(
                     "middle-pair construction failed but no singleton type-I block exists"
                 )
-            marker = min(singles)
+            marker = (singles & -singles).bit_length()
             a2, b2 = op_up(d.a, d.b, marker)
             steps.append(LiftStep("up", marker, n_here, n_here + 1))
         a_levels.append(a2)

@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import (
-    TYPE_IVH,
     Decomposition,
+    _picks,
     decompose,
     disjoint_middle_vertex,
     distance2_criterion,
-    zy_split,
 )
 from .certificates import PathCertificate
 from .cyclic import StableSet, lowest_bits, members_of, rol_mask, rotate, stable_set
@@ -45,7 +44,9 @@ def _apply_rules(d: Decomposition) -> tuple[int, int, int, int, int]:
     """The boundary rule: (a_star, b_star, I', s, r) from the pair's masks.
 
     a_star starts as B\\A and b_star as A\\B.  A block [i..j] splits into
-    halves Z, Y counted from i and Z', Y' counted from j (`zy_split`).  If
+    halves Z, Y counted from i: Z is the block's share of the stable picks
+    (`_picks`: every other element, from i) and Y the rest.  Z', Y' count
+    from j instead: (Z, Y) for an odd length, (Y, Z) for an even one.  If
     i-1 is one-sided, Z goes to i-1's star (a_star when i-1 is in A only:
     i-1 itself is in b_star, so i cannot be); otherwise, if j+1 is
     one-sided, Z' goes to j+1's star.  The other half goes to the other
@@ -66,10 +67,13 @@ def _apply_rules(d: Decomposition) -> tuple[int, int, int, int, int]:
     a_only, b_only = am & ~hm, bm & ~hm
     a_star, b_star = b_only, a_only
     i_prime = r_blocks = two_s = 0
+    picks = _picks(d)
 
     for blk in d.blocks:
         start, length = blk.interval.start, blk.interval.length
-        z, y, zp, yp = zy_split(blk)
+        run = rol_mask((1 << length) - 1, start - 1, n)
+        z, y = picks & run, run & ~picks
+        zp, yp = (z, y) if length % 2 else (y, z)
         left = 1 << (start - 2) % n  # i-1
         right = 1 << (start + length - 1) % n  # j+1
         if not left & hm:  # i-1 one-sided: Z to its side's star
@@ -233,10 +237,12 @@ def _path_dist3(d: Decomposition) -> PathCertificate:
     if pair is None:
         raise InvariantError("middle-pair construction failed in its proven regime")
     a2, b2 = pair
-    singles = 0
-    for blk in d.blocks:
-        if blk.btype == TYPE_IVH and blk.interval.length == 1:
-            singles |= blk.interval.mask
+    a_only, b_only = d.a.mask & ~d.b.mask, d.b.mask & ~d.a.mask
+    # singleton IV(H) blocks: vacant t between an A-only and a B-only element
+    singles = ~(d.a.mask | d.b.mask) & (
+        rol_mask(a_only, 1, n) & rol_mask(b_only, -1, n)
+        | rol_mask(b_only, 1, n) & rol_mask(a_only, -1, n)
+    )
     leaked = (a2.mask | b2.mask) & singles
     if leaked:
         t = (leaked & -leaked).bit_length()

@@ -20,7 +20,6 @@ from schrijver import (
     m_sum_bound,
     stable_set,
     witness_lower4,
-    zy_split,
 )
 from schrijver.cyclic import lowest_bits, mask_of, rol_mask, runs
 from schrijver.suites import SuiteResult, check_blocks, graph, sweep, table_grid
@@ -164,7 +163,7 @@ def assert_matches_blocks(a, b):
     for blk in decompose(a, b).blocks:  # a second decomposition: d builds no parts
         odd += blk.interval.length % 2
         total += blk.interval.length
-        z |= zy_split(blk)[0]
+        z |= mask_of(blk.interval.elements()[::2])
     k = a.params.k
     assert distance2_criterion(d) == (odd + total >= 2 * k), (a, b)
     if odd + total >= 2 * k:

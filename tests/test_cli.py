@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import MALFORMED_PAYLOADS, record_decompositions
 from schrijver import SchrijverGraph, cli, suites
 from schrijver.cli import main
-from schrijver.cyclic import mask_of, parse_set_text
+from schrijver.cyclic import CycleParams, StableSet, enumerate_stable_sets, mask_of, parse_set_text
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "table_k5.csv"
@@ -48,6 +48,18 @@ def test_enumerate_json(capsys):
     code, out = run(capsys, "enumerate", "--n", "7", "--k", "3", "--format", "json")
     assert code == 0
     assert json.loads(out)[0] == "1,3,5"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_enumerate_builds_no_stable_set(capsys, monkeypatch, fmt):
+    # the text of one StableSet per vertex, as the command wrote it before
+    texts = [str(v) for v in enumerate_stable_sets(CycleParams(11, 4))]
+    expected = json.dumps(texts) + "\n" if fmt == "json" else "".join(f"{t}\n" for t in texts)
+    built = []
+    monkeypatch.setattr(StableSet, "__post_init__", lambda self: built.append(self))
+    monkeypatch.setattr(cli, "_ENUMERATE_CHUNK", 16)  # 55 vertices: four chunks, one short
+    assert run(capsys, "enumerate", "--n", "11", "--k", "4", "--format", fmt) == (0, expected)
+    assert not built
 
 
 def test_distance_examples(capsys):

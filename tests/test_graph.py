@@ -475,17 +475,23 @@ def test_sweep_rows_do_not_depend_on_the_cpu_count(monkeypatch, n, k, budget):
     if budget is not None:
         monkeypatch.setattr(graph_module, "_LATTICE_BYTES", budget)
     batches = []
+    threads = []  # live threads as each batch starts
     inner = graph_module._lattice_levels
 
     def counted(lat, masks, batch):
         batches.append(len(batch))
+        threads.append(threading.active_count())
         return inner(lat, masks, batch)
 
     monkeypatch.setattr(graph_module, "_lattice_levels", counted)
-    swept = {}
+    swept, started = {}, {}
     for cpus in (1, 4):
         _set_cpus(monkeypatch, cpus)
+        threads.clear()
+        before = threading.active_count()
         swept[cpus] = list(graph_module.bfs_sweeps(masks, sources))
+        started[cpus] = max(threads) - before
+    assert started[1] == 0 and started[4] > 0  # one CPU starts no thread
     assert len(batches) == 2 * (9 if budget is None else 13)
     assert [src for src, _ in swept[1]] == [src for src, _ in swept[4]] == sources
     for (src, one), (_, four) in zip(swept[1], swept[4]):

@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from schrijver import (
     CycleParams,
@@ -122,6 +124,43 @@ def test_op_minus_at_position_one_wraps_onto_n():
     assert op_minus(stable_set([1, 4, 6, 8, 11], p), 1).members == (3, 5, 7, 10, 12)
     with pytest.raises(ParameterError, match="12,1"):
         op_minus(stable_set([2, 4, 6, 8, 13], p), 1)
+
+
+def _plus_position(d):
+    """u from the components: after the second element of the component of
+    size >= 3 with the least start."""
+    n = d.params.n
+    second = min(c.interval.start for c in d.components if c.interval.length >= 3) % n + 1
+    return n + 1 if second == n else second + 1
+
+
+def _up_position(d):
+    """t from the blocks: the least singleton type-I block."""
+    return min(
+        blk.interval.start for blk in d.blocks if blk.btype == "I" and blk.interval.length == 1
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from([(14, 6), (16, 7), (18, 8), (19, 8)]), st.data())
+def test_lift_markers_match_their_block_definitions(cell, data):
+    """op_plus and the up step read their positions off the masks; those
+    equal the definitions through components and blocks, at every level."""
+    verts = graph(*cell).vertices
+    a, b = (verts[data.draw(st.integers(0, len(verts) - 1))] for _ in range(2))
+    assume(a.mask != b.mask and a.mask & b.mask)
+    d = decompose(a, b)
+    reference = decompose(a, b)  # d itself must build no parts
+    if any(c.interval.length >= 3 for c in reference.components):
+        assert op_plus(d)[2] == _plus_position(reference)
+    else:
+        with pytest.raises(RegimeError):
+            op_plus(d)
+    assert d._parts is None
+    _, trace = lift._bound_path(d)
+    for step, a_level, b_level in zip(trace.steps, trace.a_levels, trace.b_levels):
+        position = _plus_position if step.kind == "plus" else _up_position
+        assert step.marker == position(decompose(a_level, b_level))
 
 
 def test_op_up_and_down():

@@ -1,4 +1,4 @@
-"""Constructive paths: parity splits, star rules, reduction, short walks."""
+"""Constructive paths: star rules, reduction, short walks."""
 
 import hashlib
 import random
@@ -22,9 +22,7 @@ from schrijver import (
     reduce_intersection,
     stable_set,
     verify_certificate,
-    zy_split,
 )
-from schrijver.blocks import Block, CyclicInterval
 from schrijver.cyclic import mask_of, parse_set_text
 from schrijver.suites import (
     SuiteResult,
@@ -37,30 +35,6 @@ from schrijver.suites import (
     sweep,
     table_grid,
 )
-
-def _block(start, end, n=14):
-    length = (end - start) % n + 1
-    return Block(CyclicInterval(start, length, n), "I", length)
-
-
-def test_zy_split_examples():
-    z, y, zp, yp = zy_split(_block(4, 10))
-    assert (z, y) == (mask_of({4, 6, 8, 10}), mask_of({5, 7, 9}))
-    assert (zp, yp) == (z, y)
-
-    z, y, zp, yp = zy_split(_block(4, 9))
-    assert z == mask_of({4, 6, 8}) and z == yp
-    assert y == mask_of({5, 7, 9}) and y == zp
-
-    z, y, zp, yp = zy_split(_block(6, 6))
-    assert z == zp == mask_of({6})
-    assert y == yp == mask_of(set())
-
-
-def test_zy_split_wrapping_block():
-    z, y, _, _ = zy_split(_block(13, 2, n=14))
-    assert z == mask_of({13, 1})
-    assert y == mask_of({14, 2})
 
 
 def test_star_pair_example_walkthrough():

@@ -8,8 +8,9 @@ the counting identities and the JSON report name blocks by those types.
 Whether the pair is at distance 2 needs none of that: it is whether the
 complement holds a stable k-set.  Its stable picks, every other element of
 each complement run counted from the run's first, are a largest one, and
-they come from the masks alone.  So `decompose` checks the pair and keeps
-its sets; the components, blocks and ends are built together on the first
+they come from the masks alone, as do the singleton type-I and IV(H)
+blocks (`singleton_blocks`).  So `decompose` checks the pair and keeps its
+sets; the components, blocks and ends are built together on the first
 read of any of them.
 """
 
@@ -217,6 +218,24 @@ def _picks(d: Decomposition) -> int:
     even = g & ~(g + (starts & _EVERY_OTHER)) & _EVERY_OTHER
     odd = g & ~(g + (starts & _ODD_BITS)) & _ODD_BITS
     return rol_mask(even | odd, -shift, n)
+
+
+def singleton_blocks(a: StableSet, b: StableSet) -> tuple[int, int]:
+    """The singleton blocks of the pair as masks: (type I, type IV(H)).
+
+    A vacant t is a type-I singleton between two elements of A n B, and an
+    IV(H) singleton between an A-only and a B-only element.
+    """
+    n = a.params.n
+    am, bm = a.mask, b.mask
+    h, a_only, b_only = am & bm, am & ~bm, bm & ~am
+    vacant = ~(am | bm)
+    type_i = vacant & rol_mask(h, 1, n) & rol_mask(h, -1, n)
+    iv_h = vacant & (
+        rol_mask(a_only, 1, n) & rol_mask(b_only, -1, n)
+        | rol_mask(b_only, 1, n) & rol_mask(a_only, -1, n)
+    )
+    return type_i, iv_h
 
 
 def distance2_criterion(d: Decomposition) -> bool:

@@ -147,4 +147,10 @@ def parse_certificate(data: object) -> tuple[int, int, int, list[tuple[int, ...]
         raise ParameterError(
             f"malformed certificate payload: needs 2 <= n <= {MAX_N} and k >= 1, got n={n}, k={k}"
         )
-    return n, k, bound, [tuple(int(x) for x in text.split(",")) for text in texts]
+    try:
+        seqs = [tuple(int(x) for x in text.split(",")) for text in texts]
+    except ValueError:  # more digits than int() converts
+        raise ParameterError(
+            "malformed certificate payload: a vertex has too many digits"
+        ) from None
+    return n, k, bound, seqs

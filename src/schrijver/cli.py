@@ -301,14 +301,14 @@ def cmd_witness(args) -> str:
 
 
 def cmd_verify_path(args) -> str:
-    try:  # undecodable bytes and bad JSON are both ValueErrors
+    try:  # undecodable bytes and bad JSON are ValueErrors, deep nesting a RecursionError
         if args.file == "-":
             raw = sys.stdin.read()
         else:
             with open(args.file, "r", encoding="utf-8") as fh:
                 raw = fh.read()
         data = json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParameterError(f"malformed certificate payload: {exc}") from None
     n, k, bound, seqs = parse_certificate(data)
     problems = check_certificate_data(n, k, seqs, bound)

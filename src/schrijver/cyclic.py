@@ -255,7 +255,10 @@ def parse_set_text(text: str) -> tuple[int, ...]:
     """
     if not SET_TEXT.fullmatch(text):
         raise ParameterError(f"bad set text {text!r}: expected integers like 1,3,6,8")
-    mems = tuple(int(part) for part in text.split(","))
+    try:
+        mems = tuple(int(part) for part in text.split(","))
+    except ValueError:  # more digits than int() converts
+        raise ParameterError("bad set text: an element has too many digits") from None
     for prev, cur in zip(mems, mems[1:]):
         if cur <= prev:
             raise ParameterError(

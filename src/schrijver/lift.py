@@ -14,7 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import Decomposition, decompose, disjoint_middle_vertex, distance2_criterion
+from .blocks import (
+    Decomposition,
+    decompose,
+    disjoint_middle_vertex,
+    distance2_criterion,
+    singleton_blocks,
+)
 from .certificates import PathCertificate
 from .cyclic import MAX_N, CycleParams, StableSet, rol_mask, run_starts, wrap
 from .errors import InvariantError, ParameterError, RegimeError
@@ -61,19 +67,7 @@ def op_plus(d: Decomposition) -> tuple[StableSet, StableSet, int]:
     params2 = CycleParams(n + 1, d.params.k)
     a2 = _shift_up(d.a, u, params2)
     b2 = _shift_up(d.b, u, params2)
-
-    x2 = a2.mask | b2.mask
-    prev_bit = 1 << (wrap(u - 1, n + 1) - 1)
-    next_bit = 1 << (wrap(u + 1, n + 1) - 1)
-    only_a = a2.mask & ~b2.mask
-    only_b = b2.mask & ~a2.mask
-    if (
-        x2 >> (u - 1) & 1
-        or not (
-            (only_a & prev_bit and only_b & next_bit)
-            or (only_b & prev_bit and only_a & next_bit)
-        )
-    ):
+    if not singleton_blocks(a2, b2)[1] >> (u - 1) & 1:
         raise InvariantError(f"[{u},{u}] did not come out as a IV(H) block")
     return a2, b2, u
 
@@ -101,16 +95,9 @@ def op_minus(y: StableSet, u: int) -> StableSet:
 def op_up(a: StableSet, b: StableSet, t: int) -> tuple[StableSet, StableSet]:
     """Widen the singleton type-I block [t,t] to [t,t+1]."""
     n = a.params.n
-    xm = a.mask | b.mask
-    hm = a.mask & b.mask
     if not 1 <= t <= n:
         raise ParameterError(f"position {t} outside 1..{n}")
-    ok = (
-        not xm >> (t - 1) & 1
-        and hm >> (wrap(t - 1, n) - 1) & 1
-        and hm >> (wrap(t + 1, n) - 1) & 1
-    )
-    if not ok:
+    if not singleton_blocks(a, b)[0] >> (t - 1) & 1:
         raise ParameterError(f"[{t},{t}] is not a type-I block of this pair")
     params2 = CycleParams(n + 1, a.params.k)
     return _shift_up(a, t + 1, params2), _shift_up(b, t + 1, params2)
@@ -156,9 +143,7 @@ def _lift_until_short(d: Decomposition, depth_cap: int) -> tuple[LiftTrace, tupl
             a2, b2, marker = op_plus(d)
             steps.append(LiftStep("plus", marker, n_here, n_here + 1))
         else:
-            hm = d.a.mask & d.b.mask
-            # singleton type-I blocks: vacant t between two elements of A n B
-            singles = ~(d.a.mask | d.b.mask) & rol_mask(hm, 1, n_here) & rol_mask(hm, -1, n_here)
+            singles = singleton_blocks(d.a, d.b)[0]
             if not singles:
                 raise InvariantError(
                     "middle-pair construction failed but no singleton type-I block exists"
@@ -265,7 +250,10 @@ def _bound_path(d: Decomposition) -> tuple[PathCertificate, LiftTrace]:
         h_star = (y0.mask & a.mask).bit_count() + (y0.mask & b.mask).bit_count()
         if h_star > (p + 1) // 2:
             raise InvariantError("projection bookkeeping bound (p+1)/2 failed")
-        cert = path_via_reduction(a, b, via=y0)
+        left, right = path_via_reduction(a, y0), path_via_reduction(y0, b)
+        cert = PathCertificate(
+            left.vertices + right.vertices[1:], left.claimed_bound + right.claimed_bound
+        )
     else:
         y1, y2 = _project_pair(*walk, trace)
         if (y1.mask & y2.mask).bit_count() > p // 2:

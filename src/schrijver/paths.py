@@ -19,6 +19,7 @@ from .blocks import (
     decompose,
     disjoint_middle_vertex,
     distance2_criterion,
+    singleton_blocks,
 )
 from .certificates import PathCertificate
 from .cyclic import StableSet, lowest_bits, members_of, rol_mask, rotate, stable_set
@@ -40,10 +41,11 @@ class StarPair:
     s: int
 
 
-def _apply_rules(d: Decomposition) -> tuple[int, int, int, int, int]:
-    """The boundary rule: (a_star, b_star, I', s, r) from the pair's masks.
+def build_star_pair(d: Decomposition) -> StarPair:
+    """Grow the stars by the boundary rule and check the outcome.
 
-    a_star starts as B\\A and b_star as A\\B.  A block [i..j] splits into
+    a_star starts as B\\A and b_star as A\\B; I' is the singleton type-I
+    blocks (`singleton_blocks`).  Every other block [i..j] splits into
     halves Z, Y counted from i: Z is the block's share of the stable picks
     (`_picks`: every other element, from i) and Y the rest.  Z', Y' count
     from j instead: (Z, Y) for an odd length, (Y, Z) for an even one.  If
@@ -59,19 +61,26 @@ def _apply_rules(d: Decomposition) -> tuple[int, int, int, int, int]:
     - R6-R7, IV(A)/IV(B) (A,A)/(B,B): as III, less j from the Y half;
     - R8, IV(H) (A,B)/(B,A): as III, less j from the Z half.
 
-    Types II and III, with exactly one end in A n B, count toward 2s.
+    Types II and III, with exactly one end in A n B, count toward 2s.  The
+    stars come out 2-stable, disjoint, off their own sets and holding the
+    opposite difference, with |I'| = h - s - r.  Total on every
+    decomposable pair: that counting needs intersection and A != B,
+    nothing about distance.
     """
     n = d.params.n
     am, bm = d.a.mask, d.b.mask
     hm = am & bm
     a_only, b_only = am & ~hm, bm & ~hm
     a_star, b_star = b_only, a_only
-    i_prime = r_blocks = two_s = 0
+    i_prime = singleton_blocks(d.a, d.b)[0]
+    r_blocks = two_s = 0
     picks = _picks(d)
 
     for blk in d.blocks:
         start, length = blk.interval.start, blk.interval.length
         run = rol_mask((1 << length) - 1, start - 1, n)
+        if run & i_prime:  # a singleton type-I block: held in I'
+            continue
         z, y = picks & run, run & ~picks
         zp, yp = (z, y) if length % 2 else (y, z)
         left = 1 << (start - 2) % n  # i-1
@@ -80,9 +89,6 @@ def _apply_rules(d: Decomposition) -> tuple[int, int, int, int, int]:
             half_a, half_b = (z, y) if left & a_only else (y, z)
         elif not right & hm:  # j+1 one-sided: Z' to its side's star
             half_a, half_b = (zp, yp) if right & a_only else (yp, zp)
-        elif length == 1:  # type I singleton
-            i_prime |= z
-            continue
         else:  # type I
             half_a, half_b = z, y
             r_blocks += 1
@@ -94,26 +100,14 @@ def _apply_rules(d: Decomposition) -> tuple[int, int, int, int, int]:
     # j; dropping it keeps a_star 2-stable (and likewise for b_star)
     a_star &= ~rol_mask(b_only, -1, n)
     b_star &= ~rol_mask(a_only, -1, n)
-    if two_s % 2:
+    s, odd = divmod(two_s, 2)
+    if odd:
         raise InvariantError("odd number of type II/III blocks")
-    return a_star, b_star, i_prime, two_s // 2, r_blocks
-
-
-def build_star_pair(d: Decomposition) -> StarPair:
-    """Grow the stars by the boundary rule (`_apply_rules`); validate the outcome.
-
-    Total on every decomposable pair: the rules and the counting behind
-    |I'| = h - s - r need intersection and A != B, nothing about distance.
-    """
-    a_star, b_star, i_prime, s, r_blocks = _apply_rules(d)
-
-    n = d.params.n
-    am, bm = d.a.mask, d.b.mask
     if a_star & rol_mask(a_star, 1, n) or b_star & rol_mask(b_star, 1, n):
         raise InvariantError("star sets are not 2-stable")
     if a_star & am or b_star & bm or a_star & b_star:
         raise InvariantError("star sets violate the disjointness conditions")
-    if (bm & ~am) & ~a_star or (am & ~bm) & ~b_star:
+    if b_only & ~a_star or a_only & ~b_star:
         raise InvariantError("star sets do not contain the opposite difference")
     if i_prime.bit_count() != d.h - s - r_blocks:
         raise InvariantError("|I'| != h - s - r")
@@ -237,34 +231,15 @@ def _path_dist3(d: Decomposition) -> PathCertificate:
     if pair is None:
         raise InvariantError("middle-pair construction failed in its proven regime")
     a2, b2 = pair
-    a_only, b_only = d.a.mask & ~d.b.mask, d.b.mask & ~d.a.mask
-    # singleton IV(H) blocks: vacant t between an A-only and a B-only element
-    singles = ~(d.a.mask | d.b.mask) & (
-        rol_mask(a_only, 1, n) & rol_mask(b_only, -1, n)
-        | rol_mask(b_only, 1, n) & rol_mask(a_only, -1, n)
-    )
-    leaked = (a2.mask | b2.mask) & singles
+    leaked = (a2.mask | b2.mask) & singleton_blocks(d.a, d.b)[1]
     if leaked:
         t = (leaked & -leaked).bit_length()
         raise InvariantError(f"singleton IV(H) element {t} leaked into the path")
     return PathCertificate((d.a, a2, b2, d.b), 3)
 
 
-def path_via_reduction(
-    a: StableSet, b: StableSet, via: StableSet | None = None
-) -> PathCertificate:
-    """Certificate of length <= 1 + 2|A n B| by repeated intersection reduction.
-
-    With `via` given, joins the two half-paths through it instead
-    (length <= 2 + 2(|A n Y| + |Y n B|)).
-    """
-    if via is not None:
-        left = path_via_reduction(a, via)
-        right = path_via_reduction(via, b)
-        return PathCertificate(
-            left.vertices + right.vertices[1:],
-            left.claimed_bound + right.claimed_bound,
-        )
+def path_via_reduction(a: StableSet, b: StableSet) -> PathCertificate:
+    """Certificate of length <= 1 + 2|A n B| by repeated intersection reduction."""
     if a.params != b.params:
         raise ParameterError("vertices come from different SG(n,k)")
     if a.mask == b.mask:

@@ -62,4 +62,5 @@ MALFORMED_PAYLOADS = [
     {"n": 100, "k": 1, "claimed_bound": 1, "vertices": ["1", "99"]},
     {"n": 1, "k": 1, "claimed_bound": 0, "vertices": ["1"]},
     {"n": 9, "k": 0, "claimed_bound": 0, "vertices": ["1"]},
+    {"n": 10, "k": 1, "claimed_bound": 0, "vertices": ["1" + "0" * 4999]},  # past int()'s digit limit
 ]

@@ -236,6 +236,8 @@ def test_distance_rejects_bad_set_text(capsys):
     assert code == 3
     assert main(["distance", "--n", "10", "--k", "4", "--a", "1,3,5,12", "--b", "1,3,6,8"]) == 3
     assert capsys.readouterr().err == "schrijver: element 12 out of range 1..10\n"
+    assert main(["distance", "--n", "10", "--k", "4", "--a", "1,3,5,1" + "0" * 4999, "--b", "1,3,6,8"]) == 3
+    assert capsys.readouterr().err == "schrijver: bad set text: an element has too many digits\n"
 
 
 def test_diameter_formula_and_bfs(capsys):
@@ -333,9 +335,13 @@ def test_verify_path_rejects_malformed_payload(capsys, tmp_path, payload):
     assert code == 3
 
 
-def test_verify_path_rejects_undecodable_file(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "raw",
+    [pytest.param(b"\xff\xfe{}", id="not-utf8"), pytest.param(b"[" * 200000, id="nested-too-deep")],
+)
+def test_verify_path_rejects_undecodable_file(capsys, tmp_path, raw):
     path = tmp_path / "cert.json"
-    path.write_bytes(b"\xff\xfe{}")
+    path.write_bytes(raw)
     code, _ = run(capsys, "verify-path", "--file", str(path))
     assert code == 3
 

@@ -94,6 +94,20 @@ def test_formula_matches_bfs_small():
                 assert res.value == bfs
 
 
+def test_open_regime_bfs_lies_above_the_abstracts_interval():
+    # PAPER.md's abstract gives [4..k-r-1] for 3 <= r <= k-4.  BFS exceeds
+    # its upper end on these cells, and stays inside diameter_formula's
+    # [4..k-r+1] (README, "Known discrepancy").
+    measured = {(17, 7): 5, (19, 8): 6, (20, 8): 5, (21, 9): 6, (22, 9): 5, (24, 10): 6}
+    for (n, k), bfs in measured.items():
+        r = n - 2 * k
+        assert 3 <= r <= k - 4
+        assert graph(n, k).diameter_bruteforce().value == bfs
+        res = diameter_formula(n, k)
+        assert (res.lo, res.hi) == (4, k - r + 1)
+        assert k - r - 1 < bfs <= res.hi, (n, k)
+
+
 def test_sg2k2_vertex_examples():
     s = sg2k2_vertex(Sg2k2Coordinate(0, 1), 3)
     assert s.members == (4, 6, 8)

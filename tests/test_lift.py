@@ -227,6 +227,26 @@ def test_bound_path_exhaustive_sg12_5():
     assert deep == 108
 
 
+def test_bound_path_common_branch_joins_through_y0():
+    # the common-neighbour branch joins two reduction paths through the
+    # projected y0: length <= 2 + 2h*, h* = |A n y0| + |y0 n B| <= (p+1)/2
+    joined = 0
+    for a, b, dist in sweep([(16, 7)], min_dist=3):
+        d = decompose(a, b)
+        trace, walk = lift._lift_until_short(d, lift.regime_m(d.params))
+        if len(walk) != 1:
+            continue
+        y0 = lift._project_common(walk[0], trace)
+        h_star = (y0.mask & a.mask).bit_count() + (y0.mask & b.mask).bit_count()
+        assert h_star <= (trace.p + 1) // 2
+        cert, _ = lift._bound_path(d)
+        verify_certificate(cert, source=a, target=b)
+        assert y0 in cert.vertices
+        assert dist <= cert.edge_count <= cert.claimed_bound == 2 + 2 * h_star
+        joined += 1
+    assert joined == 568
+
+
 @pytest.mark.parametrize(
     "n,k,a,b,p",
     [

@@ -3,6 +3,8 @@
 The exhaustive sweeps stop at k <= 7; these draw 2-stable pairs from the
 whole single-word range and check each certificate with the independent
 verifier alone (no BFS), against the bound of its regime.
+`blocks.singleton_blocks` is checked on such pairs against the `Block`
+objects.
 """
 
 from hypothesis import assume, given, settings
@@ -18,6 +20,7 @@ from schrijver import (
     path_via_reduction,
     verify_certificate,
 )
+from schrijver.blocks import singleton_blocks
 from schrijver.cyclic import rol_mask
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=500)
@@ -108,3 +111,13 @@ def test_bound_path_within_m_plus_3(case):
     cert = bound_path_m_plus_3(a, b)
     verify_certificate(cert, source=a, target=b)
     assert cert.edge_count <= m + 3
+
+
+@PROPERTY
+@given(reduction_case())
+def test_singleton_blocks_match_the_block_objects(pair):
+    singles = {"I": 0, "IV(H)": 0}
+    for blk in decompose(*pair).blocks:
+        if blk.interval.length == 1 and blk.btype in singles:
+            singles[blk.btype] |= 1 << (blk.interval.start - 1)
+    assert singleton_blocks(*pair) == (singles["I"], singles["IV(H)"])

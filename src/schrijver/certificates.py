@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cyclic import MAX_N, SET_TEXT, StableSet
+from .cyclic import MAX_N, SET_TEXT, StableSet, set_text_ints
 from .errors import CertificateError, ParameterError
 
 
@@ -147,10 +147,4 @@ def parse_certificate(data: object) -> tuple[int, int, int, list[tuple[int, ...]
         raise ParameterError(
             f"malformed certificate payload: needs 2 <= n <= {MAX_N} and k >= 1, got n={n}, k={k}"
         )
-    try:
-        seqs = [tuple(int(x) for x in text.split(",")) for text in texts]
-    except ValueError:  # more digits than int() converts
-        raise ParameterError(
-            "malformed certificate payload: a vertex has too many digits"
-        ) from None
-    return n, k, bound, seqs
+    return n, k, bound, [set_text_ints(text, "malformed certificate payload") for text in texts]

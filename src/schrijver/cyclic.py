@@ -248,6 +248,14 @@ def rotate(s: StableSet, shift: int) -> StableSet:
 SET_TEXT = re.compile(r"[0-9]+(?:,[0-9]+)*")
 
 
+def set_text_ints(text: str, context: str) -> tuple[int, ...]:
+    """The integers of `SET_TEXT` text; `context` leads the digit-limit error."""
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:  # more digits than int() converts
+        raise ParameterError(f"{context}: an element has too many digits") from None
+
+
 def parse_set_text(text: str) -> tuple[int, ...]:
     """Parse `1,3,6,8` (ascending, no spaces); rejects any other text.
 
@@ -255,10 +263,7 @@ def parse_set_text(text: str) -> tuple[int, ...]:
     """
     if not SET_TEXT.fullmatch(text):
         raise ParameterError(f"bad set text {text!r}: expected integers like 1,3,6,8")
-    try:
-        mems = tuple(int(part) for part in text.split(","))
-    except ValueError:  # more digits than int() converts
-        raise ParameterError("bad set text: an element has too many digits") from None
+    mems = set_text_ints(text, "bad set text")
     for prev, cur in zip(mems, mems[1:]):
         if cur <= prev:
             raise ParameterError(

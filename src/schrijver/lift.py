@@ -250,10 +250,7 @@ def _bound_path(d: Decomposition) -> tuple[PathCertificate, LiftTrace]:
         h_star = (y0.mask & a.mask).bit_count() + (y0.mask & b.mask).bit_count()
         if h_star > (p + 1) // 2:
             raise InvariantError("projection bookkeeping bound (p+1)/2 failed")
-        left, right = path_via_reduction(a, y0), path_via_reduction(y0, b)
-        cert = PathCertificate(
-            left.vertices + right.vertices[1:], left.claimed_bound + right.claimed_bound
-        )
+        cert = path_via_reduction(a, b, via=y0)
     else:
         y1, y2 = _project_pair(*walk, trace)
         if (y1.mask & y2.mask).bit_count() > p // 2:

@@ -238,8 +238,21 @@ def _path_dist3(d: Decomposition) -> PathCertificate:
     return PathCertificate((d.a, a2, b2, d.b), 3)
 
 
-def path_via_reduction(a: StableSet, b: StableSet) -> PathCertificate:
-    """Certificate of length <= 1 + 2|A n B| by repeated intersection reduction."""
+def path_via_reduction(
+    a: StableSet, b: StableSet, via: StableSet | None = None
+) -> PathCertificate:
+    """Certificate of length <= 1 + 2|A n B| by repeated intersection reduction.
+
+    With `via` given, joins the two half-paths through it instead
+    (length <= 2 + 2(|A n Y| + |Y n B|)).
+    """
+    if via is not None:
+        left = path_via_reduction(a, via)
+        right = path_via_reduction(via, b)
+        return PathCertificate(
+            left.vertices + right.vertices[1:],
+            left.claimed_bound + right.claimed_bound,
+        )
     if a.params != b.params:
         raise ParameterError("vertices come from different SG(n,k)")
     if a.mask == b.mask:

@@ -221,6 +221,20 @@ def test_path_via_reduction_exhaustive_small():
     assert res.ok, res.failures
 
 
+def test_path_via_reduction_with_middle():
+    g = graph(12, 5)
+    a = g.vertices[0]
+    dmat = graph(12, 5).all_distances()
+    mid = g.vertices[10]
+    b = g.vertices[20]
+    cert = path_via_reduction(a, b, via=mid)
+    verify_certificate(cert, source=a, target=b)
+    h_star = (mid.mask & a.mask).bit_count() + (mid.mask & b.mask).bit_count()
+    assert cert.edge_count <= 2 + 2 * h_star
+    assert cert.edge_count >= dmat[0, 20]
+    assert mid in cert.vertices
+
+
 def test_path_via_reduction_decomposes_each_step_once(monkeypatch):
     real = paths.decompose
     pairs = []

@@ -65,7 +65,10 @@ class CycleParams:
 
 
 def rol_mask(mask: int, shift: int, n: int) -> int:
-    """Rotate an n-bit mask left by shift (element i maps to i+shift)."""
+    """Rotate an n-bit mask left by shift (element i maps to i+shift).
+
+    The same formula rotates every mask of a uint64 array, n = 64 included.
+    """
     shift %= n
     full = (1 << n) - 1
     return ((mask << shift) | (mask >> (n - shift))) & full if shift else mask
@@ -99,8 +102,15 @@ def lowest_bits(mask: int, count: int) -> int:
 
 
 def reflect_mask(mask: int, n: int) -> int:
-    """Mirror an n-bit mask about element 1: m maps to n - m + 2 (mod n)."""
-    return rol_mask(int(format(mask, f"0{n}b")[::-1], 2), 1, n)
+    """Mirror an n-bit mask about element 1: m maps to n - m + 2 (mod n).
+
+    Bit i moves to bit n - i (bit 0 stays), one bit at a time, so the same
+    loop mirrors a Python int and every mask of a uint64 array.
+    """
+    out = mask & 1
+    for i in range(1, n):
+        out |= (mask >> i & 1) << (n - i)
+    return out
 
 
 def run_starts(mask: int, n: int) -> int:

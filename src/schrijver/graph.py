@@ -22,6 +22,15 @@ BFS has two kernels, and one cost rule picks between them.
   differences, and only whether the count is zero matters.  Level 1 is read
   off the masks directly.  A level costs about 2 sum_{S in F} |S| row
   operations for the whole batch, and memory is fixed in advance.
+  Before each lattice level L + 1 a completion test runs: if every
+  unvisited vertex u has a visited rotation partner (u turned by +-1 on
+  the cycle), the batch ends with no lattice pass.  A 2-stable set never
+  meets its one-step rotation, so a partner w is a neighbour, and level(w)
+  <= L < level(u) gives level(u) = L + 1.  A rotation that is not a vertex
+  of the mask array, or that meets u (both happen on induced subsets), is
+  replaced by u itself, which certifies nothing.  The test costs two row
+  gathers of the (vertex, source) bool matrix; on most D = 3 cells of the
+  table it ends every batch before the level-3 pass.
 
 Counts are kept modulo 2^16 when no count can reach 2^16, and modulo 2^32
 otherwise.  The count at vertex v, #{u in frontier : u & v = 0}, is at most
@@ -207,12 +216,14 @@ class SubsetLattice:
     in it; `pairs` holds, per ground-set element i, the rows of S - {i} and
     of S for every S in F that contains i.  `count_type` is uint16 when the
     module docstring's bound on a count is below 2^16, else uint32.
+    `partners` are the vertices' rotation partners (`_rotation_partners`).
     """
 
     sets: np.ndarray
     vertex_rows: np.ndarray
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
     count_type: type
+    partners: np.ndarray
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -260,17 +271,78 @@ def subset_lattice(masks: np.ndarray) -> SubsetLattice | None:
         pairs.append((np.searchsorted(sets, sets[upper] ^ bit), upper))
     bound = min(masks.size - 1, comb(len(bits) - k, k))
     count_type = np.uint16 if bound < 1 << 16 else np.uint32
-    return SubsetLattice(sets, np.searchsorted(sets, masks), tuple(pairs), count_type)
+    return SubsetLattice(
+        sets, np.searchsorted(sets, masks), tuple(pairs), count_type, _rotation_partners(masks)
+    )
+
+
+def _rotation_partners(masks: np.ndarray) -> np.ndarray:
+    """Two rows of vertex indices: each vertex's rotation by +1 and by -1,
+    or the vertex itself.
+
+    The rotations are taken on the cycle 1..n of the masks' highest element
+    n.  A rotation counts only if it is a vertex of `masks` and disjoint
+    from the vertex, so a partner other than the vertex itself is always a
+    neighbour.  On a full SG(n,k) both rotations of every vertex are its
+    partners: a 2-stable set never meets its one-step rotation.
+    """
+    # the result is allocated before the temporaries, so that freeing them
+    # leaves no hole below it: allocated after them, it raised the peak RSS
+    # of the `diameters` benchmark workload by 4 MB, 7 % (glibc, 2-vCPU
+    # AMD EPYC)
+    partners = np.empty((2, masks.size), dtype=np.intp)
+    partners[:] = np.arange(masks.size)
+    n = int(np.bitwise_or.reduce(masks)).bit_length()
+    if not n:  # no masks, or only empty ones
+        return partners
+    order = np.argsort(masks)
+    ascending = masks[order]
+    for partner, shift in zip(partners, (1, -1)):
+        # looked up in ascending order: about twice as fast as in vertex
+        # order, where each binary search starts cold
+        turned = rol_mask(masks, shift, n)
+        by_value = np.argsort(turned)
+        wanted = turned[by_value]
+        at = np.minimum(np.searchsorted(ascending, wanted), masks.size - 1)
+        found = (ascending[at] == wanted) & ((wanted & masks[by_value]) == 0)
+        partner[by_value[found]] = order[at[found]]
+    return partners
+
+
+def _disjoint_counts(lat: SubsetLattice, counts: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """At each vertex v and source column, +-#{u in frontier : u & v = 0}.
+
+    `frontier` is a (vertex, source) bool matrix and `counts` the |F| x
+    batch work matrix, overwritten: a superset-sum pass and then a Moebius
+    pass over F (module docstring).  Rows are gathered with `take` and
+    written back with `put` through a one-item-per-row view, which is
+    several times faster than row fancy indexing at these widths.
+    """
+    rows = counts.view(np.dtype((np.void, counts.itemsize * counts.shape[1]))).reshape(-1)
+
+    def write(at: np.ndarray, values: np.ndarray) -> None:
+        rows.put(at, values.view(rows.dtype).reshape(-1))
+
+    counts.fill(0)
+    write(lat.vertex_rows, frontier.astype(counts.dtype))
+    for lower, upper in lat.pairs:  # superset sums: frontier sets above S
+        total = counts.take(lower, axis=0)
+        total += counts.take(upper, axis=0)
+        write(lower, total)
+    for lower, upper in lat.pairs:  # signed subset sums (Moebius)
+        diff = counts.take(upper, axis=0)
+        diff -= counts.take(lower, axis=0)
+        write(upper, diff)
+    return counts.take(lat.vertex_rows, axis=0)
 
 
 def _lattice_levels(lat: SubsetLattice, masks: np.ndarray, sources) -> np.ndarray:
     """BFS levels, one int8 row per source, by the batched lattice kernel.
 
-    The count matrix has one row per set of F and one column per source;
-    rows are gathered with `take` and written back with `put` through a
-    one-item-per-row view, which is several times faster than row fancy
-    indexing at these widths.  The level bookkeeping shares that (vertex,
-    source) layout and is transposed once at the end.
+    The level bookkeeping is one (vertex, source) matrix, transposed once
+    at the end.  Before each lattice level, the completion test: once every
+    unvisited vertex has a visited rotation partner, each is at the next
+    level, and the batch ends without a lattice pass.
     """
     src = np.asarray(sources, dtype=np.intp)
     batch = np.arange(src.size)
@@ -283,23 +355,13 @@ def _lattice_levels(lat: SubsetLattice, masks: np.ndarray, sources) -> np.ndarra
     levels[src, batch] = 0
     levels += unvisited
     counts = np.empty((lat.sets.size, src.size), dtype=lat.count_type)
-    rows = counts.view(np.dtype((np.void, counts.itemsize * src.size))).reshape(-1)
-
-    def write(at: np.ndarray, values: np.ndarray) -> None:
-        rows.put(at, values.view(rows.dtype).reshape(-1))
-
+    up, down = lat.partners
     while unvisited.any() and frontier.any():
-        counts.fill(0)
-        write(lat.vertex_rows, frontier.astype(counts.dtype))
-        for lower, upper in lat.pairs:  # superset sums: frontier sets above S
-            total = counts.take(lower, axis=0)
-            total += counts.take(upper, axis=0)
-            write(lower, total)
-        for lower, upper in lat.pairs:  # signed subset sums (Moebius)
-            diff = counts.take(upper, axis=0)
-            diff -= counts.take(lower, axis=0)
-            write(upper, diff)
-        frontier = unvisited & (counts.take(lat.vertex_rows, axis=0) != 0)
+        if not (unvisited & unvisited.take(up, axis=0) & unvisited.take(down, axis=0)).any():
+            # a visited neighbour is at level <= L and an unvisited vertex
+            # beyond L, so the vertex is at L + 1, the level it counts now
+            return np.ascontiguousarray(levels.T)
+        frontier = unvisited & (_disjoint_counts(lat, counts, frontier) != 0)
         unvisited ^= frontier
         levels += unvisited
     levels[unvisited] = -1
@@ -383,20 +445,24 @@ class SchrijverGraph:
         return DistanceRecord(a, b, None if d < 0 else d)
 
     def orbit_representatives(self) -> list[int]:
-        """One vertex index per dihedral orbit.
+        """One vertex index per dihedral orbit, ascending: the member with the
+        orbit's least member sequence.
 
-        Enumeration is lexicographic, so the first vertex met in each orbit
-        has the orbit's least member sequence.
+        Two k-sets compare lexicographically at the least element in which
+        they differ, so the smaller sequence has the larger bit-reversed
+        mask (bit i to bit n-1-i).  Bit reversal is a reflection of the
+        n-cycle and maps each orbit onto itself, so a vertex is its orbit's
+        representative iff its bit-reversed mask is the largest of its 2n
+        dihedral images.
         """
         n = self.params.n
-        covered: set[int] = set()
-        reps: list[int] = []
-        for i, mask in enumerate(self._masks.tolist()):
-            if mask not in covered:
-                reps.append(i)
-                for base in (mask, reflect_mask(mask, n)):
-                    covered.update(rol_mask(base, shift, n) for shift in range(n))
-        return reps
+        mirrored = reflect_mask(self._masks, n)
+        largest = np.zeros_like(self._masks)
+        for base in (self._masks, mirrored):
+            for shift in range(n):
+                np.maximum(largest, rol_mask(base, shift, n), out=largest)
+        # the bit reversal is the mirror image turned back one step
+        return np.flatnonzero(rol_mask(mirrored, -1, n) == largest).tolist()
 
     def diameter_bruteforce(self, orbit_reduction: bool = True) -> DiameterResult:
         """Exact diameter: max eccentricity over orbit representatives.

@@ -21,7 +21,7 @@ from schrijver import (
     stable_masks,
     stable_set,
 )
-from schrijver.cyclic import MAX_VERTICES, mask_of, members_of, reflect_mask, runs
+from schrijver.cyclic import MAX_VERTICES, mask_of, members_of, reflect_mask, rol_mask, runs
 
 
 def test_is_2_stable_examples():
@@ -135,6 +135,18 @@ def test_enumeration_peak_memory_stays_near_result(n, k):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * masks.nbytes
+
+
+@pytest.mark.parametrize("n,k", [(11, 4), (64, 2), (64, 31)])
+def test_mask_arrays_rotate_and_reflect_like_ints(n, k):
+    # n = 64 puts bit 63 in play on both sides of each shift
+    masks = stable_masks(CycleParams(n, k))
+    for image, scalar in [
+        (reflect_mask(masks, n), lambda m: reflect_mask(m, n)),
+        *((rol_mask(masks, shift, n), lambda m, s=shift: rol_mask(m, s, n)) for shift in (1, -1, 5)),
+    ]:
+        assert image.dtype == np.uint64
+        assert image.tolist() == [scalar(m) for m in masks.tolist()]
 
 
 def test_runs_and_reflect_mask_against_members():

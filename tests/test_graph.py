@@ -2,6 +2,7 @@
 
 import threading
 from collections import Counter
+from itertools import combinations
 from random import Random
 from time import perf_counter
 from unittest.mock import patch
@@ -23,6 +24,7 @@ from schrijver import (
 )
 from conftest import orbit_minimum
 from schrijver import graph as graph_module
+from schrijver.cyclic import mask_of, rol_mask
 from schrijver.graph import bfs_levels
 from schrijver.suites import graph, sweep, table_grid
 
@@ -128,8 +130,9 @@ def test_orbit_reduction_matches_full_sweep():
 
 
 def test_orbit_representatives_are_canonical():
-    # one representative per orbit, the orbit's least member tuple, in order
-    for n, k in table_grid(5):
+    # one representative per orbit, the orbit's least member tuple, in order;
+    # the n = 64 cells put bit 63 in the reversed masks
+    for n, k in [*table_grid(5), (64, 2), (64, 31)]:
         g = graph(n, k)
         reps = g.orbit_representatives()
         want = sorted({orbit_minimum(s.members, n) for s in g.vertices})
@@ -318,6 +321,66 @@ def test_subset_lattice_matches_its_definition(cell, keep, seed):
     assert [(lower.tolist(), upper.tolist()) for lower, upper in lat.pairs] == pairs
 
 
+def _check_rotation_partners(masks):
+    """`_rotation_partners` against its definition with Python ints, and the
+    lattice's partners against `_rotation_partners`."""
+    values = masks.tolist()
+    index = {m: i for i, m in enumerate(values)}
+    n = max(values).bit_length()  # the masks' highest element
+    got = graph_module._rotation_partners(masks)
+    for shift, partners in zip((1, -1), got):
+        want = []
+        for i, m in enumerate(values):
+            turned = rol_mask(m, shift, n)
+            want.append(i if turned & m else index.get(turned, i))
+        assert partners.tolist() == want
+    with patch.object(graph_module, "_LATTICE_RATIO", 64):
+        lat = graph_module.subset_lattice(masks)
+    if lat is not None:
+        assert np.array_equal(lat.partners, got)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    cell=st.sampled_from(SMALL_CELLS),
+    keep=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rotation_partners_match_their_definition(cell, keep, seed):
+    masks = _draw_masks(cell, keep, np.random.default_rng(seed))
+    assume(masks.size >= 1)
+    _check_rotation_partners(masks)
+
+
+@pytest.mark.parametrize(
+    "masks",
+    [
+        # {2,3} meets both its rotations {1,2} and {3,4}, and neither reaches it
+        [0b0011, 0b0110, 0b1100],
+        # all k-subsets: the Kneser graphs KG(7,3) and KG(9,4), diameters 3, 4
+        [mask_of(c) for c in combinations(range(1, 8), 3)],
+        [mask_of(c) for c in combinations(range(1, 10), 4)],
+    ],
+)
+def test_a_rotation_that_meets_its_set_ends_no_batch(masks):
+    # such a rotation may be a vertex, but it is no neighbour
+    masks = np.array(masks, dtype=np.uint64)
+    _check_rotation_partners(masks)
+    sources = range(masks.size)
+    got = graph_module._lattice_levels(graph_module.subset_lattice(masks), masks, sources)
+    for src, levels in zip(sources, got):
+        assert np.array_equal(levels, bfs_levels(masks, src))
+
+
+def test_every_vertex_of_a_full_cell_has_two_partners():
+    for cell in SMALL_CELLS:
+        masks = stable_masks(CycleParams(*cell))
+        own = np.arange(masks.size)
+        for partners in graph_module._rotation_partners(masks):
+            assert (partners != own).all(), cell
+            assert not (masks[partners] & masks).any(), cell
+
+
 def test_subset_lattice_gives_up_early():
     # SG(63,30) has |F| about 10^13; its second layer already passes the cap
     masks = stable_masks(CycleParams(63, 30))
@@ -456,6 +519,27 @@ def test_sweep_batches_split_at_the_width(monkeypatch, n, k, width, extra):
     assert [src for src, _ in swept] == sources
     for src, levels in swept:
         assert np.array_equal(levels, bfs_levels(masks, src))
+
+
+def test_sweep_ends_at_the_last_level_without_a_lattice_pass(monkeypatch):
+    # SG(21,7) has D = 3.  After the level-2 pass every unvisited vertex has
+    # a visited rotation partner, so each of the 9 batches of its 133 orbit
+    # representatives runs one lattice pass instead of two.
+    g = graph(21, 7)
+    sources = g.orbit_representatives()
+    passes = []
+    inner = graph_module._disjoint_counts
+
+    def counted(lat, counts, frontier):
+        passes.append(frontier.shape[1])
+        return inner(lat, counts, frontier)
+
+    monkeypatch.setattr(graph_module, "_disjoint_counts", counted)
+    swept = list(graph_module.bfs_sweeps(g._masks, sources))
+    assert sorted(passes) == [5] + [16] * 8
+    assert max(int(levels.max()) for _, levels in swept) == 3
+    for src, levels in swept:
+        assert np.array_equal(levels, bfs_levels(g._masks, src))
 
 
 def _set_cpus(monkeypatch, count):

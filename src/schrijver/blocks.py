@@ -9,9 +9,10 @@ Whether the pair is at distance 2 needs none of that: it is whether the
 complement holds a stable k-set.  Its stable picks, every other element of
 each complement run counted from the run's first, are a largest one, and
 they come from the masks alone, as do the singleton type-I and IV(H)
-blocks (`singleton_blocks`).  So `decompose` checks the pair and keeps its
-sets; the components, blocks and ends are built together on the first
-read of any of them.
+blocks (`singleton_blocks`).  So `decompose` checks the pair and derives
+h and the picks once, for the criterion, middle vertex and star pair; the
+components, blocks and ends are built together on the first read of any,
+and the star pair (`paths._star_pair`) on its first use.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class EndSets:
 
 @dataclass(slots=True)
 class Decomposition:
-    """An intersecting pair A != B; its parts are built on the first read.
+    """An intersecting pair A != B, h and picks set by `decompose`; parts built on first read.
 
     `_star` keeps the pair's `paths.StarPair` once `paths._star_pair` has
     built it, so the reduction and the middle-pair step share one.
@@ -117,6 +118,7 @@ class Decomposition:
     a: StableSet
     b: StableSet
     h: int
+    picks: int
     _parts: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _star: object | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -187,7 +189,7 @@ class Decomposition:
 
 
 def decompose(a: StableSet, b: StableSet) -> Decomposition:
-    """The decomposition of an intersecting pair A != B (parts built on first read)."""
+    """The decomposition of an intersecting pair A != B (h and picks now, parts on first read)."""
     if a.params != b.params:
         raise ParameterError("vertices come from different SG(n,k)")
     am, bm = a.mask, b.mask
@@ -198,11 +200,11 @@ def decompose(a: StableSet, b: StableSet) -> Decomposition:
         raise DegenerateInputError(
             "decompose needs A and B to intersect (disjoint pairs are adjacent)"
         )
-    return Decomposition(a, b, hm.bit_count())
+    return Decomposition(a, b, hm.bit_count(), _picks(am, bm, a.params.n))
 
 
-def _picks(d: Decomposition) -> int:
-    """Every other element of each complement run, from its first: the Z halves.
+def _picks(am: int, bm: int, n: int) -> int:
+    """Every other element of each complement run of am | bm, from its first: the Z halves.
 
     The complement is rotated so that a member of X sits on the top bit
     and no run wraps.  Adding a run's start bit then clears that run and
@@ -210,10 +212,9 @@ def _picks(d: Decomposition) -> int:
     is among the added bits.  Runs starting on an even bit keep their even
     bits, runs starting on an odd bit their odd ones.
     """
-    n = d.params.n
-    xm = d.a.mask | d.b.mask
+    xm = am | bm
     shift = n - xm.bit_length()  # the top member of X goes to bit n-1
-    g = rol_mask(~xm & d.params.full_mask, shift, n)
+    g = rol_mask(~xm & ((1 << n) - 1), shift, n)
     starts = g & ~(g << 1)
     even = g & ~(g + (starts & _EVERY_OTHER)) & _EVERY_OTHER
     odd = g & ~(g + (starts & _ODD_BITS)) & _ODD_BITS
@@ -244,7 +245,7 @@ def distance2_criterion(d: Decomposition) -> bool:
     That is (|odd blocks| + |complement|) / 2 >= k, and the left side
     counts the stable picks, ceil(length / 2) of each block.
     """
-    return _picks(d).bit_count() >= d.params.k
+    return d.picks.bit_count() >= d.params.k
 
 
 def component_counts(d: Decomposition) -> Counter:
@@ -261,15 +262,12 @@ def m_sum_bound(d: Decomposition) -> bool:
 def disjoint_middle_vertex(d: Decomposition) -> StableSet:
     """A vertex disjoint from A and B; exists iff the distance-2 criterion holds.
 
-    Takes the Z half of each block (every other element from its first: the
-    maximum stable subset of that block), then keeps the k smallest.
+    Keeps the k smallest stable picks: the Z half of each block (every other
+    element from its first) is the maximum stable subset of that block.
     """
-    picks = _picks(d)
-    if picks.bit_count() < d.params.k:
-        raise InvariantError(
-            "no common neighbor: the distance-2 criterion does not hold"
-        )
-    return StableSet(d.params, lowest_bits(picks, d.params.k))
+    if d.picks.bit_count() < d.params.k:
+        raise InvariantError("no common neighbor: the distance-2 criterion does not hold")
+    return StableSet(d.params, lowest_bits(d.picks, d.params.k))
 
 
 def decomposition_to_json(d: Decomposition) -> dict:

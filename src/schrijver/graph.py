@@ -271,9 +271,11 @@ def subset_lattice(masks: np.ndarray) -> SubsetLattice | None:
         pairs.append((np.searchsorted(sets, sets[upper] ^ bit), upper))
     bound = min(masks.size - 1, comb(len(bits) - k, k))
     count_type = np.uint16 if bound < 1 << 16 else np.uint32
-    return SubsetLattice(
-        sets, np.searchsorted(sets, masks), tuple(pairs), count_type, _rotation_partners(masks)
-    )
+    partners = _rotation_partners(masks)
+    vertex_rows = np.empty(masks.size, dtype=np.intp)
+    order = np.argsort(masks)  # needles in ascending order, as in `_rotation_partners`
+    vertex_rows[order] = np.searchsorted(sets, masks[order])
+    return SubsetLattice(sets, vertex_rows, tuple(pairs), count_type, partners)
 
 
 def _rotation_partners(masks: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from .blocks import (
 from .certificates import PathCertificate
 from .cyclic import MAX_N, CycleParams, StableSet, rol_mask, run_starts, wrap
 from .errors import InvariantError, ParameterError, RegimeError
-from .paths import _disjoint_middle_pair, path_via_reduction
+from .paths import _disjoint_middle_pair, _star_pair, path_via_reduction
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def _lift_until_short(d: Decomposition, depth_cap: int) -> tuple[LiftTrace, tupl
             a2, b2, marker = op_plus(d)
             steps.append(LiftStep("plus", marker, n_here, n_here + 1))
         else:
-            singles = singleton_blocks(d.a, d.b)[0]
+            singles = _star_pair(d).i_prime  # built by the middle-pair step
             if not singles:
                 raise InvariantError(
                     "middle-pair construction failed but no singleton type-I block exists"

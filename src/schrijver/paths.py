@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .blocks import (
     Decomposition,
-    _picks,
     decompose,
     disjoint_middle_vertex,
     distance2_criterion,
@@ -47,7 +46,7 @@ def build_star_pair(d: Decomposition) -> StarPair:
     a_star starts as B\\A and b_star as A\\B; I' is the singleton type-I
     blocks (`singleton_blocks`).  Every other block [i..j] splits into
     halves Z, Y counted from i: Z is the block's share of the stable picks
-    (`_picks`: every other element, from i) and Y the rest.  Z', Y' count
+    `d.picks` (every other element, from i) and Y the rest.  Z', Y' count
     from j instead: (Z, Y) for an odd length, (Y, Z) for an even one.  If
     i-1 is one-sided, Z goes to i-1's star (a_star when i-1 is in A only:
     i-1 itself is in b_star, so i cannot be); otherwise, if j+1 is
@@ -65,7 +64,7 @@ def build_star_pair(d: Decomposition) -> StarPair:
     stars come out 2-stable, disjoint, off their own sets and holding the
     opposite difference, with |I'| = h - s - r.  Total on every
     decomposable pair: that counting needs intersection and A != B,
-    nothing about distance.
+    nothing about distance.  `_star_pair` builds and keeps it on first use.
     """
     n = d.params.n
     am, bm = d.a.mask, d.b.mask
@@ -74,14 +73,13 @@ def build_star_pair(d: Decomposition) -> StarPair:
     a_star, b_star = b_only, a_only
     i_prime = singleton_blocks(d.a, d.b)[0]
     r_blocks = two_s = 0
-    picks = _picks(d)
 
     for blk in d.blocks:
         start, length = blk.interval.start, blk.interval.length
         run = rol_mask((1 << length) - 1, start - 1, n)
         if run & i_prime:  # a singleton type-I block: held in I'
             continue
-        z, y = picks & run, run & ~picks
+        z, y = d.picks & run, run & ~d.picks
         zp, yp = (z, y) if length % 2 else (y, z)
         left = 1 << (start - 2) % n  # i-1
         right = 1 << (start + length - 1) % n  # j+1

@@ -45,7 +45,7 @@ from .closedform import (
     sg2k2_vertex,
 )
 from .cyclic import CycleParams, StableSet, check_vertex_cap
-from .errors import SchrijverError
+from .errors import ParameterError, SchrijverError
 from .graph import SchrijverGraph, bfs_sweeps
 from .lift import bound_path_m_plus_3
 from .paths import (
@@ -397,9 +397,11 @@ def table_grid(k_max: int) -> list[tuple[int, int]]:
 
 
 def table_rows(k_max: int) -> list[dict]:
-    """One row per cell of `table_grid(k_max)`, in its order; every cell is
-    checked against the n <= 64 and vertex caps before the first diameter."""
+    """One row per cell of the non-empty `table_grid(k_max)`, in its order; every
+    cell is checked against the n <= 64 and vertex caps before the first diameter."""
     cells = table_grid(k_max)
+    if not cells:
+        raise ParameterError(f"the table grid needs k_max >= 2, got {k_max}")
     for n, k in cells:
         check_vertex_cap(CycleParams(n, k))
     return [table_cell(n, k) for n, k in cells]

@@ -31,6 +31,20 @@ def record_decompositions(monkeypatch) -> list[tuple[int, int, int]]:
     return calls
 
 
+def record_picks(monkeypatch) -> list[tuple]:
+    """Patch the stable-picks formula `blocks._picks`; returns the argument
+    tuples that its calls receive, in call order."""
+    calls = []
+    real = blocks._picks
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(blocks, "_picks", recording)
+    return calls
+
+
 def brute_force_stable(n: int, k: int) -> list[tuple[int, ...]]:
     """Independent oracle: filter every k-subset with a local adjacency test."""
     out = []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MALFORMED_PAYLOADS, record_decompositions
+from conftest import MALFORMED_PAYLOADS, record_decompositions, record_picks
 from schrijver import SchrijverGraph, cli, suites
 from schrijver.cli import main
 from schrijver.cyclic import CycleParams, StableSet, enumerate_stable_sets, mask_of, parse_set_text
@@ -376,6 +376,14 @@ def test_verify_without_checks_exits_3(capsys, suite, k_max):
     assert captured.err == f"schrijver: suite {suite} runs no check at --k-max {k_max}\n"
 
 
+@pytest.mark.parametrize("command,k_max", [("table", "1"), ("scan", "0")])
+def test_empty_table_grid_exits_3(capsys, command, k_max):
+    assert main([command, "--k-max", k_max]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"schrijver: the table grid needs k_max >= 2, got {k_max}\n"
+
+
 def test_verify_suite_reports_counterexamples(capsys, monkeypatch, tmp_path):
     # a criterion that always answers wrongly fails every one of the 1218 pairs
     real = suites.distance2_criterion
@@ -419,9 +427,11 @@ def test_scan_output(capsys):
 def test_distance_explain_decomposes_the_pair_once(capsys, monkeypatch, case):
     # the certificate and the decomposition in the payload share one
     # `decompose`; the reduction's later steps and the lift's higher levels
-    # decompose other pairs
+    # decompose other pairs.  Each `decompose` derives the stable picks
+    # once, and the criterion, middle vertex, star pair and report read them.
     n, k, a, b, _, _, flags = EXPLAIN_CASES[case]
     calls = record_decompositions(monkeypatch)
+    derived = record_picks(monkeypatch)
     code, out = run(
         capsys, "distance", "--n", str(n), "--k", str(k), "--a", a, "--b", b, "--explain", *flags
     )
@@ -429,6 +439,7 @@ def test_distance_explain_decomposes_the_pair_once(capsys, monkeypatch, case):
     assert out == (DATA / "explain" / f"{case}.json").read_text()
     assert calls.count((n, mask_of(parse_set_text(a)), mask_of(parse_set_text(b)))) == 1
     assert len(calls) == len(set(calls))
+    assert derived == [(am, bm, size) for size, am, bm in calls]
 
 
 def test_exit_codes(capsys):

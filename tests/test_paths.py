@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import ex1_pair, record_decompositions
+from conftest import ex1_pair, record_decompositions, record_picks
 from schrijver import paths, suites
 from schrijver import (
     CycleParams,
@@ -289,3 +289,14 @@ def test_suite_paths_builds_each_star_pair_once(monkeypatch):
     # each check built its own
     assert res.counts["star_pair"] == res.counts["reduction"] == 896
     assert len({id(d) for d in built}) == len(built) == 905
+
+
+def test_suite_paths_derives_the_picks_once_per_pair(monkeypatch):
+    # `decompose` derives the stable picks; the criterion, the middle
+    # vertex and the star pair read them from the decomposition
+    calls = record_decompositions(monkeypatch)
+    derived = record_picks(monkeypatch)
+    res = suite_paths(5)
+    assert res.ok, res.failures
+    assert len(calls) > res.checked == 132938
+    assert derived == [(am, bm, size) for size, am, bm in calls]

@@ -8,7 +8,6 @@ closed-form diameter results; the test suite cross-validates all of them.
 from .blocks import (
     Block,
     Component,
-    CyclicInterval,
     Decomposition,
     EndSets,
     component_counts,

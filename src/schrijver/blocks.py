@@ -11,8 +11,9 @@ each complement run counted from the run's first, are a largest one, and
 they come from the masks alone, as do the singleton type-I and IV(H)
 blocks (`singleton_blocks`).  So `decompose` checks the pair and derives
 h and the picks once, for the criterion, middle vertex and star pair; the
-components, blocks and ends are built together on the first read of any,
-and the star pair (`paths._star_pair`) on its first use.
+components and blocks are built together on the first read of either, the
+end sets are mask formulas read on demand, and the star pair
+(`paths._star_pair`) is built on its first use.
 """
 
 from __future__ import annotations
@@ -20,7 +21,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .cyclic import CycleParams, StableSet, lowest_bits, members_of, rol_mask, run_starts, runs, wrap
+from .cyclic import (
+    CycleParams,
+    StableSet,
+    interval_elements,
+    lowest_bits,
+    members_of,
+    rol_mask,
+    run_starts,
+    runs,
+)
 from .errors import DegenerateInputError, InvariantError, ParameterError
 
 # Block types: boundary ends (i-1, j+1) in order, H = element of both sets.
@@ -58,30 +68,11 @@ _ODD_BITS = _EVERY_OTHER << 1
 
 
 @dataclass(slots=True)
-class CyclicInterval:
-    """Interval [start .. start+length-1] on the n-cycle; at most one wraps."""
-
-    start: int
-    length: int
-    n: int
-
-    @property
-    def end(self) -> int:
-        return wrap(self.start + self.length - 1, self.n)
-
-    def elements(self) -> tuple[int, ...]:
-        n = self.n
-        return tuple(wrap(self.start + t, n) for t in range(self.length))
-
-    def __str__(self) -> str:
-        return f"[{self.start},{self.end}]"
-
-
-@dataclass(slots=True)
 class Block:
     """Maximal complement interval with its boundary type and usable count m."""
 
-    interval: CyclicInterval
+    start: int
+    length: int
     btype: str
     m: int
 
@@ -90,7 +81,8 @@ class Block:
 class Component:
     """Maximal interval of X = A u B with its class."""
 
-    interval: CyclicInterval
+    start: int
+    length: int
     cclass: str
 
 
@@ -136,10 +128,7 @@ class Decomposition:
 
     @property
     def ends(self) -> EndSets:
-        return (self._parts or self._build())[2]
-
-    def _build(self) -> tuple[tuple[Component, ...], tuple[Block, ...], EndSets]:
-        """Components, blocks and ends, all three at once.
+        """The end sets, from the masks on each read.
 
         A and B are 2-stable, so every element of A n B is a singleton
         component of X = A u B: the A- and B-ends are the run starts and
@@ -152,30 +141,10 @@ class Decomposition:
         xm = am | bm
         starts = run_starts(xm, n)
         stops = xm & ~rol_mask(xm, -1, n)
-
-        def side(x: int) -> str:
-            bit = 1 << (x - 1)
-            return "H" if hm & bit else "A" if am & bit else "B"
-
-        components = []
-        for start, length in runs(xm, n):
-            first = side(start)
-            if length == 1:
-                cls = COMP_H_PRIME if first == "H" else first  # COMP_A/COMP_B name the side
-            else:
-                cls = first if first == side((start + length - 2) % n + 1) else COMP_H_DPRIME
-            components.append(Component(CyclicInterval(start, length, n), cls))
-
-        blocks = []
-        for start, length in runs(~xm & self.params.full_mask, n):
-            btype = _BLOCK_TYPE[(side(start - 1 or n), side((start + length - 1) % n + 1))]
-            usable = length - 1 if btype in (TYPE_IVA, TYPE_IVB, TYPE_IVH) else length
-            blocks.append(Block(CyclicInterval(start, length, n), btype, usable))
-
         end_bits = (starts | stops) & ~hm
         singles = starts & stops
         e_a, e_b = end_bits & am, end_bits & bm
-        ends = EndSets(
+        return EndSets(
             eA=e_a,
             eB=e_b,
             eH=hm,
@@ -184,7 +153,31 @@ class Decomposition:
             eB_prime=e_b & ~singles,
             eB_dprime=e_b & singles,
         )
-        self._parts = (tuple(components), tuple(blocks), ends)
+
+    def _build(self) -> tuple[tuple[Component, ...], tuple[Block, ...]]:
+        """Components and blocks, both at once: the runs of X = A u B and of its complement."""
+        am, bm = self.a.mask, self.b.mask
+        hm = am & bm
+        n = self.params.n
+        xm = am | bm
+
+        def side(x: int) -> str:
+            bit = 1 << (x - 1)
+            return "H" if hm & bit else "A" if am & bit else "B"
+
+        components = []
+        for start, length in runs(xm, n):
+            first, last = side(start), side((start + length - 2) % n + 1)
+            # an H is a run alone (H'); COMP_A/COMP_B name the side of a one-sided run
+            cls = COMP_H_PRIME if first == "H" else first if first == last else COMP_H_DPRIME
+            components.append(Component(start, length, cls))
+
+        blocks = []
+        for start, length in runs(~xm & self.params.full_mask, n):
+            btype = _BLOCK_TYPE[(side(start - 1 or n), side((start + length - 1) % n + 1))]
+            usable = length - 1 if btype in (TYPE_IVA, TYPE_IVB, TYPE_IVH) else length
+            blocks.append(Block(start, length, btype, usable))
+        self._parts = (tuple(components), tuple(blocks))
         return self._parts
 
 
@@ -270,29 +263,21 @@ def disjoint_middle_vertex(d: Decomposition) -> StableSet:
     return StableSet(d.params, lowest_bits(d.picks, d.params.k))
 
 
+def _span(part: Component | Block, n: int) -> dict:
+    """The JSON fields a component and a block share: start, length and elements."""
+    return {
+        "start": part.start,
+        "length": part.length,
+        "elements": list(interval_elements(part.start, part.length, n)),
+    }
+
+
 def decomposition_to_json(d: Decomposition) -> dict:
-    ends = d.ends
+    ends, n = d.ends, d.params.n
     return {
         "h": d.h,
-        "x_components": [
-            {
-                "start": c.interval.start,
-                "length": c.interval.length,
-                "elements": list(c.interval.elements()),
-                "class": c.cclass,
-            }
-            for c in d.components
-        ],
-        "blocks": [
-            {
-                "start": blk.interval.start,
-                "length": blk.interval.length,
-                "elements": list(blk.interval.elements()),
-                "type": blk.btype,
-                "m": blk.m,
-            }
-            for blk in d.blocks
-        ],
+        "x_components": [{**_span(c, n), "class": c.cclass} for c in d.components],
+        "blocks": [{**_span(blk, n), "type": blk.btype, "m": blk.m} for blk in d.blocks],
         # keyed by field name without its "e": A, B, H, A_prime, ...
         "ends": {name[1:]: list(members_of(getattr(ends, name))) for name in EndSets.__slots__},
         "distance2": distance2_criterion(d),

@@ -133,6 +133,11 @@ def runs(mask: int, n: int) -> list[tuple[int, int]]:
     return out
 
 
+def interval_elements(start: int, length: int, n: int) -> tuple[int, ...]:
+    """The elements start, start+1, ..., start+length-1 of the n-cycle, wrapped into 1..n."""
+    return tuple(wrap(start + t, n) for t in range(length))
+
+
 @dataclass(frozen=True)
 class StableSet:
     """A 2-stable k-subset of the n-cycle: a vertex of SG(n,k)."""

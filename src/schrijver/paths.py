@@ -75,7 +75,7 @@ def build_star_pair(d: Decomposition) -> StarPair:
     r_blocks = two_s = 0
 
     for blk in d.blocks:
-        start, length = blk.interval.start, blk.interval.length
+        start, length = blk.start, blk.length
         run = rol_mask((1 << length) - 1, start - 1, n)
         if run & i_prime:  # a singleton type-I block: held in I'
             continue

@@ -169,13 +169,14 @@ def check_blocks(res: SuiteResult, d: Decomposition, dist: int) -> None:
     components, blocks = d.components, d.blocks
     if len(components) != len(blocks):
         res.fail("|X-components| != |blocks|", a, b)
-    covered = sum(c.interval.length for c in components)
-    if covered + sum(blk.interval.length for blk in blocks) != a.params.n:
+    n = a.params.n
+    if sum(c.length for c in components) + sum(blk.length for blk in blocks) != n:
         res.fail("components and blocks do not partition the cycle", a, b)
     for blk in blocks:
         short = blk.btype in (TYPE_IVA, TYPE_IVB, TYPE_IVH)  # type IV: m = length - 1
-        if blk.m != blk.interval.length - (1 if short else 0):
-            res.fail(f"block {blk.interval} has m={blk.m}", a, b)
+        if blk.m != blk.length - (1 if short else 0):
+            end = (blk.start + blk.length - 2) % n + 1
+            res.fail(f"block [{blk.start},{end}] has m={blk.m}", a, b)
 
     bc = component_counts(d)
     if bc[COMP_A] != bc[COMP_B]:

@@ -21,12 +21,13 @@ from schrijver import (
     stable_set,
     witness_lower4,
 )
-from schrijver.cyclic import lowest_bits, mask_of, rol_mask, runs
+from schrijver.cyclic import interval_elements, lowest_bits, mask_of, rol_mask, runs
 from schrijver.suites import SuiteResult, check_blocks, graph, sweep, table_grid
 
 def test_example_walkthrough_components_and_blocks():
     d = decompose(*ex1_pair())
-    comps = {c.interval.elements() for c in d.components}
+    n = d.params.n
+    comps = {interval_elements(c.start, c.length, n) for c in d.components}
     assert comps == {
         (20, 1, 2),
         (6,),
@@ -36,7 +37,7 @@ def test_example_walkthrough_components_and_blocks():
         (14, 15),
         (17, 18),
     }
-    blocks = {blk.interval.elements(): blk.btype for blk in d.blocks}
+    blocks = {interval_elements(blk.start, blk.length, n): blk.btype for blk in d.blocks}
     assert blocks == {
         (3, 4, 5): "IV(H)",
         (7,): "III(B)",
@@ -46,7 +47,7 @@ def test_example_walkthrough_components_and_blocks():
         (16,): "IV(H)",
         (19,): "IV(A)",
     }
-    ms = {blk.interval.elements(): blk.m for blk in d.blocks}
+    ms = {interval_elements(blk.start, blk.length, n): blk.m for blk in d.blocks}
     assert ms == {
         (3, 4, 5): 2,
         (7,): 1,
@@ -124,9 +125,9 @@ def test_block_intervals_partition_cycle():
         d = decompose(a, b)
         seen = []
         for c in d.components:
-            seen.extend(c.interval.elements())
+            seen.extend(interval_elements(c.start, c.length, 13))
         for blk in d.blocks:
-            seen.extend(blk.interval.elements())
+            seen.extend(interval_elements(blk.start, blk.length, 13))
         assert sorted(seen) == list(range(1, 14))
 
 
@@ -150,20 +151,21 @@ def test_wrapping_block_normalized():
     a = stable_set([2, 4, 6, 8], p)
     b = stable_set([2, 4, 6, 10], p)
     d = decompose(a, b)
-    wrapped = [blk for blk in d.blocks if blk.interval.start > blk.interval.end]
+    wrapped = [blk for blk in d.blocks if blk.start + blk.length - 1 > 12]
     assert len(wrapped) == 1
-    assert wrapped[0].interval.elements() == (11, 12, 1)
+    assert interval_elements(wrapped[0].start, wrapped[0].length, 12) == (11, 12, 1)
 
 
 def assert_matches_blocks(a, b):
     """Criterion and middle vertex equal their block-based definitions:
     odd + total >= 2k, and the k lowest bits of the blocks' Z halves."""
     d = decompose(a, b)
+    n = a.params.n
     odd = total = z = 0
     for blk in decompose(a, b).blocks:  # a second decomposition: d builds no parts
-        odd += blk.interval.length % 2
-        total += blk.interval.length
-        z |= mask_of(blk.interval.elements()[::2])
+        odd += blk.length % 2
+        total += blk.length
+        z |= mask_of(interval_elements(blk.start, blk.length, n)[::2])
     k = a.params.k
     assert distance2_criterion(d) == (odd + total >= 2 * k), (a, b)
     if odd + total >= 2 * k:
@@ -197,8 +199,8 @@ def test_criterion_and_middle_vertex_match_blocks_near_cap(cell, data):
 
 
 def test_parts_built_once_on_first_read(monkeypatch):
-    """The criterion and middle vertex build no part; the first read of a
-    part builds all of them, once."""
+    """The criterion, middle vertex and end sets build no part; the first
+    read of a part builds all of them, once."""
     built = {"Component": 0, "Block": 0}
 
     def counting(name):
@@ -213,6 +215,8 @@ def test_parts_built_once_on_first_read(monkeypatch):
     for name in built:
         monkeypatch.setattr(blocks, name, counting(name))
     d = decompose(*ex1_pair())
+    assert d.ends.eA == mask_of({2, 15, 18, 20})
+    assert built == {"Component": 0, "Block": 0}
     assert distance2_criterion(d)
     disjoint_middle_vertex(d)
     assert built == {"Component": 0, "Block": 0}

@@ -192,7 +192,7 @@ def test_witness_lower4_examples():
     assert b.members == (1, 3, 6, 8, 11)
     assert set(a.members) & set(b.members) == {1, 3}
     d = decompose(a, b)
-    assert all(blk.interval.length == 1 for blk in d.blocks)
+    assert all(blk.length == 1 for blk in d.blocks)
     assert len(d.blocks) == 5 - 1
     with pytest.raises(RegimeError):
         witness_lower4(13, 5)  # r=3 > k-3

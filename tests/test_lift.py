@@ -24,6 +24,7 @@ from schrijver import (
     witness_lower4,
 )
 from schrijver import lift
+from schrijver.cyclic import interval_elements
 from schrijver.suites import graph, sweep
 
 
@@ -46,7 +47,7 @@ def test_op_plus_on_singleton_block_pair():
     assert len(a2.members) == len(b2.members) == 6
     assert u not in a2.members and u not in b2.members
     d2 = decompose(a2, b2)
-    blk = next(blk for blk in d2.blocks if blk.interval.elements() == (u,))
+    blk = next(blk for blk in d2.blocks if interval_elements(blk.start, blk.length, 14) == (u,))
     assert blk.btype == "IV(H)"
 
 
@@ -61,7 +62,7 @@ def test_op_plus_needs_a_big_component():
     found = False
     for a, b, _ in sweep([(12, 4)]):
         d = decompose(a, b)
-        if all(c.interval.length <= 2 for c in d.components):
+        if all(c.length <= 2 for c in d.components):
             assert distance2_criterion(d)  # Observation: such pairs sit at distance 2
             with pytest.raises(RegimeError):
                 op_plus(d)
@@ -130,14 +131,14 @@ def _plus_position(d):
     """u from the components: after the second element of the component of
     size >= 3 with the least start."""
     n = d.params.n
-    second = min(c.interval.start for c in d.components if c.interval.length >= 3) % n + 1
+    second = min(c.start for c in d.components if c.length >= 3) % n + 1
     return n + 1 if second == n else second + 1
 
 
 def _up_position(d):
     """t from the blocks: the least singleton type-I block."""
     return min(
-        blk.interval.start for blk in d.blocks if blk.btype == "I" and blk.interval.length == 1
+        blk.start for blk in d.blocks if blk.btype == "I" and blk.length == 1
     )
 
 
@@ -151,7 +152,7 @@ def test_lift_markers_match_their_block_definitions(cell, data):
     assume(a.mask != b.mask and a.mask & b.mask)
     d = decompose(a, b)
     reference = decompose(a, b)  # d itself must build no parts
-    if any(c.interval.length >= 3 for c in reference.components):
+    if any(c.length >= 3 for c in reference.components):
         assert op_plus(d)[2] == _plus_position(reference)
     else:
         with pytest.raises(RegimeError):
@@ -167,17 +168,17 @@ def test_op_up_and_down():
     a, b = witness_lower4(12, 5)
     d = decompose(a, b)
     t = next(
-        blk.interval.start
+        blk.start
         for blk in d.blocks
-        if blk.btype == "I" and blk.interval.length == 1
+        if blk.btype == "I" and blk.length == 1
     )
     assert t == 2
     a2, b2 = op_up(a, b, t)
     assert a2.params.n == 13
     assert len(a2.members) == len(b2.members) == 5
     d2 = decompose(a2, b2)
-    blk = next(blk for blk in d2.blocks if blk.interval.start == t)
-    assert blk.btype == "I" and blk.interval.length == 2
+    blk = next(blk for blk in d2.blocks if blk.start == t)
+    assert blk.btype == "I" and blk.length == 2
 
     with pytest.raises(ParameterError):
         op_up(a, b, 9)  # [9,9] is type IV(H) here, not I

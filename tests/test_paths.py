@@ -45,7 +45,7 @@ def test_star_pair_example_walkthrough():
     assert sp.i_prime == mask_of({9, 11})
     # r = 0: no type-I block of length >= 2
     assert sp.s == 1 and d.h == 3
-    assert not any(blk.btype == "I" and blk.interval.length >= 2 for blk in d.blocks)
+    assert not any(blk.btype == "I" and blk.length >= 2 for blk in d.blocks)
     assert mask_of({1, 3, 6, 9, 11, 14, 17, 19}) & ~(sp.a_star | sp.i_prime) == 0
 
 
@@ -90,7 +90,7 @@ def test_i_prime_empty_without_singleton_type_i():
     for a, b, _ in sweep([(13, 5)]):
         d = decompose(a, b)
         singles = [
-            blk for blk in d.blocks if blk.btype == "I" and blk.interval.length == 1
+            blk for blk in d.blocks if blk.btype == "I" and blk.length == 1
         ]
         if not singles:
             assert build_star_pair(d).i_prime == 0
@@ -117,7 +117,7 @@ def test_no_singleton_type_i_gives_disjoint_reduction():
     seen = 0
     for a, b, _ in sweep([(13, 5)], min_dist=3):
         d = decompose(a, b)
-        if any(blk.btype == "I" and blk.interval.length == 1 for blk in d.blocks):
+        if any(blk.btype == "I" and blk.length == 1 for blk in d.blocks):
             continue
         a2, b2 = reduce_intersection(a, b)
         assert not a2.mask & b2.mask  # distance <= 3 immediately

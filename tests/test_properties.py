@@ -3,8 +3,9 @@
 The exhaustive sweeps stop at k <= 7; these draw 2-stable pairs from the
 whole single-word range and check each certificate with the independent
 verifier alone (no BFS), against the bound of its regime.
-`blocks.singleton_blocks` is checked on such pairs against the `Block`
-objects.
+`blocks.singleton_blocks` and the end-set formulas of
+`Decomposition.ends` are checked on such pairs against the `Block` and
+`Component` objects.
 """
 
 from hypothesis import assume, given, settings
@@ -21,7 +22,7 @@ from schrijver import (
     verify_certificate,
 )
 from schrijver.blocks import singleton_blocks
-from schrijver.cyclic import rol_mask
+from schrijver.cyclic import interval_elements, rol_mask
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=500)
 
@@ -118,6 +119,27 @@ def test_bound_path_within_m_plus_3(case):
 def test_singleton_blocks_match_the_block_objects(pair):
     singles = {"I": 0, "IV(H)": 0}
     for blk in decompose(*pair).blocks:
-        if blk.interval.length == 1 and blk.btype in singles:
-            singles[blk.btype] |= 1 << (blk.interval.start - 1)
+        if blk.length == 1 and blk.btype in singles:
+            singles[blk.btype] |= 1 << (blk.start - 1)
     assert singleton_blocks(*pair) == (singles["I"], singles["IV(H)"])
+
+
+@PROPERTY
+@given(reduction_case())
+def test_end_sets_match_the_component_objects(pair):
+    """Each component's first and last element are ends, those of A n B
+    excepted; e'' is the elements of the one-element components among them."""
+    a, b = pair
+    d = decompose(a, b)
+    hm = a.mask & b.mask
+    ends = singles = 0
+    for c in d.components:
+        elements = interval_elements(c.start, c.length, a.params.n)
+        ends |= ((1 << (elements[0] - 1)) | (1 << (elements[-1] - 1))) & ~hm
+        if c.length == 1:
+            singles |= (1 << (c.start - 1)) & ~hm
+    e_prime = ends & ~singles
+    e = d.ends
+    assert (e.eA, e.eB, e.eH) == (ends & a.mask, ends & b.mask, hm)
+    assert (e.eA_prime, e.eA_dprime) == (e_prime & a.mask, singles & a.mask)
+    assert (e.eB_prime, e.eB_dprime) == (e_prime & b.mask, singles & b.mask)

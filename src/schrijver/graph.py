@@ -12,25 +12,39 @@ BFS has two kernels, and one cost rule picks between them.
   neither end has visited, and stops when `_touches` finds a disjoint pair
   across the two frontiers; that test returns at the first chunk of the
   smaller frontier that holds one.
-* `_lattice_levels` (multi-source sweeps): subset inclusion-exclusion
-  (Bjorklund-Husfeldt-Koivisto) on the down-closed family F of all subsets
-  of the vertex masks, batched over sources as in MS-BFS.  Per level, a
-  superset-sum pass over F gives g(S) = #{u in frontier : S <= u} for every
-  S in F, and a Moebius (subset-difference) pass then gives, at each vertex
-  v, sum over S <= v of (-1)^(|v|-|S|) g(S) = (-1)^|v| #{u in frontier :
-  u & v = 0}: the parity sign of inclusion-exclusion is folded into the
-  differences, and only whether the count is zero matters.  Level 1 is read
-  off the masks directly.  A level costs about 2 sum_{S in F} |S| row
-  operations for the whole batch, and memory is fixed in advance.
-  Before each lattice level L + 1 a completion test runs: if every
-  unvisited vertex u has a visited rotation partner (u turned by +-1 on
-  the cycle), the batch ends with no lattice pass.  A 2-stable set never
-  meets its one-step rotation, so a partner w is a neighbour, and level(w)
-  <= L < level(u) gives level(u) = L + 1.  A rotation that is not a vertex
-  of the mask array, or that meets u (both happen on induced subsets), is
-  replaced by u itself, which certifies nothing.  The test costs two row
-  gathers of the (vertex, source) bool matrix; on most D = 3 cells of the
-  table it ends every batch before the level-3 pass.
+* `_lattice_levels` (multi-source sweeps, batched over sources as in
+  MS-BFS) takes the levels in four steps.
+  - Levels 0 and 1 from the masks: the source, and the masks disjoint
+    from it.
+  - Level 2 from the common-neighbour table.  Vertices s and v share a
+    neighbour iff some mask lies inside ~s & ~v, which depends on s | v
+    alone.  So one bit array over the 2^n subsets W of the ground set,
+    bit W set iff some mask lies inside W (`cover_table`), answers it for
+    every source at once: 512 KB at n = 22, 8 MB at n = 26.  The lookup
+    keeps the complements as uint32 and reads the table as bytes, bit i at
+    bit i & 7 of byte i >> 3: over SG(22,6)'s 280 orbit representatives
+    18-20 ms against 24-27 ms with uint64 word indices, over SG(26,7)'s
+    1368 412-492 ms against 567-631 ms (one thread, 2-vCPU Xeon).
+  - Before each further level L + 1, the completion test: if every
+    unvisited vertex u has a visited rotation partner (u turned by +-1 on
+    the cycle), the batch ends with no lattice pass.  A 2-stable set never
+    meets its one-step rotation, so a partner w is a neighbour, and
+    level(w) <= L < level(u) gives level(u) = L + 1.  A rotation that is
+    not a vertex of the mask array, or that meets u (both happen on
+    induced subsets), is replaced by u itself, which certifies nothing.
+    The test costs two row gathers of the (vertex, source) bool matrix.
+  - Otherwise a lattice pass: subset inclusion-exclusion
+    (Bjorklund-Husfeldt-Koivisto) on the down-closed family F of all
+    subsets of the vertex masks.  A superset-sum pass over F gives g(S) =
+    #{u in frontier : S <= u} for every S in F, and a Moebius
+    (subset-difference) pass then gives, at each vertex v, sum over S <= v
+    of (-1)^(|v|-|S|) g(S) = (-1)^|v| #{u in frontier : u & v = 0}: the
+    parity sign of inclusion-exclusion is folded into the differences, and
+    only whether the count is zero matters.  A pass costs about
+    2 sum_{S in F} |S| row operations for the batch, and memory is fixed in
+    advance.  The lattice is built once per sweep, when a batch first needs
+    a pass; with a table, the D <= 3 cells of the table grid need it on
+    few or no batches (none on SG(21,7), SG(22,6) or SG(22,7)).
 
 Counts are kept modulo 2^16 when no count can reach 2^16, and modulo 2^32
 otherwise.  The count at vertex v, #{u in frontier : u & v = 0}, is at most
@@ -40,35 +54,46 @@ SG(26,7), but 77 520 for SG(27,7).  Both passes use only additions and
 subtractions, so the result is exact modulo that power of two; the true
 count is below the modulus, so it is nonzero exactly when the stored one is.
 
-Cost rule: `bfs_sweeps` runs the lattice kernel when it has more than one
-source and |F| <= _LATTICE_RATIO |V|; otherwise, and for the single-source
-call `distances_from` and the single-pair call `bfs_distance`, `_advance`
-runs.  The rule needs nothing but the masks: F is built layer by layer and
-the build gives up as soon as it passes the cap.  The lattice is local to
-one call and never stored on the graph.
+Cost rule, on the masks alone.  `distances_from`, `bfs_distance` and a
+`bfs_sweeps` call with one source run `_advance`.  A sweep of two or more
+sources builds the table when its 2^n bits fit `_TABLE_BYTES` (16 MB, so
+n <= 27) and come to at most `_TABLE_RATIO` (256) bytes per vertex, so that
+small induced-subset sweeps over a wide ground set build none.  The table
+takes about 4 ns a byte to build (SG(22,7) 1.6 ms, SG(26,7) 34 ms, SG(27,8)
+67 ms; 2-vCPU Xeon), so at 256 bytes a vertex it costs at most about
+1 us per vertex, below the 1.4-1.7 us per vertex of `subset_lattice` on
+SG(22..26,7).  The lattice runs while |F| <= _LATTICE_RATIO |V|; it is
+built layer by layer and the build gives up as soon as it passes the cap.
+With no table, the lattice is built before the first batch, and if it is
+over its cap every source runs `bfs_levels`.  With a table, a batch that
+needs a lattice pass when the lattice is over its cap runs `bfs_levels` per
+source instead.  The rows are the same on every path.  The table and the
+lattice are local to one call and never stored on the graph.
 
-Threads: the lattice batches of one `bfs_sweeps` call are independent and
-spend their time in NumPy array passes, so they run on every CPU the
-process may use.  With c CPUs and b batches, h = min(c, b) - 1 helper
-threads join the calling thread.  Batches go in rounds of h + 1: the
-calling thread computes the first batch of each round and the helpers the
-other h, and the round's rows are yielded in source order before the next
-round is submitted.  So at most h + 1 batches are in flight, and
-`diameter_bruteforce`'s witness (the first row reaching the maximum, and
-that row's first argmax) comes from the same rows in the same order as with
-one CPU.  One CPU or one batch makes rounds of one batch, which the
-calling thread runs with no thread started.  The calling thread works
-instead of waiting on a pool of c threads because each new thread also
-costs a malloc arena: on the `diameters` benchmark workload a pool of
+Threads: the batches of one `bfs_sweeps` call are independent and spend
+their time in NumPy array passes, so they run on every CPU the process may
+use.  With c CPUs and b batches, h = min(c, b) - 1 helper threads join the
+calling thread.  Batches go in rounds of h + 1: the calling thread computes
+the first batch of each round and the helpers the other h, and the round's
+rows are yielded in source order before the next round is submitted.  So at
+most h + 1 batches are in flight, and `diameter_bruteforce`'s witness (the
+first row reaching the maximum, and that row's first argmax) comes from the
+same rows in the same order as with one CPU.  One CPU or one batch makes
+rounds of one batch, which the calling thread runs with no thread started.
+The rotation partners and the lattice are built by the first batch that
+needs them, under a lock, so at most once per call.  The calling thread
+works instead of waiting on a pool of c threads because each new thread
+also costs a malloc arena: on the `diameters` benchmark workload a pool of
 two raised peak RSS by 13.5 %, the caller plus one helper by 7-8 %.  The
-helpers are joined when the generator finishes or is closed.  `_advance`
-stays serial: two threads over per-source `bfs_levels` on SG(33,14) took
-1.23 s against 1.06 s for one.
+helpers are joined when the generator finishes or is closed.  `bfs_levels`
+over all sources stays serial: two threads over per-source `bfs_levels` on
+SG(33,14) took 1.23 s against 1.06 s for one.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,25 +109,42 @@ from .errors import InvariantError, ParameterError
 # |V| x 64 x 8B, i.e. ~35 MB for the largest acceptance graph.
 _CHUNK = 64
 
-# Cost rule for `bfs_sweeps`: the lattice kernel runs while |F| <= 16 |V|.
-# Per-source time of `_advance` over the lattice kernel, measured on a 2-vCPU
-# Xeon with the byte budget below: SG(22,7) (|F|/|V| = 3.6) 5.7x, SG(26,9)
-# (6.9) 5.2x, SG(28,10) (10.1) 3.3x, SG(24,9) (12.7) 1.2x, SG(27,10) (14.0)
-# 1.06x; past the cap, SG(20,8) (18.2) 1.09x, SG(23,9) (19.3) 0.9x, SG(26,10)
-# (20.7) 0.33x, SG(25,10) (33.3) 0.19x.
+# Cost rule for the lattice: it is built while |F| <= 16 |V|.  Per-source
+# time of `_advance` over the lattice kernel, measured on a 2-vCPU Xeon with
+# the byte budget below, before the table took level 2: SG(22,7) (|F|/|V| =
+# 3.6) 5.7x, SG(26,9) (6.9) 5.2x, SG(28,10) (10.1) 3.3x, SG(24,9) (12.7)
+# 1.2x, SG(27,10) (14.0) 1.06x; past the cap, SG(20,8) (18.2) 1.09x, SG(23,9)
+# (19.3) 0.9x, SG(26,10) (20.7) 0.33x, SG(25,10) (33.3) 0.19x.
 _LATTICE_RATIO = 16
 
-# Byte budget of the lattice kernel's count matrix (|F| rows x batch
-# columns).  A row is as many whole 32-byte blocks as fit in the budget, and
-# at least one.  Moving rows with `take` and `put` sets the kernel's cost,
-# and 32-byte rows move the cheapest per source: over the rows of one
-# SG(22,7) pass on a 2-vCPU Xeon, a `take` plus a `put` cost about 5.3 ns a
-# row at 32 bytes, 6.9 ns at 30 and 15-17 ns at 64.  So SG(21,7), SG(22,6)
-# and SG(22..26,7) run 16 sources of uint16 counts (a 5 MB matrix at
-# SG(26,7)), and small cells wider batches (128 sources for SG(18,5)).  The
-# gathers of one pass add at most as much again: a pass touches only the
-# sets that hold one element.
+# Byte budget of a lattice pass's count matrix (|F| rows x source columns).
+# A row is as many whole 32-byte blocks as fit in the budget, and at least
+# one (`SubsetLattice.width`); a batch wider than that takes several passes
+# per level.  Moving rows with `take` and `put` sets the kernel's cost, and
+# 32-byte rows move the cheapest per source: over the rows of one SG(22,7)
+# pass on a 2-vCPU Xeon, a `take` plus a `put` cost about 5.3 ns a row at 32
+# bytes, 6.9 ns at 30 and 15-17 ns at 64.  So SG(21..26,7) pass 16 sources
+# of uint16 counts at a time (a 5 MB matrix at SG(26,7)), and small cells
+# more (up to 128 on SG(18,5)).  The gathers of one pass add at most as much
+# again: a pass touches only the sets that hold one element.
 _LATTICE_BYTES = 1 << 20
+
+# Byte budget of the common-neighbour table: 2^n bits, n <= 27.  The lookup
+# keeps complements as uint32, which holds any n this budget allows.  At
+# n = 27, `diameter --n 27 --k 8 --method bfs` took 1.6-1.8 s against
+# 10.2-10.7 s with lattice passes for level 2 (2-vCPU Xeon).
+_TABLE_BYTES = 1 << 24
+
+# At most this many table bytes per vertex (module docstring).
+_TABLE_RATIO = 256
+
+# Sources per batch: 16, or as many multiples of 16 as fit 2^17 (vertex,
+# source) cells when |V| is small.  On a 2-vCPU Xeon, batches of 16, 32 and
+# 64 ran the `diameters` benchmark job (cells up to 12 000 vertices) at
+# 39.5, 47.1 and 61.3 MB peak RSS with no faster pass; `all_distances` over
+# the nine `sweep` benchmark cells (up to 1386 vertices) took 231 ms at 16,
+# 134 ms at 128, 151 ms with this rule and 271 ms before the table.
+_BATCH_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -216,14 +258,19 @@ class SubsetLattice:
     in it; `pairs` holds, per ground-set element i, the rows of S - {i} and
     of S for every S in F that contains i.  `count_type` is uint16 when the
     module docstring's bound on a count is below 2^16, else uint32.
-    `partners` are the vertices' rotation partners (`_rotation_partners`).
     """
 
     sets: np.ndarray
     vertex_rows: np.ndarray
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
     count_type: type
-    partners: np.ndarray
+
+    @property
+    def width(self) -> int:
+        """Sources per pass: as many whole 32-byte blocks of counts per row
+        as fit in `_LATTICE_BYTES`, and at least one."""
+        row_bytes = 32 * max(1, _LATTICE_BYTES // (32 * self.sets.size))
+        return row_bytes // np.dtype(self.count_type).itemsize
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -271,11 +318,10 @@ def subset_lattice(masks: np.ndarray) -> SubsetLattice | None:
         pairs.append((np.searchsorted(sets, sets[upper] ^ bit), upper))
     bound = min(masks.size - 1, comb(len(bits) - k, k))
     count_type = np.uint16 if bound < 1 << 16 else np.uint32
-    partners = _rotation_partners(masks)
     vertex_rows = np.empty(masks.size, dtype=np.intp)
     order = np.argsort(masks)  # needles in ascending order, as in `_rotation_partners`
     vertex_rows[order] = np.searchsorted(sets, masks[order])
-    return SubsetLattice(sets, vertex_rows, tuple(pairs), count_type, partners)
+    return SubsetLattice(sets, vertex_rows, tuple(pairs), count_type)
 
 
 def _rotation_partners(masks: np.ndarray) -> np.ndarray:
@@ -311,21 +357,88 @@ def _rotation_partners(masks: np.ndarray) -> np.ndarray:
     return partners
 
 
-def _disjoint_counts(lat: SubsetLattice, counts: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+# For element i < 6 of the ground set, the bits W of a uint64 word that lack
+# i: `cover_table`'s in-word passes move each of them to W + {i}.
+_WITHOUT = tuple(
+    np.uint64(m)
+    for m in (
+        0x5555555555555555,
+        0x3333333333333333,
+        0x0F0F0F0F0F0F0F0F,
+        0x00FF00FF00FF00FF,
+        0x0000FFFF0000FFFF,
+        0x00000000FFFFFFFF,
+    )
+)
+
+
+def cover_table(masks: np.ndarray, n: int) -> np.ndarray:
+    """Bit W set iff some mask lies inside W, over the 2^n subsets W of the
+    ground set {0..n-1} of `masks`: uint64 words, bit W in word W >> 6.
+
+    The masks' own bits are set, then one OR pass per element i lifts each
+    set bit W to W + {i}: shifts inside a word for i < 6, whole words
+    2^(i-6) apart for the rest.
+    """
+    words = np.zeros(max(1, 2**n >> 6), dtype=np.uint64)
+    bits = np.uint64(1) << (masks & np.uint64(63))
+    np.bitwise_or.at(words, (masks >> np.uint64(6)).astype(np.intp), bits)
+    for i in range(min(n, 6)):
+        words |= (words & _WITHOUT[i]) << np.uint64(1 << i)
+    for i in range(6, n):
+        halves = words.reshape(-1, 2, 2 ** (i - 6))  # without i, with i
+        halves[:, 1] |= halves[:, 0]
+    return words
+
+
+def _once(build):
+    """A function that returns `build()`, calling it on its first call only,
+    from whichever thread comes first."""
+    lock = threading.Lock()
+    built = []
+
+    def get():
+        with lock:
+            if not built:
+                built.append(build())
+        return built[0]
+
+    return get
+
+
+class _Sweep:
+    """What the batches of one `bfs_sweeps` call share: the masks, the
+    common-neighbour table and each mask's complement on the ground set
+    when the cost rule allows the table (else both None), and the rotation
+    partners and the lattice, each built on first use."""
+
+    def __init__(self, masks: np.ndarray):
+        self.masks = masks
+        self.table = self.complements = None
+        n = int(np.bitwise_or.reduce(masks)).bit_length()
+        if max(8, 2**n // 8) <= min(_TABLE_BYTES, _TABLE_RATIO * masks.size):
+            # bit i of the table is bit i & 7 of byte i >> 3 in little-endian order
+            self.table = cover_table(masks, n).astype("<u8", copy=False).view(np.uint8)
+            self.complements = (np.uint64(2**n - 1) ^ masks).astype(np.uint32)
+        self.partners = _once(lambda: _rotation_partners(masks))
+        self.lattice = _once(lambda: subset_lattice(masks))
+
+
+def _disjoint_counts(lat: SubsetLattice, frontier: np.ndarray) -> np.ndarray:
     """At each vertex v and source column, +-#{u in frontier : u & v = 0}.
 
-    `frontier` is a (vertex, source) bool matrix and `counts` the |F| x
-    batch work matrix, overwritten: a superset-sum pass and then a Moebius
-    pass over F (module docstring).  Rows are gathered with `take` and
-    written back with `put` through a one-item-per-row view, which is
-    several times faster than row fancy indexing at these widths.
+    `frontier` is a (vertex, source) bool matrix.  A |F| x source work
+    matrix of counts takes a superset-sum pass and then a Moebius pass over
+    F (module docstring).  Rows are gathered with `take` and written back
+    with `put` through a one-item-per-row view, which is several times
+    faster than row fancy indexing at these widths.
     """
+    counts = np.zeros((lat.sets.size, frontier.shape[1]), dtype=lat.count_type)
     rows = counts.view(np.dtype((np.void, counts.itemsize * counts.shape[1]))).reshape(-1)
 
     def write(at: np.ndarray, values: np.ndarray) -> None:
         rows.put(at, values.view(rows.dtype).reshape(-1))
 
-    counts.fill(0)
     write(lat.vertex_rows, frontier.astype(counts.dtype))
     for lower, upper in lat.pairs:  # superset sums: frontier sets above S
         total = counts.take(lower, axis=0)
@@ -338,14 +451,18 @@ def _disjoint_counts(lat: SubsetLattice, counts: np.ndarray, frontier: np.ndarra
     return counts.take(lat.vertex_rows, axis=0)
 
 
-def _lattice_levels(lat: SubsetLattice, masks: np.ndarray, sources) -> np.ndarray:
-    """BFS levels, one int8 row per source, by the batched lattice kernel.
+def _lattice_levels(sweep: _Sweep, sources) -> np.ndarray:
+    """BFS levels, one int8 row per source, for one batch of a sweep.
 
     The level bookkeeping is one (vertex, source) matrix, transposed once
-    at the end.  Before each lattice level, the completion test: once every
-    unvisited vertex has a visited rotation partner, each is at the next
-    level, and the batch ends without a lattice pass.
+    at the end.  Level 1 comes from the masks and level 2 from the table,
+    if the sweep has one.  Before each further level, the completion test:
+    once every unvisited vertex has a visited rotation partner, each is at
+    the next level, and the batch ends.  Otherwise a lattice pass per
+    `lat.width` sources gives the next level; with no lattice under its
+    cap, the batch runs `bfs_levels` per source instead.
     """
+    masks = sweep.masks
     src = np.asarray(sources, dtype=np.intp)
     batch = np.arange(src.size)
     # a vertex's level counts the levels that start with it unvisited: 1 for
@@ -356,14 +473,28 @@ def _lattice_levels(lat: SubsetLattice, masks: np.ndarray, sources) -> np.ndarra
     levels = np.ones((masks.size, src.size), dtype=np.int8)
     levels[src, batch] = 0
     levels += unvisited
-    counts = np.empty((lat.sets.size, src.size), dtype=lat.count_type)
-    up, down = lat.partners
+    if sweep.table is not None:
+        # v shares a neighbour with s iff some mask avoids s | v: table bit
+        # ~s & ~v, which is bit (i & 7) of byte i >> 3
+        comp = sweep.complements
+        i = comp[:, None] & comp[src][None, :]
+        common = np.take(sweep.table, i >> 3) >> (i & 7).astype(np.uint8) & 1
+        frontier = unvisited & common.view(bool)
+        unvisited ^= frontier
+        levels += unvisited
     while unvisited.any() and frontier.any():
+        up, down = sweep.partners()
         if not (unvisited & unvisited.take(up, axis=0) & unvisited.take(down, axis=0)).any():
             # a visited neighbour is at level <= L and an unvisited vertex
             # beyond L, so the vertex is at L + 1, the level it counts now
             return np.ascontiguousarray(levels.T)
-        frontier = unvisited & (_disjoint_counts(lat, counts, frontier) != 0)
+        lat = sweep.lattice()
+        if lat is None:
+            return np.stack([bfs_levels(masks, s) for s in src])
+        for start in range(0, src.size, lat.width):
+            cols = slice(start, start + lat.width)
+            frontier[:, cols] = _disjoint_counts(lat, frontier[:, cols]) != 0
+        frontier &= unvisited
         unvisited ^= frontier
         levels += unvisited
     levels[unvisited] = -1
@@ -382,20 +513,19 @@ def _cpus() -> int:
 def bfs_sweeps(masks: np.ndarray, sources) -> Iterator[tuple[int, np.ndarray]]:
     """Full BFS levels from each source, in order: yields (source, levels).
 
-    Levels are those of `bfs_levels`.  Two or more sources on a graph that
-    passes the cost rule go through the lattice kernel in batches sized by
-    `_LATTICE_BYTES`; anything else runs `bfs_levels` per source.  Batches
-    run on every CPU, in rounds of at most one batch per CPU, and come out in
-    source order (see the module docstring).
+    Levels are those of `bfs_levels`.  Two or more sources go through
+    `_lattice_levels` in batches when the cost rule gives them the table,
+    or else a lattice under its cap; anything else runs `bfs_levels` per
+    source.  Batches run on every CPU, in rounds of at most one batch per
+    CPU, and come out in source order (see the module docstring).
     """
     sources = list(sources)
-    lat = subset_lattice(masks) if len(sources) > 1 else None
-    if lat is None:
+    sweep = _Sweep(masks) if len(sources) > 1 else None
+    if sweep is None or sweep.table is None and sweep.lattice() is None:
         for src in sources:
             yield src, bfs_levels(masks, src)
         return
-    row_bytes = 32 * max(1, _LATTICE_BYTES // (32 * lat.sets.size))
-    width = row_bytes // np.dtype(lat.count_type).itemsize
+    width = 16 * max(1, _BATCH_CELLS // (16 * masks.size))
     batches = [sources[start : start + width] for start in range(0, len(sources), width)]
     helpers = min(_cpus(), len(batches)) - 1
     # imported here: at module top it costs every import about 10 ms
@@ -405,8 +535,8 @@ def bfs_sweeps(masks: np.ndarray, sources) -> Iterator[tuple[int, np.ndarray]]:
     with ThreadPoolExecutor(max(1, helpers)) as pool:
         for start in range(0, len(batches), helpers + 1):
             own, *rest = batches[start : start + helpers + 1]
-            futures = [pool.submit(_lattice_levels, lat, masks, batch) for batch in rest]
-            yield from zip(own, _lattice_levels(lat, masks, own))
+            futures = [pool.submit(_lattice_levels, sweep, batch) for batch in rest]
+            yield from zip(own, _lattice_levels(sweep, own))
             for batch, future in zip(rest, futures):
                 yield from zip(batch, future.result())
 

@@ -261,23 +261,123 @@ def _draw_masks(cell, keep, rng):
     return masks if keep >= 1.0 else masks[rng.random(masks.size) < keep]
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+# Each path of `_lattice_levels`, by the module constants it runs under:
+# level 2 from the table and then the completion test or lattice passes (the
+# lattice allowed past the cost rule too), the table with the lattice over
+# its cap, and no table, where a lattice pass takes level 2.
+SWEEP_PATHS = {
+    "table": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 64},
+    "table, lattice over its cap": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 0},
+    "no table": {"_TABLE_BYTES": 0, "_LATTICE_RATIO": 64},
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(
+    path=st.sampled_from(list(SWEEP_PATHS)),
     cell=st.sampled_from(SMALL_CELLS),
     keep=st.floats(0.2, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lattice_levels_equal_bfs_levels(cell, keep, seed):
+def test_lattice_levels_equal_bfs_levels(path, cell, keep, seed):
     rng = np.random.default_rng(seed)
     masks = _draw_masks(cell, keep, rng)
     assume(masks.size >= 2)
-    with patch.object(graph_module, "_LATTICE_RATIO", 64):  # past the cost rule too
-        lat = graph_module.subset_lattice(masks)
-    assume(lat is not None)
-    sources = rng.choice(masks.size, size=min(5, masks.size), replace=False)
-    got = graph_module._lattice_levels(lat, masks, sources)
-    for src, levels in zip(sources, got):
+    sources = rng.choice(masks.size, size=min(5, masks.size), replace=False).tolist()
+    with patch.multiple(graph_module, **SWEEP_PATHS[path]):
+        assume(path == "no table" or graph_module._Sweep(masks).table is not None)
+        swept = list(graph_module.bfs_sweeps(masks, sources))
+    assert [src for src, _ in swept] == sources
+    for src, levels in swept:
         assert np.array_equal(levels, bfs_levels(masks, src))
+
+
+def _sweep_work(monkeypatch):
+    """Counts of what `bfs_sweeps` runs: lattice builds, lattice passes,
+    and `bfs_levels` calls."""
+    calls = Counter()
+    for name in ("subset_lattice", "_disjoint_counts", "bfs_levels"):
+        inner = getattr(graph_module, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(graph_module, name, counted)
+    return calls
+
+
+# SG(21,7) (D = 3): the completion test ends every batch after the table's
+# level 2.  SG(20,7) (D = 3): its 76 orbit representatives go in batches of
+# 48 and 28, and a lattice pass takes at most 32 sources.  Both batches
+# still need level 3: three passes; with the lattice over its cap, each
+# source runs `bfs_levels` instead; with no table, three passes take
+# level 2 as well.
+@pytest.mark.parametrize(
+    "n,k,path,built,passes,per_source",
+    [
+        (21, 7, "table", 0, 0, 0),
+        (20, 7, "table", 1, 3, 0),
+        (20, 7, "table, lattice over its cap", 1, 0, 76),
+        (20, 7, "no table", 1, 6, 0),
+    ],
+)
+def test_every_sweep_path_runs_and_equals_bfs_levels(monkeypatch, n, k, path, built, passes, per_source):
+    g = graph(n, k)
+    sources = g.orbit_representatives()
+    for name, value in SWEEP_PATHS[path].items():
+        monkeypatch.setattr(graph_module, name, value)
+    calls = _sweep_work(monkeypatch)
+    swept = list(graph_module.bfs_sweeps(g._masks, sources))
+    assert (calls["subset_lattice"], calls["_disjoint_counts"], calls["bfs_levels"]) == (built, passes, per_source)
+    assert [src for src, _ in swept] == sources
+    monkeypatch.undo()
+    for src, levels in swept:
+        assert np.array_equal(levels, bfs_levels(g._masks, src))
+
+
+def _check_cover_table(masks, subsets=None):
+    """`cover_table` against its definition with Python ints, at every subset
+    W of the ground set or at the given ones."""
+    values = masks.tolist()
+    n = max(values).bit_length()
+    words = graph_module.cover_table(masks, n)
+    assert words.dtype == np.uint64 and words.size == max(1, 2**n >> 6)
+    for w in range(2**n) if subsets is None else subsets:
+        want = any(m & ~w == 0 for m in values)
+        assert bool(int(words[w >> 6]) >> (w & 63) & 1) == want, (n, w)
+
+
+# Cells whose table has at most 2^20 bits, full or as induced subsets.  Every
+# subset W is checked up to n = 12; past that, each mask with one ground-set
+# element added (set, but through the OR pass of that element only when no
+# mask holding it lies inside) or its lowest element removed (mostly clear),
+# and random W.
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    cell=st.sampled_from([cell for cell in SMALL_CELLS if cell[0] <= 20]),
+    keep=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cover_table_matches_its_definition(cell, keep, seed):
+    rng = np.random.default_rng(seed)
+    masks = _draw_masks(cell, keep, rng)
+    assume(masks.size >= 1)
+    n = int(np.bitwise_or.reduce(masks)).bit_length()
+    subsets = None
+    if n > 12:
+        drawn = masks[rng.choice(masks.size, size=min(20, masks.size), replace=False)].tolist()
+        subsets = [m | 1 << i for m in drawn for i in range(n)]
+        subsets += [m & m - 1 for m in drawn]
+        subsets += rng.integers(0, 2**n, size=200).tolist()
+    _check_cover_table(masks, subsets)
+
+
+# the mixed-size masks of `test_lattice_needs_masks_of_one_size`, and a
+# two-word table (n = 7) whose word pass lifts 0b0000011 into the upper word
+@pytest.mark.parametrize("masks", [[0b0011, 0b0100], [0b0001, 0b0110], [0b0000011, 0b1100000]])
+def test_cover_table_of_mixed_and_wide_masks(masks):
+    _check_cover_table(np.array(masks, dtype=np.uint64))
 
 
 def _down_closure(masks, cap):
@@ -322,8 +422,7 @@ def test_subset_lattice_matches_its_definition(cell, keep, seed):
 
 
 def _check_rotation_partners(masks):
-    """`_rotation_partners` against its definition with Python ints, and the
-    lattice's partners against `_rotation_partners`."""
+    """`_rotation_partners` against its definition with Python ints."""
     values = masks.tolist()
     index = {m: i for i, m in enumerate(values)}
     n = max(values).bit_length()  # the masks' highest element
@@ -334,10 +433,6 @@ def _check_rotation_partners(masks):
             turned = rol_mask(m, shift, n)
             want.append(i if turned & m else index.get(turned, i))
         assert partners.tolist() == want
-    with patch.object(graph_module, "_LATTICE_RATIO", 64):
-        lat = graph_module.subset_lattice(masks)
-    if lat is not None:
-        assert np.array_equal(lat.partners, got)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -366,9 +461,7 @@ def test_a_rotation_that_meets_its_set_ends_no_batch(masks):
     # such a rotation may be a vertex, but it is no neighbour
     masks = np.array(masks, dtype=np.uint64)
     _check_rotation_partners(masks)
-    sources = range(masks.size)
-    got = graph_module._lattice_levels(graph_module.subset_lattice(masks), masks, sources)
-    for src, levels in zip(sources, got):
+    for src, levels in graph_module.bfs_sweeps(masks, range(masks.size)):
         assert np.array_equal(levels, bfs_levels(masks, src))
 
 
@@ -449,17 +542,26 @@ def _kernel_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n,k,kernel",
-    # |F|/|V| = 3.6 runs the lattice; 19.3 passes the cap and falls back, and
-    # SG(63,30) (|F| about 10^13) gives up within the first layers
-    [(22, 7, "_lattice_levels"), (23, 9, "_advance"), (63, 30, "_advance")],
+    "n,k,table,kernels",
+    # SG(22,7): a 512 KB table, 56 bytes a vertex, and |F|/|V| = 3.6 run the
+    # batch kernel; SG(20,8) has a table (159 bytes a vertex) but |F|/|V| =
+    # 18.2 passes the cap, so its batch falls back to `_advance` at level 3;
+    # SG(23,9) (319 bytes a vertex, 19.3) falls back outright, and so does
+    # SG(63,30), whose |F| (about 10^13) gives up within the first layers
+    [
+        pytest.param(22, 7, True, {"_lattice_levels"}, id="22-7-_lattice_levels"),
+        pytest.param(20, 8, True, {"_lattice_levels", "_advance"}, id="20-8-_lattice_levels-_advance"),
+        pytest.param(23, 9, False, {"_advance"}, id="23-9-_advance"),
+        pytest.param(63, 30, False, {"_advance"}, id="63-30-_advance"),
+    ],
 )
-def test_cost_rule_picks_the_kernel(monkeypatch, n, k, kernel):
+def test_cost_rule_picks_the_kernel(monkeypatch, n, k, table, kernels):
     masks = stable_masks(CycleParams(n, k))
-    assert (graph_module.subset_lattice(masks) is None) == (kernel == "_advance")
+    assert (graph_module._Sweep(masks).table is not None) == table
+    assert (graph_module.subset_lattice(masks) is None) == ("_advance" in kernels)
     calls = _kernel_calls(monkeypatch)
     swept = list(graph_module.bfs_sweeps(masks, [0, 1]))
-    assert set(calls) == {kernel}
+    assert set(calls) == kernels
     for src, levels in swept:
         assert np.array_equal(levels, bfs_levels(masks, src))
 
@@ -470,35 +572,43 @@ def test_single_source_sweep_runs_advance(monkeypatch):
     assert set(calls) == {"_advance"}
 
 
-def _lattice_levels_from_both_ends(masks):
-    """Lattice levels from the first and last vertex equal `bfs_levels`;
-    returns the lattice's count type."""
-    lat = graph_module.subset_lattice(masks)
+def _lattice_levels_from_both_ends(monkeypatch, masks):
+    """Levels from the first and last vertex with no table, so that lattice
+    passes take every level past 1, equal `bfs_levels`; returns the count
+    types of the passes."""
+    monkeypatch.setattr(graph_module, "_TABLE_BYTES", 0)
+    count_types = []
+    inner = graph_module._disjoint_counts
+
+    def counted(lat, frontier):
+        count_types.append(lat.count_type)
+        return inner(lat, frontier)
+
+    monkeypatch.setattr(graph_module, "_disjoint_counts", counted)
     sources = [0, masks.size - 1]
-    got = graph_module._lattice_levels(lat, masks, sources)
-    for src, levels in zip(sources, got):
+    for src, levels in graph_module.bfs_sweeps(masks, sources):
         assert np.array_equal(levels, bfs_levels(masks, src))
-    return lat.count_type
+    return count_types
 
 
-def test_lattice_counts_modulo_2_16():
+def test_lattice_counts_modulo_2_16(monkeypatch):
     # SG(26,7) has 68 952 >= 2^16 vertices, but a count is at most the
     # C(19,7) = 50 388 7-sets that avoid a vertex, so counts are uint16
     masks = stable_masks(CycleParams(26, 7))
     assert masks.size == 68952
-    assert _lattice_levels_from_both_ends(masks) is np.uint16
+    assert set(_lattice_levels_from_both_ends(monkeypatch, masks)) == {np.uint16}
 
 
-def test_lattice_counts_modulo_2_32():
+def test_lattice_counts_modulo_2_32(monkeypatch):
     # SG(27,7): 104 652 vertices and C(20,7) = 77 520 >= 2^16, so uint32
     masks = stable_masks(CycleParams(27, 7))
     assert masks.size == 104652
-    assert _lattice_levels_from_both_ends(masks) is np.uint32
+    assert set(_lattice_levels_from_both_ends(monkeypatch, masks)) == {np.uint32}
 
 
-# SG(21,7): |F| = 21 991, one 32-byte row of uint16 counts, 16 sources.
-# SG(18,5): |F| = 3 769, eight 32-byte blocks fit in the budget, 128 sources.
-@pytest.mark.parametrize("n,k,width", [(21, 7, 16), (18, 5, 128)])
+# SG(21,7): 5 148 vertices, 16 sources.  SG(18,5): 1 782 vertices, so four
+# multiples of 16 sources fit in 2^17 (vertex, source) cells, 64 sources.
+@pytest.mark.parametrize("n,k,width", [(21, 7, 16), (18, 5, 64)])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_sweep_batches_split_at_the_width(monkeypatch, n, k, width, extra):
     masks = stable_masks(CycleParams(n, k))
@@ -506,9 +616,9 @@ def test_sweep_batches_split_at_the_width(monkeypatch, n, k, width, extra):
     batches = []
     inner = graph_module._lattice_levels
 
-    def counted(lat, masks, batch):
+    def counted(sweep, batch):
         batches.append(list(batch))
-        return inner(lat, masks, batch)
+        return inner(sweep, batch)
 
     monkeypatch.setattr(graph_module, "_lattice_levels", counted)
     swept = list(graph_module.bfs_sweeps(masks, sources))
@@ -522,21 +632,15 @@ def test_sweep_batches_split_at_the_width(monkeypatch, n, k, width, extra):
 
 
 def test_sweep_ends_at_the_last_level_without_a_lattice_pass(monkeypatch):
-    # SG(21,7) has D = 3.  After the level-2 pass every unvisited vertex has
-    # a visited rotation partner, so each of the 9 batches of its 133 orbit
-    # representatives runs one lattice pass instead of two.
+    # SG(21,7) has D = 3.  After the table's level 2 every unvisited vertex
+    # has a visited rotation partner, so none of the 9 batches of its 133
+    # orbit representatives runs a lattice pass, and no lattice is built.
     g = graph(21, 7)
     sources = g.orbit_representatives()
-    passes = []
-    inner = graph_module._disjoint_counts
-
-    def counted(lat, counts, frontier):
-        passes.append(frontier.shape[1])
-        return inner(lat, counts, frontier)
-
-    monkeypatch.setattr(graph_module, "_disjoint_counts", counted)
+    calls = _sweep_work(monkeypatch)
     swept = list(graph_module.bfs_sweeps(g._masks, sources))
-    assert sorted(passes) == [5] + [16] * 8
+    assert calls == {}
+    monkeypatch.undo()
     assert max(int(levels.max()) for _, levels in swept) == 3
     for src, levels in swept:
         assert np.array_equal(levels, bfs_levels(g._masks, src))
@@ -549,7 +653,7 @@ def _set_cpus(monkeypatch, count):
 @pytest.mark.parametrize(
     "n,k,budget",
     # SG(21,7): its 133 orbit representatives in 9 batches of 16; SG(14,5):
-    # 196 sources, 13 batches of 16 with a one-row budget
+    # 196 sources, 13 batches of 16 with a one-cell budget
     [(21, 7, None), (14, 5, 1)],
 )
 def test_sweep_rows_do_not_depend_on_the_cpu_count(monkeypatch, n, k, budget):
@@ -557,15 +661,15 @@ def test_sweep_rows_do_not_depend_on_the_cpu_count(monkeypatch, n, k, budget):
     masks = g._masks
     sources = g.orbit_representatives() if budget is None else list(range(len(g)))
     if budget is not None:
-        monkeypatch.setattr(graph_module, "_LATTICE_BYTES", budget)
+        monkeypatch.setattr(graph_module, "_BATCH_CELLS", budget)
     batches = []
     threads = []  # live threads as each batch starts
     inner = graph_module._lattice_levels
 
-    def counted(lat, masks, batch):
+    def counted(sweep, batch):
         batches.append(len(batch))
         threads.append(threading.active_count())
-        return inner(lat, masks, batch)
+        return inner(sweep, batch)
 
     monkeypatch.setattr(graph_module, "_lattice_levels", counted)
     swept, started = {}, {}
@@ -617,4 +721,18 @@ def test_diameter_witness_matches_per_source_loop(n, k):
     res = g.diameter_bruteforce()
     assert res.value == best
     assert res.witness == (g.vertices[witness[0]], g.vertices[witness[1]])
-    assert not any(isinstance(v, graph_module.SubsetLattice) for v in vars(g).values())
+    assert not any(isinstance(v, (graph_module.SubsetLattice, graph_module._Sweep)) for v in vars(g).values())
+    # no table either: the masks are the graph's only array
+    assert [name for name, v in vars(g).items() if isinstance(v, np.ndarray)] == ["_masks"]
+
+
+# SG(22,6) (D = 2) and SG(22,7) (D = 3) need no lattice pass after the
+# table's level 2 and the completion test; some level-3 batches of SG(20,7)
+# still do, and the lattice is built once for them.
+@pytest.mark.parametrize("n,k,built", [(22, 6, 0), (22, 7, 0), (20, 7, 1)])
+def test_diameter_builds_the_lattice_only_when_a_batch_needs_it(monkeypatch, n, k, built):
+    g = graph(n, k)
+    calls = _sweep_work(monkeypatch)
+    g.diameter_bruteforce()
+    assert calls["subset_lattice"] == built
+    assert (calls["_disjoint_counts"] > 0) == (built > 0)

@@ -25,14 +25,25 @@ BFS has two kernels, and one cost rule picks between them.
     bit i & 7 of byte i >> 3: over SG(22,6)'s 280 orbit representatives
     18-20 ms against 24-27 ms with uint64 word indices, over SG(26,7)'s
     1368 412-492 ms against 567-631 ms (one thread, 2-vCPU Xeon).
-  - Before each further level L + 1, the completion test: if every
-    unvisited vertex u has a visited rotation partner (u turned by +-1 on
-    the cycle), the batch ends with no lattice pass.  A 2-stable set never
-    meets its one-step rotation, so a partner w is a neighbour, and
-    level(w) <= L < level(u) gives level(u) = L + 1.  A rotation that is
-    not a vertex of the mask array, or that meets u (both happen on
-    induced subsets), is replaced by u itself, which certifies nothing.
-    The test costs two row gathers of the (vertex, source) bool matrix.
+  - Before each further level L + 1, the completion test: an unvisited
+    vertex u with a visited rotation partner (u turned by +-1 on the
+    cycle) is at level L + 1.  A 2-stable set never meets its one-step
+    rotation, so a partner w is a neighbour, and level(w) <= L < level(u)
+    gives level(u) = L + 1.  A rotation that is not a vertex of the mask
+    array, or that meets u (both happen on induced subsets), is replaced
+    by u itself, which certifies nothing.  The test costs two row gathers
+    of the (vertex, source) bool matrix.  If it certifies every unvisited
+    cell, the batch ends.
+  - Otherwise the residue R, the vertices with a cell the test left
+    undecided, is decided by a scan (`_reach`) when the sweep has a table
+    and |R| <= |V| / `_SCAN_RATIO` (32): a bottom-up BFS step (Beamer,
+    Asanovic & Patterson, SC 2012) over R alone.  A residue cell (u, s) is
+    at level L + 1 iff some mask of source s's frontier avoids u.  The
+    frontier columns are packed to bits, R is scanned against the masks in
+    chunks, and each residue vertex ORs the packed columns of the masks it
+    avoids.  The scan costs about 2-9 ns per (residue vertex, mask) cell,
+    so it beats a lattice pass only on small residues (see `_SCAN_RATIO`):
+    on SG(20,7), SG(23,8) and SG(17,6), at most 1.2 % of |V|.
   - Otherwise a lattice pass: subset inclusion-exclusion
     (Bjorklund-Husfeldt-Koivisto) on the down-closed family F of all
     subsets of the vertex masks.  A superset-sum pass over F gives g(S) =
@@ -44,7 +55,8 @@ BFS has two kernels, and one cost rule picks between them.
     2 sum_{S in F} |S| row operations for the batch, and memory is fixed in
     advance.  The lattice is built once per sweep, when a batch first needs
     a pass; with a table, the D <= 3 cells of the table grid need it on
-    few or no batches (none on SG(21,7), SG(22,6) or SG(22,7)).
+    few or no batches (none on SG(20,7), SG(21,7), SG(22,6), SG(22,7) or
+    SG(23,8); SG(19,7) and SG(22,8), whose residues pass the ratio, do).
 
 Counts are kept modulo 2^16 when no count can reach 2^16, and modulo 2^32
 otherwise.  The count at vertex v, #{u in frontier : u & v = 0}, is at most
@@ -64,11 +76,15 @@ takes about 4 ns a byte to build (SG(22,7) 1.6 ms, SG(26,7) 34 ms, SG(27,8)
 1 us per vertex, below the 1.4-1.7 us per vertex of `subset_lattice` on
 SG(22..26,7).  The lattice runs while |F| <= _LATTICE_RATIO |V|; it is
 built layer by layer and the build gives up as soon as it passes the cap.
-With no table, the lattice is built before the first batch, and if it is
-over its cap every source runs `bfs_levels`.  With a table, a batch that
-needs a lattice pass when the lattice is over its cap runs `bfs_levels` per
-source instead.  The rows are the same on every path.  The table and the
-lattice are local to one call and never stored on the graph.
+With no table, the lattice is built before the first batch, every level
+past 1 that the completion test leaves undecided takes a lattice pass, and
+if the lattice is over its cap every source runs `bfs_levels`.  With a
+table, a residue past `_SCAN_RATIO` takes a lattice pass, or a scan when
+the lattice is over its cap: before the scan, SG(20,8) (D = 5, |F|/|V| =
+18.2) ran `bfs_levels` per source there: its diameter took 12.8-13.1 ms
+against 4.5-4.7 ms now (medians of five, three runs a side, one CPU, 2-vCPU
+Xeon).  The rows are the same on every path.  The
+table and the lattice are local to one call and never stored on the graph.
 
 Threads: the batches of one `bfs_sweeps` call are independent and spend
 their time in NumPy array passes, so they run on every CPU the process may
@@ -81,13 +97,14 @@ first row reaching the maximum, and that row's first argmax) comes from the
 same rows in the same order as with one CPU.  One CPU or one batch makes
 rounds of one batch, which the calling thread runs with no thread started.
 The rotation partners and the lattice are built by the first batch that
-needs them, under a lock, so at most once per call.  The calling thread
-works instead of waiting on a pool of c threads because each new thread
-also costs a malloc arena: on the `diameters` benchmark workload a pool of
-two raised peak RSS by 13.5 %, the caller plus one helper by 7-8 %.  The
-helpers are joined when the generator finishes or is closed.  `bfs_levels`
-over all sources stays serial: two threads over per-source `bfs_levels` on
-SG(33,14) took 1.23 s against 1.06 s for one.
+needs them, under a lock, so at most once per call; a scan shares nothing
+but the masks.  The calling thread works instead of waiting on a pool of c
+threads because each new thread also costs a malloc arena: on the
+`diameters` benchmark workload a pool of two raised peak RSS by 13.5 %,
+the caller plus one helper by 7-8 %.  The helpers are joined when the
+generator finishes or is closed.  `bfs_levels` over all sources stays
+serial: two threads over per-source `bfs_levels` on SG(33,14) took 1.23 s
+against 1.06 s for one.
 """
 
 from __future__ import annotations
@@ -138,12 +155,24 @@ _TABLE_BYTES = 1 << 24
 # At most this many table bytes per vertex (module docstring).
 _TABLE_RATIO = 256
 
+# With a table, a level whose residue (module docstring) has at most
+# |V| / 32 vertices is finished by a scan of the residue instead of a
+# lattice pass.  Measured break-even |R| / |V| of one level, scan against
+# pass (one CPU, 2-vCPU Xeon): SG(23,8) 0.022, SG(20,7) 0.075, SG(22,8)
+# 0.10, SG(19,7) 0.36.  Over the table grid's cells of at most 25 000
+# vertices (k <= 8) with the lattice under its cap, a residue is at most
+# 0.012 of |V| (SG(17,6), SG(20,7), SG(23,8)) or at least 0.117 (SG(22,8)
+# and smaller cells).
+_SCAN_RATIO = 32
+
 # Sources per batch: 16, or as many multiples of 16 as fit 2^17 (vertex,
 # source) cells when |V| is small.  On a 2-vCPU Xeon, batches of 16, 32 and
 # 64 ran the `diameters` benchmark job (cells up to 12 000 vertices) at
 # 39.5, 47.1 and 61.3 MB peak RSS with no faster pass; `all_distances` over
 # the nine `sweep` benchmark cells (up to 1386 vertices) took 231 ms at 16,
-# 134 ms at 128, 151 ms with this rule and 271 ms before the table.
+# 134 ms at 128, 151 ms with this rule and 271 ms before the table.  A
+# residue scan takes at most as many (row, mask) cells per chunk: 2^16 to
+# 2^22 cells a chunk scanned SG(22,8) and SG(23,8) equally fast.
 _BATCH_CELLS = 1 << 17
 
 
@@ -451,16 +480,43 @@ def _disjoint_counts(lat: SubsetLattice, frontier: np.ndarray) -> np.ndarray:
     return counts.take(lat.vertex_rows, axis=0)
 
 
+def _reach(masks: np.ndarray, rows: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """(row, source) bool matrix: whether vertex `rows[i]` is disjoint from
+    some vertex of source column s of the (vertex, source) bool matrix
+    `frontier`.
+
+    A bottom-up BFS step over the given rows only.  The frontier columns are
+    packed to bits, the rows are scanned against all masks, `_BATCH_CELLS`
+    (row, mask) cells at a time, and each row ORs the packed columns of the
+    masks it avoids.  A row that avoids none reaches no column.
+    """
+    packed = np.packbits(frontier, axis=1, bitorder="little")
+    out = np.zeros((rows.size, packed.shape[1]), dtype=np.uint8)
+    step = max(1, _BATCH_CELLS // masks.size)
+    for start in range(0, rows.size, step):
+        block = masks[rows[start : start + step]]
+        # flat indices: `np.nonzero` of the 2-D hits took 1.5-2x as long
+        i, j = np.divmod(np.flatnonzero((block[:, None] & masks[None, :]) == 0), masks.size)
+        counts = np.bincount(i, minlength=block.size)
+        some = counts > 0
+        if some.any():
+            # segments in row order; only the nonempty ones are reduced
+            first = (np.cumsum(counts) - counts)[some]
+            out[start : start + step][some] = np.bitwise_or.reduceat(packed[j], first, axis=0)
+    return np.unpackbits(out, axis=1, count=frontier.shape[1], bitorder="little").view(bool)
+
+
 def _lattice_levels(sweep: _Sweep, sources) -> np.ndarray:
     """BFS levels, one int8 row per source, for one batch of a sweep.
 
     The level bookkeeping is one (vertex, source) matrix, transposed once
     at the end.  Level 1 comes from the masks and level 2 from the table,
     if the sweep has one.  Before each further level, the completion test:
-    once every unvisited vertex has a visited rotation partner, each is at
-    the next level, and the batch ends.  Otherwise a lattice pass per
-    `lat.width` sources gives the next level; with no lattice under its
-    cap, the batch runs `bfs_levels` per source instead.
+    an unvisited vertex with a visited rotation partner is at the next
+    level, and once that holds for every unvisited vertex the batch ends.
+    Otherwise the next level comes from a scan of the residue, the rows the
+    test left undecided, or from a lattice pass per `lat.width` sources, by
+    the cost rule of the module docstring.
     """
     masks = sweep.masks
     src = np.asarray(sources, dtype=np.intp)
@@ -484,17 +540,27 @@ def _lattice_levels(sweep: _Sweep, sources) -> np.ndarray:
         levels += unvisited
     while unvisited.any() and frontier.any():
         up, down = sweep.partners()
-        if not (unvisited & unvisited.take(up, axis=0) & unvisited.take(down, axis=0)).any():
-            # a visited neighbour is at level <= L and an unvisited vertex
-            # beyond L, so the vertex is at L + 1, the level it counts now
+        # a visited neighbour is at level <= L and an unvisited vertex beyond
+        # L, so an unvisited vertex with a visited partner is at L + 1; the
+        # residue `left` is the unvisited cells with no visited partner
+        left = unvisited & unvisited.take(up, axis=0) & unvisited.take(down, axis=0)
+        if not left.any():
             return np.ascontiguousarray(levels.T)
-        lat = sweep.lattice()
+        rows = np.flatnonzero(left.any(axis=1))
+        # with a table, a small residue is scanned, and so is any residue
+        # while the lattice is over its cap
+        lat = None
+        if sweep.table is None or _SCAN_RATIO * rows.size > masks.size:
+            lat = sweep.lattice()
         if lat is None:
-            return np.stack([bfs_levels(masks, s) for s in src])
-        for start in range(0, src.size, lat.width):
-            cols = slice(start, start + lat.width)
-            frontier[:, cols] = _disjoint_counts(lat, frontier[:, cols]) != 0
-        frontier &= unvisited
+            reached = _reach(masks, rows, frontier)
+            frontier = unvisited ^ left  # `left` lies inside `unvisited`
+            frontier[rows] |= reached & left[rows]
+        else:
+            for start in range(0, src.size, lat.width):
+                cols = slice(start, start + lat.width)
+                frontier[:, cols] = _disjoint_counts(lat, frontier[:, cols]) != 0
+            frontier &= unvisited
         unvisited ^= frontier
         levels += unvisited
     levels[unvisited] = -1

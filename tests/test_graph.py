@@ -262,17 +262,22 @@ def _draw_masks(cell, keep, rng):
 
 
 # Each path of `_lattice_levels`, by the module constants it runs under:
-# level 2 from the table and then the completion test or lattice passes (the
-# lattice allowed past the cost rule too), the table with the lattice over
-# its cap, and no table, where a lattice pass takes level 2.
+# level 2 from the table and then the completion test and residue scans or
+# lattice passes by the cost rule (the lattice allowed past its cap too),
+# the same with every residue scanned or every residue given a lattice pass
+# while the lattice is under its cap, the table with the lattice over its
+# cap (every residue scanned), and no table, where a lattice pass takes
+# level 2.
 SWEEP_PATHS = {
     "table": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 64},
+    "scan forced": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 64, "_SCAN_RATIO": 0},
+    "lattice forced": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 64, "_SCAN_RATIO": 1 << 30},
     "table, lattice over its cap": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 0},
     "no table": {"_TABLE_BYTES": 0, "_LATTICE_RATIO": 64},
 }
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(derandomize=True, deadline=None, max_examples=500)
 @given(
     path=st.sampled_from(list(SWEEP_PATHS)),
     cell=st.sampled_from(SMALL_CELLS),
@@ -294,9 +299,9 @@ def test_lattice_levels_equal_bfs_levels(path, cell, keep, seed):
 
 def _sweep_work(monkeypatch):
     """Counts of what `bfs_sweeps` runs: lattice builds, lattice passes,
-    and `bfs_levels` calls."""
+    residue scans and `bfs_levels` calls."""
     calls = Counter()
-    for name in ("subset_lattice", "_disjoint_counts", "bfs_levels"):
+    for name in ("subset_lattice", "_disjoint_counts", "_reach", "bfs_levels"):
         inner = getattr(graph_module, name)
 
         def counted(*args, _inner=inner, _name=name):
@@ -310,30 +315,82 @@ def _sweep_work(monkeypatch):
 # SG(21,7) (D = 3): the completion test ends every batch after the table's
 # level 2.  SG(20,7) (D = 3): its 76 orbit representatives go in batches of
 # 48 and 28, and a lattice pass takes at most 32 sources.  Both batches
-# still need level 3: three passes; with the lattice over its cap, each
-# source runs `bfs_levels` instead; with no table, three passes take
-# level 2 as well.
+# still need level 3, for 31 and 17 residue vertices of 2640: one scan
+# each, lattice or not; with no table, three passes take level 2 and three
+# more level 3.  SG(19,7) (D = 3): one batch of 38, whose residue (658
+# vertices of 1254) passes the ratio: one lattice pass, or a scan with the
+# lattice over its cap.  No path runs `bfs_levels`.
 @pytest.mark.parametrize(
-    "n,k,path,built,passes,per_source",
+    "n,k,path,built,passes,scans",
     [
         (21, 7, "table", 0, 0, 0),
-        (20, 7, "table", 1, 3, 0),
-        (20, 7, "table, lattice over its cap", 1, 0, 76),
+        (20, 7, "table", 0, 0, 2),
+        (20, 7, "table, lattice over its cap", 0, 0, 2),
         (20, 7, "no table", 1, 6, 0),
+        (19, 7, "table", 1, 1, 0),
+        (19, 7, "table, lattice over its cap", 1, 0, 1),
     ],
 )
-def test_every_sweep_path_runs_and_equals_bfs_levels(monkeypatch, n, k, path, built, passes, per_source):
+def test_every_sweep_path_runs_and_equals_bfs_levels(monkeypatch, n, k, path, built, passes, scans):
     g = graph(n, k)
     sources = g.orbit_representatives()
     for name, value in SWEEP_PATHS[path].items():
         monkeypatch.setattr(graph_module, name, value)
     calls = _sweep_work(monkeypatch)
     swept = list(graph_module.bfs_sweeps(g._masks, sources))
-    assert (calls["subset_lattice"], calls["_disjoint_counts"], calls["bfs_levels"]) == (built, passes, per_source)
+    assert (calls["subset_lattice"], calls["_disjoint_counts"], calls["_reach"]) == (built, passes, scans)
+    assert calls["bfs_levels"] == 0
     assert [src for src, _ in swept] == sources
     monkeypatch.undo()
     for src, levels in swept:
         assert np.array_equal(levels, bfs_levels(g._masks, src))
+
+
+def _check_reach(masks, rows, frontier):
+    """`_reach` against its definition with Python ints: row u reaches
+    column s iff some vertex of column s is disjoint from u."""
+    values = masks.tolist()
+    columns = [sum(1 << s for s, bit in enumerate(row) if bit) for row in frontier.tolist()]
+    got = graph_module._reach(masks, np.asarray(rows, dtype=np.intp), frontier)
+    assert got.dtype == bool and got.shape == (len(rows), frontier.shape[1])
+    for u, reached in zip(rows, got.tolist()):
+        want = 0
+        for v, m in enumerate(values):
+            if not m & values[u]:
+                want |= columns[v]
+        assert reached == [bool(want >> s & 1) for s in range(frontier.shape[1])], u
+
+
+# Full cells and induced subsets (some with vertices that have no
+# neighbour), any rows, none included, and random frontier columns, in
+# chunks of one row, a few rows or all of them.
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    cell=st.sampled_from(SMALL_CELLS),
+    keep=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    cells=st.sampled_from([1, 100, 1 << 17]),
+)
+def test_reach_matches_its_definition(cell, keep, seed, cells):
+    rng = np.random.default_rng(seed)
+    masks = _draw_masks(cell, keep, rng)
+    assume(masks.size >= 1)
+    rows = rng.choice(masks.size, size=int(rng.integers(0, min(masks.size, 12) + 1)), replace=False)
+    frontier = rng.random((masks.size, int(rng.integers(1, 20)))) < rng.random()
+    with patch.object(graph_module, "_BATCH_CELLS", cells):
+        _check_reach(masks, rows.tolist(), frontier)
+
+
+# The full mask meets every other mask, so rows 1 and 4 have no neighbour:
+# inside a chunk, at the end of one and alone in the last one.  Column 2 is
+# empty.
+@pytest.mark.parametrize("cells", [1, 10, 1 << 17])
+@pytest.mark.parametrize("rows", [[], [1], [0, 1, 2, 3, 4], [4, 1, 0]])
+def test_reach_of_rows_without_a_neighbour(rows, cells):
+    masks = np.array([0b000011, 0b111111, 0b001100, 0b110000, 0b111111], dtype=np.uint64)
+    frontier = np.array([[1, 1, 0], [1, 0, 0], [1, 0, 0], [1, 1, 0], [1, 0, 0]], dtype=bool)
+    with patch.object(graph_module, "_BATCH_CELLS", cells):
+        _check_reach(masks, rows, frontier)
 
 
 def _check_cover_table(masks, subsets=None):
@@ -542,23 +599,23 @@ def _kernel_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n,k,table,kernels",
+    "n,k,table,capped,kernels",
     # SG(22,7): a 512 KB table, 56 bytes a vertex, and |F|/|V| = 3.6 run the
     # batch kernel; SG(20,8) has a table (159 bytes a vertex) but |F|/|V| =
-    # 18.2 passes the cap, so its batch falls back to `_advance` at level 3;
-    # SG(23,9) (319 bytes a vertex, 19.3) falls back outright, and so does
-    # SG(63,30), whose |F| (about 10^13) gives up within the first layers
+    # 18.2 passes the cap, so its batch scans the residues past level 2;
+    # SG(23,9) (319 bytes a vertex, 19.3) falls back to `_advance`, and so
+    # does SG(63,30), whose |F| (about 10^13) gives up within the first layers
     [
-        pytest.param(22, 7, True, {"_lattice_levels"}, id="22-7-_lattice_levels"),
-        pytest.param(20, 8, True, {"_lattice_levels", "_advance"}, id="20-8-_lattice_levels-_advance"),
-        pytest.param(23, 9, False, {"_advance"}, id="23-9-_advance"),
-        pytest.param(63, 30, False, {"_advance"}, id="63-30-_advance"),
+        pytest.param(22, 7, True, False, {"_lattice_levels"}, id="22-7-_lattice_levels"),
+        pytest.param(20, 8, True, True, {"_lattice_levels"}, id="20-8-_lattice_levels"),
+        pytest.param(23, 9, False, True, {"_advance"}, id="23-9-_advance"),
+        pytest.param(63, 30, False, True, {"_advance"}, id="63-30-_advance"),
     ],
 )
-def test_cost_rule_picks_the_kernel(monkeypatch, n, k, table, kernels):
+def test_cost_rule_picks_the_kernel(monkeypatch, n, k, table, capped, kernels):
     masks = stable_masks(CycleParams(n, k))
     assert (graph_module._Sweep(masks).table is not None) == table
-    assert (graph_module.subset_lattice(masks) is None) == ("_advance" in kernels)
+    assert (graph_module.subset_lattice(masks) is None) == capped
     calls = _kernel_calls(monkeypatch)
     swept = list(graph_module.bfs_sweeps(masks, [0, 1]))
     assert set(calls) == kernels
@@ -727,12 +784,23 @@ def test_diameter_witness_matches_per_source_loop(n, k):
 
 
 # SG(22,6) (D = 2) and SG(22,7) (D = 3) need no lattice pass after the
-# table's level 2 and the completion test; some level-3 batches of SG(20,7)
-# still do, and the lattice is built once for them.
-@pytest.mark.parametrize("n,k,built", [(22, 6, 0), (22, 7, 0), (20, 7, 1)])
+# table's level 2 and the completion test, and SG(20,7) (D = 3) scans the
+# small level-3 residues of its two batches instead; the residue of
+# SG(19,7) passes the ratio, and the lattice is built once for it.
+@pytest.mark.parametrize("n,k,built", [(22, 6, 0), (22, 7, 0), (20, 7, 0), (19, 7, 1)])
 def test_diameter_builds_the_lattice_only_when_a_batch_needs_it(monkeypatch, n, k, built):
     g = graph(n, k)
     calls = _sweep_work(monkeypatch)
     g.diameter_bruteforce()
     assert calls["subset_lattice"] == built
     assert (calls["_disjoint_counts"] > 0) == (built > 0)
+    assert calls["bfs_levels"] == 0
+
+
+def test_diameter_over_the_lattice_cap_scans_and_runs_no_bfs_levels(monkeypatch):
+    # SG(20,8) (D = 5): |F|/|V| = 18.2 is over the cap, so the levels past
+    # 2 of its one batch come from the completion test and residue scans
+    g = graph(20, 8)
+    calls = _sweep_work(monkeypatch)
+    assert g.diameter_bruteforce().value == 5
+    assert calls == {"subset_lattice": 1, "_reach": 2}

@@ -2,25 +2,28 @@
 
 The graph holds only the uint64 vertex masks; `StableSet` objects are built
 on demand.  Adjacency is mask disjointness; no adjacency lists are stored.
-BFS has two kernels, and one cost rule picks between them.
+Every full BFS, from one source or many, runs one level loop,
+`_lattice_levels`, over a batch of sources (as in MS-BFS); only a single
+pair has its own kernel.
 
-* `_advance` (single source, the fallback, and both ends of the pair kernel
-  `pair_distance`): each level scans the unvisited pool against the frontier
-  with chunked mask broadcasts, dropping candidates as soon as they are hit.
-  A level costs up to |frontier| x |unvisited| mask tests, O(|V|) memory.
-  `pair_distance` grows the end with the smaller frontier from one pool that
-  neither end has visited, and stops when `_touches` finds a disjoint pair
-  across the two frontiers; that test returns at the first chunk of the
-  smaller frontier that holds one.
-* `_lattice_levels` (multi-source sweeps, batched over sources as in
-  MS-BFS) takes the levels in four steps.
+* `pair_distance` (`bfs_distance`) is a bidirectional BFS.  It grows the
+  end with the smaller frontier from one pool that neither end has
+  visited, one `_advance` step at a time, and stops when `_touches` finds
+  a disjoint pair across the two frontiers; that test returns at the first
+  chunk of the smaller frontier that holds one.  `_advance` scans
+  candidates against a frontier with chunked mask broadcasts, dropping
+  candidates as soon as they are hit: up to |frontier| x |candidates| mask
+  tests, O(|V|) memory.
+* `_lattice_levels` (`distances_from` as a batch of one source, and
+  `bfs_sweeps`) takes the levels in four steps.
   - Levels 0 and 1 from the masks: the source, and the masks disjoint
     from it.
-  - Level 2 from the common-neighbour table.  Vertices s and v share a
+  - Level 2 from the common-neighbour table, if the sweep has one (else
+    level 2 is taken as the further levels are).  Vertices s and v share a
     neighbour iff some mask lies inside ~s & ~v, which depends on s | v
-    alone.  So one bit array over the 2^n subsets W of the ground set,
-    bit W set iff some mask lies inside W (`cover_table`), answers it for
-    every source at once: 512 KB at n = 22, 8 MB at n = 26.  The lookup
+    alone.  So one bit array over the 2^n subsets W of the ground set, bit
+    W set iff some mask lies inside W (`cover_table`), answers it for every
+    source at once: 512 KB at n = 22, 8 MB at n = 26.  The lookup
     keeps the complements as uint32 and reads the table as bytes, bit i at
     bit i & 7 of byte i >> 3: over SG(22,6)'s 280 orbit representatives
     18-20 ms against 24-27 ms with uint64 word indices, over SG(26,7)'s
@@ -35,28 +38,34 @@ BFS has two kernels, and one cost rule picks between them.
     of the (vertex, source) bool matrix.  If it certifies every unvisited
     cell, the batch ends.
   - Otherwise the residue R, the vertices with a cell the test left
-    undecided, is decided by a scan (`_reach`) when the sweep has a table
-    and |R| <= |V| / `_SCAN_RATIO` (32): a bottom-up BFS step (Beamer,
-    Asanovic & Patterson, SC 2012) over R alone.  A residue cell (u, s) is
-    at level L + 1 iff some mask of source s's frontier avoids u.  The
-    frontier columns are packed to bits, R is scanned against the masks in
-    chunks, and each residue vertex ORs the packed columns of the masks it
-    avoids.  The scan costs about 2-9 ns per (residue vertex, mask) cell,
-    so it beats a lattice pass only on small residues (see `_SCAN_RATIO`):
-    on SG(20,7), SG(23,8) and SG(17,6), at most 1.2 % of |V|.
-  - Otherwise a lattice pass: subset inclusion-exclusion
-    (Bjorklund-Husfeldt-Koivisto) on the down-closed family F of all
-    subsets of the vertex masks.  A superset-sum pass over F gives g(S) =
-    #{u in frontier : S <= u} for every S in F, and a Moebius
-    (subset-difference) pass then gives, at each vertex v, sum over S <= v
-    of (-1)^(|v|-|S|) g(S) = (-1)^|v| #{u in frontier : u & v = 0}: the
-    parity sign of inclusion-exclusion is folded into the differences, and
-    only whether the count is zero matters.  A pass costs about
-    2 sum_{S in F} |S| row operations for the batch, and memory is fixed in
-    advance.  The lattice is built once per sweep, when a batch first needs
-    a pass; with a table, the D <= 3 cells of the table grid need it on
-    few or no batches (none on SG(20,7), SG(21,7), SG(22,6), SG(22,7) or
-    SG(23,8); SG(19,7) and SG(22,8), whose residues pass the ratio, do).
+    undecided, is decided in one of three ways.
+    - By a scan (`_reach`) when the sweep has a table and |R| <= |V| /
+      `_SCAN_RATIO` (32): a bottom-up BFS step (Beamer, Asanovic &
+      Patterson, SC 2012) over R alone.  A residue cell (u, s) is at level
+      L + 1 iff some mask of source s's frontier avoids u.  The frontier
+      columns are packed to bits, R is scanned against the masks in
+      chunks, and each residue vertex ORs the packed columns of the masks
+      it avoids.  The scan costs about 2-9 ns per (residue vertex, mask)
+      cell, so it beats a lattice pass only on small residues (see
+      `_SCAN_RATIO`): on SG(20,7), SG(23,8) and SG(17,6), at most 1.2 % of
+      |V|.
+    - Otherwise by a lattice pass: subset inclusion-exclusion
+      (Bjorklund-Husfeldt-Koivisto) on the down-closed family F of all
+      subsets of the vertex masks.  A superset-sum pass over F gives g(S)
+      = #{u in frontier : S <= u} for every S in F, and a Moebius
+      (subset-difference) pass then gives, at each vertex v, sum over S <=
+      v of (-1)^(|v|-|S|) g(S) = (-1)^|v| #{u in frontier : u & v = 0}:
+      the parity sign of inclusion-exclusion is folded into the
+      differences, and only whether the count is zero matters.  A pass
+      costs about 2 sum_{S in F} |S| row operations for the batch, and
+      memory is fixed in advance.  The lattice is built once per sweep,
+      when a batch first needs a pass; with a table, the D <= 3 cells of
+      the table grid need it on few or no batches (none on SG(20,7),
+      SG(21,7), SG(22,6), SG(22,7) or SG(23,8); SG(19,7) and SG(22,8),
+      whose residues pass the ratio, do).
+    - With neither a table nor a lattice, by a top-down step per source
+      column: `_advance` from the column's frontier masks over the
+      column's own residue cells.
 
 Counts are kept modulo 2^16 when no count can reach 2^16, and modulo 2^32
 otherwise.  The count at vertex v, #{u in frontier : u & v = 0}, is at most
@@ -66,25 +75,23 @@ SG(26,7), but 77 520 for SG(27,7).  Both passes use only additions and
 subtractions, so the result is exact modulo that power of two; the true
 count is below the modulus, so it is nonzero exactly when the stored one is.
 
-Cost rule, on the masks alone.  `distances_from`, `bfs_distance` and a
-`bfs_sweeps` call with one source run `_advance`.  A sweep of two or more
-sources builds the table when its 2^n bits fit `_TABLE_BYTES` (16 MB, so
-n <= 27) and come to at most `_TABLE_RATIO` (256) bytes per vertex, so that
-small induced-subset sweeps over a wide ground set build none.  The table
-takes about 4 ns a byte to build (SG(22,7) 1.6 ms, SG(26,7) 34 ms, SG(27,8)
-67 ms; 2-vCPU Xeon), so at 256 bytes a vertex it costs at most about
-1 us per vertex, below the 1.4-1.7 us per vertex of `subset_lattice` on
-SG(22..26,7).  The lattice runs while |F| <= _LATTICE_RATIO |V|; it is
-built layer by layer and the build gives up as soon as it passes the cap.
-With no table, the lattice is built before the first batch, every level
-past 1 that the completion test leaves undecided takes a lattice pass, and
-if the lattice is over its cap every source runs `bfs_levels`.  With a
-table, a residue past `_SCAN_RATIO` takes a lattice pass, or a scan when
-the lattice is over its cap: before the scan, SG(20,8) (D = 5, |F|/|V| =
-18.2) ran `bfs_levels` per source there: its diameter took 12.8-13.1 ms
-against 4.5-4.7 ms now (medians of five, three runs a side, one CPU, 2-vCPU
-Xeon).  The rows are the same on every path.  The
-table and the lattice are local to one call and never stored on the graph.
+Cost rule, on the masks alone.  A BFS from one source (`distances_from`,
+or a `bfs_sweeps` call with one source) builds neither the table nor the
+lattice, so each level past 1 is the completion test and `_advance` steps
+over the residue.  A sweep of two or more sources builds the table when
+its 2^n bits fit `_TABLE_BYTES` (16 MB, so n <= 27) and come to at most
+`_TABLE_RATIO` (256) bytes per vertex, so that small induced-subset sweeps
+over a wide ground set build none.  The table takes about 4 ns a byte to
+build (SG(22,7) 1.6 ms, SG(26,7) 34 ms, SG(27,8) 67 ms; 2-vCPU Xeon), so at
+256 bytes a vertex it costs at most about 1 us per vertex, below the
+1.4-1.7 us per vertex of `subset_lattice` on SG(22..26,7).  The lattice
+runs while |F| <= _LATTICE_RATIO |V|; it is built layer by layer and the
+build gives up as soon as it passes the cap.  With no table, every level
+past 1 that the completion test leaves undecided takes a lattice pass, or
+`_advance` steps when the lattice is over its cap.  With a table, a residue
+past `_SCAN_RATIO` takes a lattice pass, or a scan when the lattice is over
+its cap.  The rows are the same on every path.  The table and the lattice
+are local to one call and never stored on the graph.
 
 Threads: the batches of one `bfs_sweeps` call are independent and spend
 their time in NumPy array passes, so they run on every CPU the process may
@@ -102,9 +109,8 @@ but the masks.  The calling thread works instead of waiting on a pool of c
 threads because each new thread also costs a malloc arena: on the
 `diameters` benchmark workload a pool of two raised peak RSS by 13.5 %,
 the caller plus one helper by 7-8 %.  The helpers are joined when the
-generator finishes or is closed.  `bfs_levels` over all sources stays
-serial: two threads over per-source `bfs_levels` on SG(33,14) took 1.23 s
-against 1.06 s for one.
+generator finishes or is closed.  `distances_from` calls `_lattice_levels`
+itself, so a one-source BFS sets up no pool at all.
 """
 
 from __future__ import annotations
@@ -188,9 +194,9 @@ class DistanceRecord:
 def _advance(frontier_masks: np.ndarray, cand_masks: np.ndarray) -> np.ndarray:
     """Boolean array over candidates: adjacent to some frontier vertex.
 
-    A one-mask frontier (the first level from a source, and each end's
-    first step in `pair_distance`) is one comparison; larger ones are
-    scanned in chunks.
+    The top-down step of `pair_distance` and of a sweep with neither a
+    table nor a lattice.  A one-mask frontier (each end's first step in
+    `pair_distance`) is one comparison; larger ones are scanned in chunks.
     """
     if frontier_masks.size == 1:
         return (cand_masks & frontier_masks[0]) == 0
@@ -208,30 +214,6 @@ def _advance(frontier_masks: np.ndarray, cand_masks: np.ndarray) -> np.ndarray:
             if not alive.size:
                 break
     return hit
-
-
-def bfs_levels(masks: np.ndarray, src: int) -> np.ndarray:
-    """BFS levels from src in the disjointness graph on `masks` (uint64).
-
-    -1 marks vertices not reached.  This is the single-source kernel
-    (`_advance`); `bfs_sweeps` runs many sources and `pair_distance` one
-    pair.  All take any mask array, so induced subgraphs use them too.
-    """
-    dist = np.full(masks.size, -1, dtype=np.int8)
-    dist[src] = 0
-    frontier = masks[src : src + 1]
-    unvisited = np.flatnonzero(dist < 0)
-    level = 0
-    while unvisited.size:
-        level += 1
-        hit = _advance(frontier, masks[unvisited])
-        if not hit.any():
-            break
-        new = unvisited[hit]
-        dist[new] = level
-        frontier = masks[new]
-        unvisited = unvisited[~hit]
-    return dist
 
 
 def _touches(one: np.ndarray, other: np.ndarray) -> bool:
@@ -436,21 +418,22 @@ def _once(build):
 
 
 class _Sweep:
-    """What the batches of one `bfs_sweeps` call share: the masks, the
+    """What the batches of one BFS call share: the masks, the
     common-neighbour table and each mask's complement on the ground set
     when the cost rule allows the table (else both None), and the rotation
-    partners and the lattice, each built on first use."""
+    partners and the lattice, each built on first use.  With `many` false
+    (one source) there is no table, and the lattice is None."""
 
-    def __init__(self, masks: np.ndarray):
+    def __init__(self, masks: np.ndarray, many: bool):
         self.masks = masks
         self.table = self.complements = None
         n = int(np.bitwise_or.reduce(masks)).bit_length()
-        if max(8, 2**n // 8) <= min(_TABLE_BYTES, _TABLE_RATIO * masks.size):
+        if many and max(8, 2**n // 8) <= min(_TABLE_BYTES, _TABLE_RATIO * masks.size):
             # bit i of the table is bit i & 7 of byte i >> 3 in little-endian order
             self.table = cover_table(masks, n).astype("<u8", copy=False).view(np.uint8)
             self.complements = (np.uint64(2**n - 1) ^ masks).astype(np.uint32)
         self.partners = _once(lambda: _rotation_partners(masks))
-        self.lattice = _once(lambda: subset_lattice(masks))
+        self.lattice = _once(lambda: subset_lattice(masks) if many else None)
 
 
 def _disjoint_counts(lat: SubsetLattice, frontier: np.ndarray) -> np.ndarray:
@@ -515,8 +498,10 @@ def _lattice_levels(sweep: _Sweep, sources) -> np.ndarray:
     an unvisited vertex with a visited rotation partner is at the next
     level, and once that holds for every unvisited vertex the batch ends.
     Otherwise the next level comes from a scan of the residue, the rows the
-    test left undecided, or from a lattice pass per `lat.width` sources, by
-    the cost rule of the module docstring.
+    test left undecided, from a lattice pass per `lat.width` sources, or,
+    with neither a table nor a lattice, from an `_advance` step per source
+    column over its residue cells, by the cost rule of the module
+    docstring.
     """
     masks = sweep.masks
     src = np.asarray(sources, dtype=np.intp)
@@ -548,19 +533,26 @@ def _lattice_levels(sweep: _Sweep, sources) -> np.ndarray:
             return np.ascontiguousarray(levels.T)
         rows = np.flatnonzero(left.any(axis=1))
         # with a table, a small residue is scanned, and so is any residue
-        # while the lattice is over its cap
+        # while the lattice is over its cap; with neither, each column
+        # steps from its own frontier
         lat = None
         if sweep.table is None or _SCAN_RATIO * rows.size > masks.size:
             lat = sweep.lattice()
-        if lat is None:
-            reached = _reach(masks, rows, frontier)
-            frontier = unvisited ^ left  # `left` lies inside `unvisited`
-            frontier[rows] |= reached & left[rows]
-        else:
+        if lat is not None:
             for start in range(0, src.size, lat.width):
                 cols = slice(start, start + lat.width)
                 frontier[:, cols] = _disjoint_counts(lat, frontier[:, cols]) != 0
             frontier &= unvisited
+        else:
+            reached = unvisited ^ left  # `left` lies inside `unvisited`
+            if sweep.table is not None:
+                reached[rows] |= _reach(masks, rows, frontier) & left[rows]
+            else:
+                for col in np.flatnonzero(left.any(axis=0)):
+                    cells = np.flatnonzero(left[:, col])
+                    hit = _advance(masks[frontier[:, col]], masks[cells])
+                    reached[cells[hit], col] = True
+            frontier = reached
         unvisited ^= frontier
         levels += unvisited
     levels[unvisited] = -1
@@ -577,23 +569,19 @@ def _cpus() -> int:
 
 
 def bfs_sweeps(masks: np.ndarray, sources) -> Iterator[tuple[int, np.ndarray]]:
-    """Full BFS levels from each source, in order: yields (source, levels).
+    """Full BFS levels from each source, in order: yields (source, levels),
+    an int8 row per source with -1 where unreachable.
 
-    Levels are those of `bfs_levels`.  Two or more sources go through
-    `_lattice_levels` in batches when the cost rule gives them the table,
-    or else a lattice under its cap; anything else runs `bfs_levels` per
+    The sources go through `_lattice_levels` in batches, which share one
+    `_Sweep`: the table and the lattice by the cost rule, none for a single
     source.  Batches run on every CPU, in rounds of at most one batch per
     CPU, and come out in source order (see the module docstring).
     """
     sources = list(sources)
-    sweep = _Sweep(masks) if len(sources) > 1 else None
-    if sweep is None or sweep.table is None and sweep.lattice() is None:
-        for src in sources:
-            yield src, bfs_levels(masks, src)
-        return
-    width = 16 * max(1, _BATCH_CELLS // (16 * masks.size))
+    sweep = _Sweep(masks, many=len(sources) > 1)
+    width = 16 * max(1, _BATCH_CELLS // (16 * max(1, masks.size)))
     batches = [sources[start : start + width] for start in range(0, len(sources), width)]
-    helpers = min(_cpus(), len(batches)) - 1
+    helpers = max(0, min(_cpus(), len(batches)) - 1)
     # imported here: at module top it costs every import about 10 ms
     from concurrent.futures import ThreadPoolExecutor
 
@@ -633,8 +621,14 @@ class SchrijverGraph:
         return int(hit[0])
 
     def distances_from(self, src: int) -> np.ndarray:
-        """Exact BFS distances from vertex index src; -1 where unreachable."""
-        return bfs_levels(self._masks, src)
+        """Exact BFS distances from vertex index src; -1 where unreachable.
+
+        A batch of one source, run here rather than through `bfs_sweeps`,
+        which would set up a thread pool for it.
+        """
+        if not 0 <= src < len(self):
+            raise ParameterError(f"vertex index {src} is outside 0..{len(self) - 1}")
+        return _lattice_levels(_Sweep(self._masks, many=False), [src])[0]
 
     # -- distance, diameter --------------------------------------------------
 

@@ -3,6 +3,8 @@ come from `schrijver.suites`, whose caches the checks and the tests share."""
 
 from itertools import combinations
 
+import numpy as np
+
 from schrijver import CycleParams, blocks, cli, lift, paths, stable_set, suites
 
 EX1 = CycleParams(20, 7)
@@ -43,6 +45,26 @@ def record_picks(monkeypatch) -> list[tuple]:
 
     monkeypatch.setattr(blocks, "_picks", recording)
     return calls
+
+
+def bfs_levels(masks: np.ndarray, src: int) -> np.ndarray:
+    """Independent BFS oracle: int8 levels from src in the disjointness graph
+    on the uint64 `masks`, -1 where unreachable.  One plain level loop per
+    source: each level tests the unreached masks against the frontier in
+    chunks of 64, and a mask leaves the test at its first hit."""
+    levels = np.full(masks.size, -1, dtype=np.int8)
+    levels[src] = 0
+    frontier = masks[src : src + 1]
+    level = 0
+    while frontier.size:
+        level += 1
+        todo = np.flatnonzero(levels < 0)
+        for start in range(0, frontier.size, 64):
+            hit = ((masks[todo, None] & frontier[None, start : start + 64]) == 0).any(axis=1)
+            levels[todo[hit]] = level
+            todo = todo[~hit]
+        frontier = masks[levels == level]
+    return levels
 
 
 def brute_force_stable(n: int, k: int) -> list[tuple[int, ...]]:

@@ -22,10 +22,9 @@ from schrijver import (
     stable_masks,
     stable_set,
 )
-from conftest import orbit_minimum
+from conftest import bfs_levels, orbit_minimum
 from schrijver import graph as graph_module
 from schrijver.cyclic import mask_of, rol_mask
-from schrijver.graph import bfs_levels
 from schrijver.suites import graph, sweep, table_grid
 
 
@@ -163,6 +162,26 @@ def test_graph_work_builds_no_vertex_list():
     assert "vertices" not in g.__dict__
 
 
+@pytest.mark.parametrize("src", [-1, 25, 10**6])
+def test_distances_from_checks_its_index(src):
+    # SG(10,4) is connected and has 25 vertices
+    g = graph(10, 4)
+    assert len(g) == 25 and (g.distances_from(24) >= 0).all()
+    with pytest.raises(ParameterError, match="outside 0..24"):
+        g.distances_from(src)
+
+
+def test_sweeps_of_no_mask_and_of_one():
+    # SG(5,3) has no vertices: an empty sweep and a (0, 0) matrix
+    assert SchrijverGraph(CycleParams(5, 3)).all_distances().shape == (0, 0)
+    empty = np.empty(0, dtype=np.uint64)
+    assert list(graph_module.bfs_sweeps(empty, [])) == []
+    for mask in (0b101, 0):  # a vertex with no neighbour, and one that is its own
+        one = np.array([mask], dtype=np.uint64)
+        [(src, levels)] = graph_module.bfs_sweeps(one, [0])
+        assert src == 0 and levels.dtype == np.int8 and levels.tolist() == [0]
+
+
 def _refuse(*args):
     raise AssertionError("refused call")
 
@@ -266,18 +285,20 @@ def _draw_masks(cell, keep, rng):
 # lattice passes by the cost rule (the lattice allowed past its cap too),
 # the same with every residue scanned or every residue given a lattice pass
 # while the lattice is under its cap, the table with the lattice over its
-# cap (every residue scanned), and no table, where a lattice pass takes
-# level 2.
+# cap (every residue scanned), no table, where a lattice pass takes level 2,
+# and neither, where each source column takes `_advance` steps over its
+# residue cells.  A single source runs that last path under every setting.
 SWEEP_PATHS = {
     "table": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 64},
     "scan forced": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 64, "_SCAN_RATIO": 0},
     "lattice forced": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 64, "_SCAN_RATIO": 1 << 30},
     "table, lattice over its cap": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 0},
     "no table": {"_TABLE_BYTES": 0, "_LATTICE_RATIO": 64},
+    "no table, lattice over its cap": {"_TABLE_BYTES": 0, "_LATTICE_RATIO": 0},
 }
 
 
-@settings(derandomize=True, deadline=None, max_examples=500)
+@settings(derandomize=True, deadline=None, max_examples=1500)
 @given(
     path=st.sampled_from(list(SWEEP_PATHS)),
     cell=st.sampled_from(SMALL_CELLS),
@@ -287,10 +308,11 @@ SWEEP_PATHS = {
 def test_lattice_levels_equal_bfs_levels(path, cell, keep, seed):
     rng = np.random.default_rng(seed)
     masks = _draw_masks(cell, keep, rng)
-    assume(masks.size >= 2)
-    sources = rng.choice(masks.size, size=min(5, masks.size), replace=False).tolist()
+    assume(masks.size >= 1)
+    count = int(rng.integers(1, min(5, masks.size) + 1))
+    sources = rng.choice(masks.size, size=count, replace=False).tolist()
     with patch.multiple(graph_module, **SWEEP_PATHS[path]):
-        assume(path == "no table" or graph_module._Sweep(masks).table is not None)
+        assume(path.startswith("no table") or graph_module._Sweep(masks, many=True).table is not None)
         swept = list(graph_module.bfs_sweeps(masks, sources))
     assert [src for src, _ in swept] == sources
     for src, levels in swept:
@@ -299,9 +321,9 @@ def test_lattice_levels_equal_bfs_levels(path, cell, keep, seed):
 
 def _sweep_work(monkeypatch):
     """Counts of what `bfs_sweeps` runs: lattice builds, lattice passes,
-    residue scans and `bfs_levels` calls."""
+    residue scans and `_advance` steps."""
     calls = Counter()
-    for name in ("subset_lattice", "_disjoint_counts", "_reach", "bfs_levels"):
+    for name in ("subset_lattice", "_disjoint_counts", "_reach", "_advance"):
         inner = getattr(graph_module, name)
 
         def counted(*args, _inner=inner, _name=name):
@@ -319,7 +341,9 @@ def _sweep_work(monkeypatch):
 # each, lattice or not; with no table, three passes take level 2 and three
 # more level 3.  SG(19,7) (D = 3): one batch of 38, whose residue (658
 # vertices of 1254) passes the ratio: one lattice pass, or a scan with the
-# lattice over its cap.  No path runs `bfs_levels`.
+# lattice over its cap.  With neither a table nor a lattice, SG(20,7) tries
+# the lattice once and takes levels 2 and 3 from `_advance` steps, the only
+# path that runs them.
 @pytest.mark.parametrize(
     "n,k,path,built,passes,scans",
     [
@@ -327,6 +351,7 @@ def _sweep_work(monkeypatch):
         (20, 7, "table", 0, 0, 2),
         (20, 7, "table, lattice over its cap", 0, 0, 2),
         (20, 7, "no table", 1, 6, 0),
+        (20, 7, "no table, lattice over its cap", 1, 0, 0),
         (19, 7, "table", 1, 1, 0),
         (19, 7, "table, lattice over its cap", 1, 0, 1),
     ],
@@ -339,7 +364,7 @@ def test_every_sweep_path_runs_and_equals_bfs_levels(monkeypatch, n, k, path, bu
     calls = _sweep_work(monkeypatch)
     swept = list(graph_module.bfs_sweeps(g._masks, sources))
     assert (calls["subset_lattice"], calls["_disjoint_counts"], calls["_reach"]) == (built, passes, scans)
-    assert calls["bfs_levels"] == 0
+    assert (calls["_advance"] > 0) == (path == "no table, lattice over its cap")
     assert [src for src, _ in swept] == sources
     monkeypatch.undo()
     for src, levels in swept:
@@ -586,8 +611,11 @@ def test_advance_from_one_mask_equals_the_chunked_scan(cell, keep, seed):
 
 
 def _kernel_calls(monkeypatch):
+    """Counts of the kernels a BFS runs: the level loop, its `_advance`
+    steps, residue scans, lattice passes and the builds of the table and
+    the lattice."""
     calls = Counter()
-    for name in ("_advance", "_lattice_levels"):
+    for name in ("_lattice_levels", "_advance", "_reach", "_disjoint_counts", "cover_table", "subset_lattice"):
         inner = getattr(graph_module, name)
 
         def counted(*args, _inner=inner, _name=name):
@@ -600,33 +628,51 @@ def _kernel_calls(monkeypatch):
 
 @pytest.mark.parametrize(
     "n,k,table,capped,kernels",
-    # SG(22,7): a 512 KB table, 56 bytes a vertex, and |F|/|V| = 3.6 run the
-    # batch kernel; SG(20,8) has a table (159 bytes a vertex) but |F|/|V| =
-    # 18.2 passes the cap, so its batch scans the residues past level 2;
-    # SG(23,9) (319 bytes a vertex, 19.3) falls back to `_advance`, and so
-    # does SG(63,30), whose |F| (about 10^13) gives up within the first layers
+    # SG(22,7): a 512 KB table, 56 bytes a vertex, and |F|/|V| = 3.6; the
+    # completion test ends the batch after the table's level 2.  SG(20,8)
+    # has a table (159 bytes a vertex) but |F|/|V| = 18.2 passes the cap,
+    # so its batch scans the residues past level 2.  SG(23,9) (319 bytes a
+    # vertex, 19.3) has neither, and nor does SG(63,30), whose |F| (about
+    # 10^13) gives up within the first layers: each column takes `_advance`
+    # steps, with no scan and no lattice pass.
     [
-        pytest.param(22, 7, True, False, {"_lattice_levels"}, id="22-7-_lattice_levels"),
-        pytest.param(20, 8, True, True, {"_lattice_levels"}, id="20-8-_lattice_levels"),
-        pytest.param(23, 9, False, True, {"_advance"}, id="23-9-_advance"),
-        pytest.param(63, 30, False, True, {"_advance"}, id="63-30-_advance"),
+        pytest.param(22, 7, True, False, {"_lattice_levels", "cover_table"}, id="22-7-_lattice_levels"),
+        pytest.param(
+            20, 8, True, True, {"_lattice_levels", "cover_table", "subset_lattice", "_reach"},
+            id="20-8-_lattice_levels",
+        ),
+        pytest.param(23, 9, False, True, {"_lattice_levels", "subset_lattice", "_advance"}, id="23-9-_advance"),
+        pytest.param(63, 30, False, True, {"_lattice_levels", "subset_lattice", "_advance"}, id="63-30-_advance"),
     ],
 )
 def test_cost_rule_picks_the_kernel(monkeypatch, n, k, table, capped, kernels):
     masks = stable_masks(CycleParams(n, k))
-    assert (graph_module._Sweep(masks).table is not None) == table
+    assert (graph_module._Sweep(masks, many=True).table is not None) == table
     assert (graph_module.subset_lattice(masks) is None) == capped
     calls = _kernel_calls(monkeypatch)
     swept = list(graph_module.bfs_sweeps(masks, [0, 1]))
     assert set(calls) == kernels
+    assert calls["_lattice_levels"] == 1  # one batch of two sources
     for src, levels in swept:
         assert np.array_equal(levels, bfs_levels(masks, src))
 
 
 def test_single_source_sweep_runs_advance(monkeypatch):
+    # one source builds no table and no lattice, although SG(22,7) allows
+    # both to a sweep of two; `distances_from` runs the same batch of one
+    # without going through `bfs_sweeps`
+    masks = stable_masks(CycleParams(22, 7))
     calls = _kernel_calls(monkeypatch)
-    list(graph_module.bfs_sweeps(stable_masks(CycleParams(22, 7)), [3]))
-    assert set(calls) == {"_advance"}
+    [(src, levels)] = graph_module.bfs_sweeps(masks, [3])
+    assert set(calls) == {"_lattice_levels", "_advance"}
+    assert calls["_lattice_levels"] == 1
+    monkeypatch.setattr(graph_module, "bfs_sweeps", _refuse)
+    g = graph(22, 7)
+    assert np.array_equal(g.distances_from(3), levels)
+    assert set(calls) == {"_lattice_levels", "_advance"}
+    assert calls["_lattice_levels"] == 2
+    monkeypatch.undo()
+    assert src == 3 and np.array_equal(levels, bfs_levels(masks, 3))
 
 
 def _lattice_levels_from_both_ends(monkeypatch, masks):
@@ -794,7 +840,7 @@ def test_diameter_builds_the_lattice_only_when_a_batch_needs_it(monkeypatch, n, 
     g.diameter_bruteforce()
     assert calls["subset_lattice"] == built
     assert (calls["_disjoint_counts"] > 0) == (built > 0)
-    assert calls["bfs_levels"] == 0
+    assert calls["_advance"] == 0
 
 
 def test_diameter_over_the_lattice_cap_scans_and_runs_no_bfs_levels(monkeypatch):

@@ -15,28 +15,38 @@ pair has its own kernel.
   candidates as soon as they are hit: up to |frontier| x |candidates| mask
   tests, O(|V|) memory.
 * `_lattice_levels` (`distances_from` as a batch of one source, and
-  `bfs_sweeps`) takes the levels in four steps.
+  `bfs_sweeps`) takes the levels in four steps.  Its bookkeeping is
+  (source, vertex) C-order matrices, so every array pass over a batch runs
+  its inner loop along the |V| vertices of a row rather than along the
+  batch's 16 sources.  With the byte/bit split below, levels 1 and 2 of
+  one 16-source batch took 457-466 us against 1768-2261 us in (vertex,
+  source) order on SG(22,6), 182-273 against 344-347 on SG(21,7) and
+  381-501 against 1402-1471 on SG(22,7) (medians of 31, two runs, one CPU,
+  2-vCPU Xeon).
   - Levels 0 and 1 from the masks: the source, and the masks disjoint
-    from it.
+    from it, one row per source.
   - Level 2 from the common-neighbour table, if the sweep has one (else
     level 2 is taken as the further levels are).  Vertices s and v share a
     neighbour iff some mask lies inside ~s & ~v, which depends on s | v
     alone.  So one bit array over the 2^n subsets W of the ground set, bit
     W set iff some mask lies inside W (`cover_table`), answers it for every
-    source at once: 512 KB at n = 22, 8 MB at n = 26.  The lookup
-    keeps the complements as uint32 and reads the table as bytes, bit i at
-    bit i & 7 of byte i >> 3: over SG(22,6)'s 280 orbit representatives
-    18-20 ms against 24-27 ms with uint64 word indices, over SG(26,7)'s
-    1368 412-492 ms against 567-631 ms (one thread, 2-vCPU Xeon).
+    source at once: 512 KB at n = 22, 8 MB at n = 26.  The table is read
+    as bytes, bit i at bit i & 7 of byte i >> 3, and each complement is
+    split once into its byte index (uint32) and its bit index (uint8).
+    AND distributes over both, so the cell (s, v) reads
+    table[byte_s & byte_v] >> (bit_s & bit_v) & 1, with no shift, mask or
+    cast per cell: 457-466 us against 1397-1537 us for levels 1 and 2 of
+    a 16-source SG(22,6) batch with per-cell i >> 3 and i & 7.
   - Before each further level L + 1, the completion test: an unvisited
     vertex u with a visited rotation partner (u turned by +-1 on the
     cycle) is at level L + 1.  A 2-stable set never meets its one-step
     rotation, so a partner w is a neighbour, and level(w) <= L < level(u)
     gives level(u) = L + 1.  A rotation that is not a vertex of the mask
     array, or that meets u (both happen on induced subsets), is replaced
-    by u itself, which certifies nothing.  The test costs two row gathers
-    of the (vertex, source) bool matrix.  If it certifies every unvisited
-    cell, the batch ends.
+    by u itself, which certifies nothing.  The test costs two gathers
+    along the rows of the (source, vertex) bool matrix.  If it certifies
+    every unvisited cell, the batch ends.  A one-source BFS has no
+    partners, so every unvisited cell is residue.
   - Otherwise the residue R, the vertices with a cell the test left
     undecided, is decided in one of three ways.
     - By a scan (`_reach`) when the sweep has a table and |R| <= |V| /
@@ -63,9 +73,11 @@ pair has its own kernel.
       the table grid need it on few or no batches (none on SG(20,7),
       SG(21,7), SG(22,6), SG(22,7) or SG(23,8); SG(19,7) and SG(22,8),
       whose residues pass the ratio, do).
-    - With neither a table nor a lattice, by a top-down step per source
-      column: `_advance` from the column's frontier masks over the
-      column's own residue cells.
+    - With neither a table nor a lattice, by a top-down step per source:
+      `_advance` from the source's frontier masks over its own residue
+      cells.
+  `_reach` and `_disjoint_counts` take the frontier as a (vertex, source)
+  view, the transpose of the batch's rows.
 
 Counts are kept modulo 2^16 when no count can reach 2^16, and modulo 2^32
 otherwise.  The count at vertex v, #{u in frontier : u & v = 0}, is at most
@@ -76,9 +88,9 @@ subtractions, so the result is exact modulo that power of two; the true
 count is below the modulus, so it is nonzero exactly when the stored one is.
 
 Cost rule, on the masks alone.  A BFS from one source (`distances_from`,
-or a `bfs_sweeps` call with one source) builds neither the table nor the
-lattice, so each level past 1 is the completion test and `_advance` steps
-over the residue.  A sweep of two or more sources builds the table when
+or a `bfs_sweeps` call with one source) builds neither the table, the
+lattice nor the rotation partners (three argsorts over |V|), so each level
+past 1 is an `_advance` step over the unvisited vertices.  A sweep of two or more sources builds the table when
 its 2^n bits fit `_TABLE_BYTES` (16 MB, so n <= 27) and come to at most
 `_TABLE_RATIO` (256) bytes per vertex, so that small induced-subset sweeps
 over a wide ground set build none.  The table takes about 4 ns a byte to
@@ -103,10 +115,11 @@ most h + 1 batches are in flight, and `diameter_bruteforce`'s witness (the
 first row reaching the maximum, and that row's first argmax) comes from the
 same rows in the same order as with one CPU.  One CPU or one batch makes
 rounds of one batch, which the calling thread runs with no thread started.
-The rotation partners and the lattice are built by the first batch that
-needs them, under a lock, so at most once per call; a scan shares nothing
-but the masks.  The calling thread works instead of waiting on a pool of c
-threads because each new thread also costs a malloc arena: on the
+The rotation partners and the lattice of a sweep of two or more sources
+are built by the first batch that needs them, under a lock, so at most
+once per call; a scan shares nothing but the masks.  The calling thread
+works instead of waiting on a pool of c threads because each new thread
+also costs a malloc arena: on the
 `diameters` benchmark workload a pool of two raised peak RSS by 13.5 %,
 the caller plus one helper by 7-8 %.  The helpers are joined when the
 generator finishes or is closed.  `distances_from` calls `_lattice_levels`
@@ -153,7 +166,7 @@ _LATTICE_RATIO = 16
 _LATTICE_BYTES = 1 << 20
 
 # Byte budget of the common-neighbour table: 2^n bits, n <= 27.  The lookup
-# keeps complements as uint32, which holds any n this budget allows.  At
+# keeps byte indices as uint32, which holds any n this budget allows.  At
 # n = 27, `diameter --n 27 --k 8 --method bfs` took 1.6-1.8 s against
 # 10.2-10.7 s with lattice passes for level 2 (2-vCPU Xeon).
 _TABLE_BYTES = 1 << 24
@@ -171,13 +184,19 @@ _TABLE_RATIO = 256
 # and smaller cells).
 _SCAN_RATIO = 32
 
-# Sources per batch: 16, or as many multiples of 16 as fit 2^17 (vertex,
-# source) cells when |V| is small.  On a 2-vCPU Xeon, batches of 16, 32 and
-# 64 ran the `diameters` benchmark job (cells up to 12 000 vertices) at
-# 39.5, 47.1 and 61.3 MB peak RSS with no faster pass; `all_distances` over
-# the nine `sweep` benchmark cells (up to 1386 vertices) took 231 ms at 16,
-# 134 ms at 128, 151 ms with this rule and 271 ms before the table.  A
-# residue scan takes at most as many (row, mask) cells per chunk: 2^16 to
+# Sources per batch: 16, or as many multiples of 16 as fit 2^17 (source,
+# vertex) cells when |V| is small.  On a 2-vCPU Xeon, with (source, vertex)
+# matrices, neither fixed batches of 32 nor of 64 sources beat 16 on every
+# one of the seven `diameters` latency cells (SG(19..22,6), SG(20..22,7))
+# and SG(26,7) (diameter medians of five, two runs): on one CPU both lost on
+# SG(20,6) and SG(21,6) (4.5-4.9 and 8.5-10.5 ms against 3.5-3.7 and 8.2
+# ms), and 64 on SG(26,7) (435-483 ms against 358-375 ms); on two CPUs
+# both lost on SG(21,6) and SG(22,6).  Three passes over the job's 38 cells
+# peaked at 38.5-38.6 MB RSS with this rule, 38.5-39.2 MB at 16, 44.2-44.4
+# MB at 32 and 56-67 MB at 64.  `all_distances` over the nine `sweep`
+# benchmark cells (up to 1386 vertices) took 231 ms at 16, 134 ms at 128,
+# 151 ms with this rule and 271 ms before the table (vertex-major matrices).
+# A residue scan takes at most as many (row, mask) cells per chunk: 2^16 to
 # 2^22 cells a chunk scanned SG(22,8) and SG(23,8) equally fast.
 _BATCH_CELLS = 1 << 17
 
@@ -419,27 +438,32 @@ def _once(build):
 
 class _Sweep:
     """What the batches of one BFS call share: the masks, the
-    common-neighbour table and each mask's complement on the ground set
-    when the cost rule allows the table (else both None), and the rotation
-    partners and the lattice, each built on first use.  With `many` false
-    (one source) there is no table, and the lattice is None."""
+    common-neighbour table when the cost rule allows it (else None) with
+    each mask's complement on the ground set split into a byte index and a
+    bit index (else both None), and the rotation partners and the lattice,
+    each built on first use.  With `many` false (one source) there is no
+    table, and the partners and the lattice are None."""
 
     def __init__(self, masks: np.ndarray, many: bool):
         self.masks = masks
-        self.table = self.complements = None
+        self.table = self.byte = self.bit = None
         n = int(np.bitwise_or.reduce(masks)).bit_length()
         if many and max(8, 2**n // 8) <= min(_TABLE_BYTES, _TABLE_RATIO * masks.size):
-            # bit i of the table is bit i & 7 of byte i >> 3 in little-endian order
+            # bit i of the table is bit i & 7 of byte i >> 3 in little-endian
+            # order, and AND distributes over both parts of i = ~s & ~v
             self.table = cover_table(masks, n).astype("<u8", copy=False).view(np.uint8)
-            self.complements = (np.uint64(2**n - 1) ^ masks).astype(np.uint32)
-        self.partners = _once(lambda: _rotation_partners(masks))
+            comp = (np.uint64(2**n - 1) ^ masks).astype(np.uint32)
+            self.byte = comp >> 3
+            self.bit = (comp & 7).astype(np.uint8)
+        self.partners = _once(lambda: _rotation_partners(masks) if many else None)
         self.lattice = _once(lambda: subset_lattice(masks) if many else None)
 
 
 def _disjoint_counts(lat: SubsetLattice, frontier: np.ndarray) -> np.ndarray:
     """At each vertex v and source column, +-#{u in frontier : u & v = 0}.
 
-    `frontier` is a (vertex, source) bool matrix.  A |F| x source work
+    `frontier` is a (vertex, source) bool matrix in any memory order (the
+    level loop passes the transpose of its rows).  A |F| x source work
     matrix of counts takes a superset-sum pass and then a Moebius pass over
     F (module docstring).  Rows are gathered with `take` and written back
     with `put` through a one-item-per-row view, which is several times
@@ -451,7 +475,7 @@ def _disjoint_counts(lat: SubsetLattice, frontier: np.ndarray) -> np.ndarray:
     def write(at: np.ndarray, values: np.ndarray) -> None:
         rows.put(at, values.view(rows.dtype).reshape(-1))
 
-    write(lat.vertex_rows, frontier.astype(counts.dtype))
+    write(lat.vertex_rows, frontier.astype(counts.dtype, order="C"))
     for lower, upper in lat.pairs:  # superset sums: frontier sets above S
         total = counts.take(lower, axis=0)
         total += counts.take(upper, axis=0)
@@ -466,7 +490,8 @@ def _disjoint_counts(lat: SubsetLattice, frontier: np.ndarray) -> np.ndarray:
 def _reach(masks: np.ndarray, rows: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     """(row, source) bool matrix: whether vertex `rows[i]` is disjoint from
     some vertex of source column s of the (vertex, source) bool matrix
-    `frontier`.
+    `frontier`, in any memory order (the level loop passes the transpose
+    of its rows).
 
     A bottom-up BFS step over the given rows only.  The frontier columns are
     packed to bits, the rows are scanned against all masks, `_BATCH_CELLS`
@@ -490,73 +515,78 @@ def _reach(masks: np.ndarray, rows: np.ndarray, frontier: np.ndarray) -> np.ndar
 
 
 def _lattice_levels(sweep: _Sweep, sources) -> np.ndarray:
-    """BFS levels, one int8 row per source, for one batch of a sweep.
+    """BFS levels for one batch of a sweep: a (source, vertex) int8 matrix,
+    whose rows are the sources' levels.
 
-    The level bookkeeping is one (vertex, source) matrix, transposed once
-    at the end.  Level 1 comes from the masks and level 2 from the table,
-    if the sweep has one.  Before each further level, the completion test:
-    an unvisited vertex with a visited rotation partner is at the next
-    level, and once that holds for every unvisited vertex the batch ends.
-    Otherwise the next level comes from a scan of the residue, the rows the
-    test left undecided, from a lattice pass per `lat.width` sources, or,
-    with neither a table nor a lattice, from an `_advance` step per source
-    column over its residue cells, by the cost rule of the module
-    docstring.
+    The frontier, the unvisited cells, the levels and the residue are
+    (source, vertex) C-order matrices, so each array pass runs along the
+    vertices.  Level 1 comes from the masks and level 2 from the table, if
+    the sweep has one.  Before each further level, the completion test: an
+    unvisited vertex with a visited rotation partner is at the next level,
+    and once that holds for every unvisited vertex the batch ends; with no
+    partners (one source), every unvisited cell is residue.  Otherwise the
+    next level comes from a scan of the residue, the vertices the test left
+    undecided, from a lattice pass per `lat.width` sources, or, with
+    neither a table nor a lattice, from an `_advance` step per source over
+    its residue cells, by the cost rule of the module docstring.
     """
     masks = sweep.masks
     src = np.asarray(sources, dtype=np.intp)
     batch = np.arange(src.size)
     # a vertex's level counts the levels that start with it unvisited: 1 for
     # all but the source, then one more after each level that leaves it so
-    frontier = (masks[:, None] & masks[src][None, :]) == 0
+    frontier = (masks[src][:, None] & masks[None, :]) == 0
     unvisited = ~frontier
-    unvisited[src, batch] = False
-    levels = np.ones((masks.size, src.size), dtype=np.int8)
-    levels[src, batch] = 0
+    unvisited[batch, src] = False
+    levels = np.ones((src.size, masks.size), dtype=np.int8)
+    levels[batch, src] = 0
     levels += unvisited
     if sweep.table is not None:
         # v shares a neighbour with s iff some mask avoids s | v: table bit
-        # ~s & ~v, which is bit (i & 7) of byte i >> 3
-        comp = sweep.complements
-        i = comp[:, None] & comp[src][None, :]
-        common = np.take(sweep.table, i >> 3) >> (i & 7).astype(np.uint8) & 1
+        # ~s & ~v, which is bit (~s & ~v) & 7 of byte (~s & ~v) >> 3
+        common = np.take(sweep.table, sweep.byte[src][:, None] & sweep.byte[None, :])
+        common >>= sweep.bit[src][:, None] & sweep.bit[None, :]
+        common &= 1
         frontier = unvisited & common.view(bool)
         unvisited ^= frontier
         levels += unvisited
     while unvisited.any() and frontier.any():
-        up, down = sweep.partners()
         # a visited neighbour is at level <= L and an unvisited vertex beyond
         # L, so an unvisited vertex with a visited partner is at L + 1; the
-        # residue `left` is the unvisited cells with no visited partner
-        left = unvisited & unvisited.take(up, axis=0) & unvisited.take(down, axis=0)
-        if not left.any():
-            return np.ascontiguousarray(levels.T)
-        rows = np.flatnonzero(left.any(axis=1))
+        # residue `left` is the unvisited cells with no visited partner, and
+        # every unvisited cell when there are no partners
+        left = unvisited
+        partners = sweep.partners()
+        if partners is not None:
+            up, down = partners
+            left = unvisited & unvisited.take(up, axis=1) & unvisited.take(down, axis=1)
+            if not left.any():
+                return levels
+        rows = np.flatnonzero(left.any(axis=0))
         # with a table, a small residue is scanned, and so is any residue
-        # while the lattice is over its cap; with neither, each column
-        # steps from its own frontier
+        # while the lattice is over its cap; with neither, each source steps
+        # from its own frontier
         lat = None
         if sweep.table is None or _SCAN_RATIO * rows.size > masks.size:
             lat = sweep.lattice()
         if lat is not None:
             for start in range(0, src.size, lat.width):
                 cols = slice(start, start + lat.width)
-                frontier[:, cols] = _disjoint_counts(lat, frontier[:, cols]) != 0
+                frontier[cols] = (_disjoint_counts(lat, frontier[cols].T) != 0).T
             frontier &= unvisited
         else:
             reached = unvisited ^ left  # `left` lies inside `unvisited`
             if sweep.table is not None:
-                reached[rows] |= _reach(masks, rows, frontier) & left[rows]
+                reached[:, rows] |= _reach(masks, rows, frontier.T).T & left[:, rows]
             else:
-                for col in np.flatnonzero(left.any(axis=0)):
-                    cells = np.flatnonzero(left[:, col])
-                    hit = _advance(masks[frontier[:, col]], masks[cells])
-                    reached[cells[hit], col] = True
+                for s in np.flatnonzero(left.any(axis=1)):
+                    cells = np.flatnonzero(left[s])
+                    reached[s, cells[_advance(masks[frontier[s]], masks[cells])]] = True
             frontier = reached
         unvisited ^= frontier
         levels += unvisited
     levels[unvisited] = -1
-    return np.ascontiguousarray(levels.T)
+    return levels
 
 
 def _cpus() -> int:
@@ -570,11 +600,12 @@ def _cpus() -> int:
 
 def bfs_sweeps(masks: np.ndarray, sources) -> Iterator[tuple[int, np.ndarray]]:
     """Full BFS levels from each source, in order: yields (source, levels),
-    an int8 row per source with -1 where unreachable.
+    an int8 row per source with -1 where unreachable, a view into its
+    batch's (source, vertex) matrix.
 
     The sources go through `_lattice_levels` in batches, which share one
-    `_Sweep`: the table and the lattice by the cost rule, none for a single
-    source.  Batches run on every CPU, in rounds of at most one batch per
+    `_Sweep`: the table and the lattice by the cost rule, and the rotation
+    partners, none of them for a single source.  Batches run on every CPU, in rounds of at most one batch per
     CPU, and come out in source order (see the module docstring).
     """
     sources = list(sources)
@@ -673,7 +704,8 @@ class SchrijverGraph:
         best = -1
         witness = (0, 0)
         for src, dist in bfs_sweeps(self._masks, sources):
-            if (dist < 0).any():
+            # one BFS reaches every vertex iff the graph is connected
+            if best < 0 and (dist < 0).any():
                 raise InvariantError(
                     f"SG({self.params.n},{self.params.k}) is disconnected"
                 )

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from schrijver import (
     CycleParams,
+    InvariantError,
     ParameterError,
     SchrijverGraph,
     rotate,
@@ -148,6 +149,16 @@ def test_distance_record_symmetry_and_unreachable_marker():
 def test_connectedness_small():
     for n, k in ((7, 3), (9, 4), (10, 4), (12, 5), (13, 5)):
         assert (graph(n, k).all_distances() >= 0).all()
+
+
+# two intersecting masks, and an edge plus a vertex that meets both ends:
+# the first row already holds a -1
+@pytest.mark.parametrize("masks", [[0b0101, 0b0110], [0b0011, 0b1100, 0b0110]])
+def test_diameter_of_a_disconnected_vertex_set_raises(masks):
+    g = SchrijverGraph(CycleParams(10, 4))
+    g._masks = np.array(masks, dtype=np.uint64)
+    with pytest.raises(InvariantError, match="disconnected"):
+        g.diameter_bruteforce(orbit_reduction=False)
 
 
 def test_graph_work_builds_no_vertex_list():
@@ -418,6 +429,39 @@ def test_reach_of_rows_without_a_neighbour(rows, cells):
         _check_reach(masks, rows, frontier)
 
 
+# `_reach` and `_disjoint_counts` take the frontier as `_lattice_levels`
+# passes it: rows of a (source, vertex) C-order matrix, transposed into a
+# (vertex, source) view that is not C-contiguous once it has two sources.
+# Full cells and induced subsets; the lattice allowed past its cap, as in
+# the sweep paths above.
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    cell=st.sampled_from(SMALL_CELLS),
+    keep=st.one_of(st.just(1.0), st.floats(0.2, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_helpers_take_the_frontier_as_the_level_loop_passes_it(cell, keep, seed):
+    rng = np.random.default_rng(seed)
+    masks = _draw_masks(cell, keep, rng)
+    assume(masks.size >= 1)
+    frontier = rng.random((int(rng.integers(1, 40)), masks.size)) < rng.random()
+    start = int(rng.integers(frontier.shape[0]))
+    part = frontier[start : start + int(rng.integers(1, frontier.shape[0] + 1))]
+    # (source, vertex): whether some vertex of the source's frontier avoids v
+    disjoint = (masks[:, None] & masks[None, :]) == 0
+    want = (part.astype(np.int64) @ disjoint) > 0
+    rows = rng.permutation(masks.size)[: int(rng.integers(0, masks.size + 1))]
+    reached = graph_module._reach(masks, rows, part.T)
+    assert reached.shape == (rows.size, part.shape[0])
+    assert np.array_equal(reached.T, want[:, rows])
+    with patch.object(graph_module, "_LATTICE_RATIO", 64):
+        lat = graph_module.subset_lattice(masks)
+    if lat is not None:
+        counts = graph_module._disjoint_counts(lat, part.T)
+        assert counts.shape == (masks.size, part.shape[0])
+        assert np.array_equal((counts != 0).T, want)
+
+
 def _check_cover_table(masks, subsets=None):
     """`cover_table` against its definition with Python ints, at every subset
     W of the ground set or at the given ones."""
@@ -658,11 +702,18 @@ def test_cost_rule_picks_the_kernel(monkeypatch, n, k, table, capped, kernels):
 
 
 def test_single_source_sweep_runs_advance(monkeypatch):
-    # one source builds no table and no lattice, although SG(22,7) allows
-    # both to a sweep of two; `distances_from` runs the same batch of one
-    # without going through `bfs_sweeps`
+    # one source builds no table, no lattice and no rotation partners,
+    # although SG(22,7) allows all three to a sweep of two; `distances_from`
+    # runs the same batch of one without going through `bfs_sweeps`
     masks = stable_masks(CycleParams(22, 7))
     calls = _kernel_calls(monkeypatch)
+    partners = graph_module._rotation_partners
+
+    def counted_partners(masks):
+        calls["_rotation_partners"] += 1
+        return partners(masks)
+
+    monkeypatch.setattr(graph_module, "_rotation_partners", counted_partners)
     [(src, levels)] = graph_module.bfs_sweeps(masks, [3])
     assert set(calls) == {"_lattice_levels", "_advance"}
     assert calls["_lattice_levels"] == 1
@@ -671,6 +722,7 @@ def test_single_source_sweep_runs_advance(monkeypatch):
     assert np.array_equal(g.distances_from(3), levels)
     assert set(calls) == {"_lattice_levels", "_advance"}
     assert calls["_lattice_levels"] == 2
+    assert calls["_rotation_partners"] == 0
     monkeypatch.undo()
     assert src == 3 and np.array_equal(levels, bfs_levels(masks, 3))
 

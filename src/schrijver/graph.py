@@ -49,16 +49,16 @@ pair has its own kernel.
     partners, so every unvisited cell is residue.
   - Otherwise the residue R, the vertices with a cell the test left
     undecided, is decided in one of three ways.
-    - By a scan (`_reach`) when the sweep has a table and |R| <= |V| /
-      `_SCAN_RATIO` (32): a bottom-up BFS step (Beamer, Asanovic &
-      Patterson, SC 2012) over R alone.  A residue cell (u, s) is at level
-      L + 1 iff some mask of source s's frontier avoids u.  The frontier
-      columns are packed to bits, R is scanned against the masks in
-      chunks, and each residue vertex ORs the packed columns of the masks
-      it avoids.  The scan costs about 2-9 ns per (residue vertex, mask)
-      cell, so it beats a lattice pass only on small residues (see
-      `_SCAN_RATIO`): on SG(20,7), SG(23,8) and SG(17,6), at most 1.2 % of
-      |V|.
+    - By a scan (`_reach`) when the sweep has a table and the scan costs
+      less than a lattice pass by the cost rule below: a bottom-up BFS
+      step (Beamer, Asanovic & Patterson, SC 2012) over R alone.  A
+      residue cell (u, s) is at level L + 1 iff some mask of source s's
+      frontier avoids u.  The frontier columns are packed to bits, R is
+      scanned against the masks in chunks, and each residue vertex ORs the
+      packed columns of the masks it avoids.  The scan costs about 2-9 ns
+      per (residue vertex, mask) cell, so once the lattice is built it
+      beats a pass only on small residues (see `_SCAN_RATIO`): on
+      SG(20,7), SG(23,8) and SG(17,6), at most 1.2 % of |V|.
     - Otherwise by a lattice pass: subset inclusion-exclusion
       (Bjorklund-Husfeldt-Koivisto) on the down-closed family F of all
       subsets of the vertex masks.  A superset-sum pass over F gives g(S)
@@ -69,10 +69,9 @@ pair has its own kernel.
       differences, and only whether the count is zero matters.  A pass
       costs about 2 sum_{S in F} |S| row operations for the batch, and
       memory is fixed in advance.  The lattice is built once per sweep,
-      when a batch first needs a pass; with a table, the D <= 3 cells of
-      the table grid need it on few or no batches (none on SG(20,7),
-      SG(21,7), SG(22,6), SG(22,7) or SG(23,8); SG(19,7) and SG(22,8),
-      whose residues pass the ratio, do).
+      when a batch first needs a pass; with a table, no D <= 3 cell of the
+      `diameters` benchmark job (k <= 7) builds it, and of the k = 8 cells
+      SG(21,8) and SG(22,8) do.
     - With neither a table nor a lattice, by a top-down step per source:
       `_advance` from the source's frontier masks over its own residue
       cells.
@@ -87,43 +86,87 @@ SG(26,7), but 77 520 for SG(27,7).  Both passes use only additions and
 subtractions, so the result is exact modulo that power of two; the true
 count is below the modulus, so it is nonzero exactly when the stored one is.
 
-Cost rule, on the masks alone.  A BFS from one source (`distances_from`,
-or a `bfs_sweeps` call with one source) builds neither the table, the
-lattice nor the rotation partners (three argsorts over |V|), so each level
-past 1 is an `_advance` step over the unvisited vertices.  A sweep of two or more sources builds the table when
-its 2^n bits fit `_TABLE_BYTES` (16 MB, so n <= 27) and come to at most
-`_TABLE_RATIO` (256) bytes per vertex, so that small induced-subset sweeps
-over a wide ground set build none.  The table takes about 4 ns a byte to
-build (SG(22,7) 1.6 ms, SG(26,7) 34 ms, SG(27,8) 67 ms; 2-vCPU Xeon), so at
-256 bytes a vertex it costs at most about 1 us per vertex, below the
-1.4-1.7 us per vertex of `subset_lattice` on SG(22..26,7).  The lattice
-runs while |F| <= _LATTICE_RATIO |V|; it is built layer by layer and the
-build gives up as soon as it passes the cap.  With no table, every level
-past 1 that the completion test leaves undecided takes a lattice pass, or
-`_advance` steps when the lattice is over its cap.  With a table, a residue
-past `_SCAN_RATIO` takes a lattice pass, or a scan when the lattice is over
-its cap.  The rows are the same on every path.  The table and the lattice
-are local to one call and never stored on the graph.
+Cost rule, on the masks and the batch count alone.  A BFS from one source
+(`distances_from`, or a `bfs_sweeps` call with one source) builds neither
+the table, the lattice nor the rotation partners (two argsorts over |V|),
+so each level past 1 is an `_advance` step over the unvisited vertices.  A
+sweep of two or more sources builds the table when its 2^n bits fit
+`_TABLE_BYTES` (16 MB, so n <= 27) and come to at most `_TABLE_RATIO` (256)
+bytes per vertex, so that small induced-subset sweeps over a wide ground
+set build none.  The table takes about 4 ns a byte to build (SG(22,7) 1.6
+ms, SG(26,7) 34 ms, SG(27,8) 67 ms; 2-vCPU Xeon), so at 256 bytes a vertex
+it costs at most about 1 us per vertex, below the 1.4-1.7 us per vertex of
+`subset_lattice` on SG(22..26,7).  The lattice runs while |F| <=
+_LATTICE_RATIO |V|; it is built layer by layer and the build gives up as
+soon as it passes the cap.  With no table, every level past 1 that the
+completion test leaves undecided takes a lattice pass, or `_advance` steps
+when the lattice is over its cap.  With a table, a residue of more than |V|
+/ `_SCAN_RATIO` vertices takes a lattice pass once the lattice is built, or
+a scan when it is over its cap.  While no batch has built it yet, the pass
+would also pay for the build, which costs about as much as a scan of
+`_BUILD_ROWS` (1024) residue vertices and is shared by the sweep's b
+batches: a residue is scanned up to |V| / 32 + 1024 / b vertices.  So
+one-batch sweeps of small cells scan residues of up to half of |V| and
+never build the lattice: with every residue scanned, SG(16,6) took 0.7 ms
+against 2.0, SG(18,7) 1.6 against 3.3 and SG(19,7) 4.1 against 6.1
+(in-process diameters, one CPU, medians of 9); with the cheaper orbit
+representatives and partners too, the ten cells of the `diameters` job
+that built it take 9.5-11.2 ms a pass instead of 14.6-17.7.
+SG(21,8) and SG(22,8), where scanning every residue lost (22.8 against 19.2
+ms and 75 against 53-60 ms), build it for their first residue.  The rows
+are the same on every path.  The table and the lattice are local to one
+call and never stored on the graph.
 
 Threads: the batches of one `bfs_sweeps` call are independent and spend
-their time in NumPy array passes, so they run on every CPU the process may
-use.  With c CPUs and b batches, h = min(c, b) - 1 helper threads join the
+their time in NumPy array passes, so long ones run on every CPU the process
+may use.  A helper thread costs more than a short batch saves: with a
+table, the 16-source batches of the D <= 3 latency cells take 0.3-0.7 ms.
+The helper's malloc arena also faults its temporaries in anew: in a fresh
+process the first SG(22,6) diameter took 33-35 ms with a helper, with
+7 848-7 935 minor faults, against 22.6-22.9 ms and 1 600 faults on one CPU.
+So a sweep with a table starts helpers only from `_HELPER_VERTICES` (2^15)
+vertices on; one without a table (lattice passes or `_advance` steps,
+batches of tens of ms) always may.  Diameters on a 2-vCPU Xeon, in
+process: the median time with a helper over the time on the calling
+thread alone, both free to use both CPUs (7-11 paired calls, two or three
+runs), and the medians on one CPU (`taskset -c 0`) and on two with a
+helper (5-9 calls, four runs).  The host's load moved these figures from
+run to run.  The helper lost on SG(21,7) and SG(22,6) in every run and
+won on every cell without a table; between them the sign changed from run
+to run, and 2^15 falls between SG(24,7) and SG(25,7):
+
+  ==========  ========  ==============  ============  ============
+  cell        |V|       helper / alone  one CPU (ms)  helper (ms)
+  ==========  ========  ==============  ============  ============
+  SG(21,7)    5 148     1.24-1.28       4.8-7.9       5.2-7.3
+  SG(23,8)    9 867     1.02-1.04       35.7-52.3     28.6-45.1
+  SG(22,6)    11 011    1.62-1.75       11.8-18.2     11.7-20.3
+  SG(24,8)    19 305    1.02-1.36       53.6-72.9     36.8-58.8
+  SG(24,7)    27 456    0.62-1.30       92-130        75-142
+  SG(25,7)    44 200    1.07-1.08       231-313       136-204
+  SG(26,7)    68 952    0.83-1.42       380-431       295-337
+  SG(27,8)    107 406                   1439-1575     816-885
+  SG(24,9)    no table                  449-488       252-305
+  SG(29,12)   no table                  4232-4554     2395-2598
+  ==========  ========  ==============  ============  ============
+
+With c CPUs and b batches, h = min(c, b) - 1 helper threads join the
 calling thread.  Batches go in rounds of h + 1: the calling thread computes
 the first batch of each round and the helpers the other h, and the round's
 rows are yielded in source order before the next round is submitted.  So at
 most h + 1 batches are in flight, and `diameter_bruteforce`'s witness (the
 first row reaching the maximum, and that row's first argmax) comes from the
 same rows in the same order as with one CPU.  One CPU or one batch makes
-rounds of one batch, which the calling thread runs with no thread started.
-The rotation partners and the lattice of a sweep of two or more sources
-are built by the first batch that needs them, under a lock, so at most
-once per call; a scan shares nothing but the masks.  The calling thread
-works instead of waiting on a pool of c threads because each new thread
-also costs a malloc arena: on the
-`diameters` benchmark workload a pool of two raised peak RSS by 13.5 %,
-the caller plus one helper by 7-8 %.  The helpers are joined when the
-generator finishes or is closed.  `distances_from` calls `_lattice_levels`
-itself, so a one-source BFS sets up no pool at all.
+rounds of one batch, and so does a sweep below the threshold: the calling
+thread runs them with no pool set up.  The rotation partners and the
+lattice of a sweep of two or more sources are built by the first batch that
+needs them, under a lock, so at most once per call; a scan shares nothing
+but the masks.  The calling thread works instead of waiting on a pool of c
+threads because each new thread also costs a malloc arena: on the
+`diameters` benchmark workload a pool of two raised peak RSS by 13.5 %, the
+caller plus one helper by 7-8 %.  The helpers are joined when the generator
+finishes or is closed.  `distances_from` calls `_lattice_levels` itself, so
+a one-source BFS sets up no pool at all.
 """
 
 from __future__ import annotations
@@ -184,6 +227,19 @@ _TABLE_RATIO = 256
 # and smaller cells).
 _SCAN_RATIO = 32
 
+# While a sweep has no lattice yet, a pass also pays for the build, which
+# costs about as much as a scan of this many residue vertices, shared by
+# the sweep's batches: the scan bound above becomes |V| / 32 + 1024 / b for
+# a sweep of b batches.  Build time over the time of scanning one residue
+# vertex, per level (one CPU, 2-vCPU Xeon): SG(16,6) 410, SG(19,7) 512,
+# SG(23,8) 505-853, SG(18,7) 796, SG(21,8) 1129-1198, SG(22,8) 1135-1502.
+# The one batch of SG(19,7)'s orbit representatives has a residue of 658
+# vertices, so it is scanned from 620 on; SG(22,8) (8 batches, a first
+# residue of 550 of 4719 vertices) and SG(21,8) (2 batches, 1939 of 2079),
+# where scanning every residue lost, keep their passes for any value below
+# 3224.
+_BUILD_ROWS = 1024
+
 # Sources per batch: 16, or as many multiples of 16 as fit 2^17 (source,
 # vertex) cells when |V| is small.  On a 2-vCPU Xeon, with (source, vertex)
 # matrices, neither fixed batches of 32 nor of 64 sources beat 16 on every
@@ -199,6 +255,10 @@ _SCAN_RATIO = 32
 # A residue scan takes at most as many (row, mask) cells per chunk: 2^16 to
 # 2^22 cells a chunk scanned SG(22,8) and SG(23,8) equally fast.
 _BATCH_CELLS = 1 << 17
+
+# A sweep with a table starts helper threads from this many vertices on
+# (module docstring, "Threads"); one without a table always may.
+_HELPER_VERTICES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -362,7 +422,9 @@ def _rotation_partners(masks: np.ndarray) -> np.ndarray:
     n.  A rotation counts only if it is a vertex of `masks` and disjoint
     from the vertex, so a partner other than the vertex itself is always a
     neighbour.  On a full SG(n,k) both rotations of every vertex are its
-    partners: a 2-stable set never meets its one-step rotation.
+    partners: a 2-stable set never meets its one-step rotation.  Only the
+    +1 row is looked up; the -1 row is its inverse, since vertex j is the
+    +1 partner of i iff i is the -1 partner of j.
     """
     # the result is allocated before the temporaries, so that freeing them
     # leaves no hole below it: allocated after them, it raised the peak RSS
@@ -375,15 +437,16 @@ def _rotation_partners(masks: np.ndarray) -> np.ndarray:
         return partners
     order = np.argsort(masks)
     ascending = masks[order]
-    for partner, shift in zip(partners, (1, -1)):
-        # looked up in ascending order: about twice as fast as in vertex
-        # order, where each binary search starts cold
-        turned = rol_mask(masks, shift, n)
-        by_value = np.argsort(turned)
-        wanted = turned[by_value]
-        at = np.minimum(np.searchsorted(ascending, wanted), masks.size - 1)
-        found = (ascending[at] == wanted) & ((wanted & masks[by_value]) == 0)
-        partner[by_value[found]] = order[at[found]]
+    # looked up in ascending order: about twice as fast as in vertex order,
+    # where each binary search starts cold
+    turned = rol_mask(masks, 1, n)
+    by_value = np.argsort(turned)
+    wanted = turned[by_value]
+    at = np.minimum(np.searchsorted(ascending, wanted), masks.size - 1)
+    found = (ascending[at] == wanted) & ((wanted & masks[by_value]) == 0)
+    up, down = partners
+    up[by_value[found]] = order[at[found]]
+    down[order[at[found]]] = by_value[found]
     return partners
 
 
@@ -433,6 +496,7 @@ def _once(build):
                 built.append(build())
         return built[0]
 
+    get.built = built  # empty until the first call has returned
     return get
 
 
@@ -442,10 +506,13 @@ class _Sweep:
     each mask's complement on the ground set split into a byte index and a
     bit index (else both None), and the rotation partners and the lattice,
     each built on first use.  With `many` false (one source) there is no
-    table, and the partners and the lattice are None."""
+    table, and the partners and the lattice are None.  `build_rows` is one
+    batch's share of the lattice build in scanned residue vertices:
+    `_BUILD_ROWS` over the sweep's `batches`."""
 
-    def __init__(self, masks: np.ndarray, many: bool):
+    def __init__(self, masks: np.ndarray, many: bool, batches: int = 1):
         self.masks = masks
+        self.build_rows = _BUILD_ROWS // max(1, batches)
         self.table = self.byte = self.bit = None
         n = int(np.bitwise_or.reduce(masks)).bit_length()
         if many and max(8, 2**n // 8) <= min(_TABLE_BYTES, _TABLE_RATIO * masks.size):
@@ -563,11 +630,14 @@ def _lattice_levels(sweep: _Sweep, sources) -> np.ndarray:
             if not left.any():
                 return levels
         rows = np.flatnonzero(left.any(axis=0))
-        # with a table, a small residue is scanned, and so is any residue
-        # while the lattice is over its cap; with neither, each source steps
-        # from its own frontier
+        # with a table, a residue is scanned when small against a pass plus,
+        # while no lattice is built, this batch's share of the build (read
+        # without the lock: a stale read changes the kernel, not the rows),
+        # and so is any residue while the lattice is over its cap; with
+        # neither, each source steps from its own frontier
+        build = 0 if sweep.lattice.built else sweep.build_rows
         lat = None
-        if sweep.table is None or _SCAN_RATIO * rows.size > masks.size:
+        if sweep.table is None or _SCAN_RATIO * (rows.size - build) > masks.size:
             lat = sweep.lattice()
         if lat is not None:
             for start in range(0, src.size, lat.width):
@@ -605,19 +675,26 @@ def bfs_sweeps(masks: np.ndarray, sources) -> Iterator[tuple[int, np.ndarray]]:
 
     The sources go through `_lattice_levels` in batches, which share one
     `_Sweep`: the table and the lattice by the cost rule, and the rotation
-    partners, none of them for a single source.  Batches run on every CPU, in rounds of at most one batch per
-    CPU, and come out in source order (see the module docstring).
+    partners, none of them for a single source.  A sweep with no table or
+    with `_HELPER_VERTICES` vertices runs its batches on every CPU, in
+    rounds of at most one batch per CPU; any other runs them on the calling
+    thread.  Rows come out in source order (see the module docstring).
     """
     sources = list(sources)
-    sweep = _Sweep(masks, many=len(sources) > 1)
     width = 16 * max(1, _BATCH_CELLS // (16 * max(1, masks.size)))
     batches = [sources[start : start + width] for start in range(0, len(sources), width)]
-    helpers = max(0, min(_cpus(), len(batches)) - 1)
+    sweep = _Sweep(masks, many=len(sources) > 1, batches=len(batches))
+    helpers = 0
+    if sweep.table is None or masks.size >= _HELPER_VERTICES:
+        helpers = max(0, min(_cpus(), len(batches)) - 1)
+    if not helpers:
+        for batch in batches:
+            yield from zip(batch, _lattice_levels(sweep, batch))
+        return
     # imported here: at module top it costs every import about 10 ms
     from concurrent.futures import ThreadPoolExecutor
 
-    # with no helper, rounds of one batch submit nothing, so no thread starts
-    with ThreadPoolExecutor(max(1, helpers)) as pool:
+    with ThreadPoolExecutor(helpers) as pool:
         for start in range(0, len(batches), helpers + 1):
             own, *rest = batches[start : start + helpers + 1]
             futures = [pool.submit(_lattice_levels, sweep, batch) for batch in rest]
@@ -671,21 +748,24 @@ class SchrijverGraph:
         """One vertex index per dihedral orbit, ascending: the member with the
         orbit's least member sequence.
 
-        Two k-sets compare lexicographically at the least element in which
-        they differ, so the smaller sequence has the larger bit-reversed
-        mask (bit i to bit n-1-i).  Bit reversal is a reflection of the
-        n-cycle and maps each orbit onto itself, so a vertex is its orbit's
-        representative iff its bit-reversed mask is the largest of its 2n
-        dihedral images.
+        That sequence starts with 1, so only the vertices holding 1 are
+        compared.  Two k-sets compare lexicographically at the least element
+        in which they differ, so the smaller sequence has the larger
+        bit-reversed mask (bit i to bit n-1-i).  Bit reversal is a
+        reflection of the n-cycle and maps each orbit onto itself, so a
+        vertex is its orbit's representative iff its bit-reversed mask is
+        the largest of its 2n dihedral images.
         """
         n = self.params.n
-        mirrored = reflect_mask(self._masks, n)
-        largest = np.zeros_like(self._masks)
-        for base in (self._masks, mirrored):
+        held = np.flatnonzero(self._masks & np.uint64(1))
+        masks = self._masks[held]
+        mirrored = reflect_mask(masks, n)
+        largest = np.zeros_like(masks)
+        for base in (masks, mirrored):
             for shift in range(n):
                 np.maximum(largest, rol_mask(base, shift, n), out=largest)
         # the bit reversal is the mirror image turned back one step
-        return np.flatnonzero(rol_mask(mirrored, -1, n) == largest).tolist()
+        return held[rol_mask(mirrored, -1, n) == largest].tolist()
 
     def diameter_bruteforce(self, orbit_reduction: bool = True) -> DiameterResult:
         """Exact diameter: max eccentricity over orbit representatives.

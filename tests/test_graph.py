@@ -131,8 +131,11 @@ def test_orbit_reduction_matches_full_sweep():
 
 def test_orbit_representatives_are_canonical():
     # one representative per orbit, the orbit's least member tuple, in order;
-    # the n = 64 cells put bit 63 in the reversed masks
-    for n, k in [*table_grid(5), (64, 2), (64, 31)]:
+    # the n = 64 cells put bit 63 in the reversed masks.  Only the vertices
+    # holding 1 are compared, so the `diameters` latency cells, where most
+    # vertices do not, are checked too.
+    latency_cells = [(n, 6) for n in range(19, 23)] + [(n, 7) for n in range(20, 23)]
+    for n, k in [*table_grid(5), (64, 2), (64, 31), *latency_cells]:
         g = graph(n, k)
         reps = g.orbit_representatives()
         want = sorted({orbit_minimum(s.members, n) for s in g.vertices})
@@ -295,14 +298,15 @@ def _draw_masks(cell, keep, rng):
 # level 2 from the table and then the completion test and residue scans or
 # lattice passes by the cost rule (the lattice allowed past its cap too),
 # the same with every residue scanned or every residue given a lattice pass
-# while the lattice is under its cap, the table with the lattice over its
-# cap (every residue scanned), no table, where a lattice pass takes level 2,
-# and neither, where each source column takes `_advance` steps over its
-# residue cells.  A single source runs that last path under every setting.
+# (the build counted for nothing) while the lattice is under its cap, the
+# table with the lattice over its cap (every residue scanned), no table,
+# where a lattice pass takes level 2, and neither, where each source column
+# takes `_advance` steps over its residue cells.  A single source runs that
+# last path under every setting.
 SWEEP_PATHS = {
     "table": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 64},
     "scan forced": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 64, "_SCAN_RATIO": 0},
-    "lattice forced": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 64, "_SCAN_RATIO": 1 << 30},
+    "lattice forced": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 64, "_SCAN_RATIO": 1 << 30, "_BUILD_ROWS": 0},
     "table, lattice over its cap": {"_TABLE_RATIO": 1 << 30, "_LATTICE_RATIO": 0},
     "no table": {"_TABLE_BYTES": 0, "_LATTICE_RATIO": 64},
     "no table, lattice over its cap": {"_TABLE_BYTES": 0, "_LATTICE_RATIO": 0},
@@ -351,10 +355,16 @@ def _sweep_work(monkeypatch):
 # still need level 3, for 31 and 17 residue vertices of 2640: one scan
 # each, lattice or not; with no table, three passes take level 2 and three
 # more level 3.  SG(19,7) (D = 3): one batch of 38, whose residue (658
-# vertices of 1254) passes the ratio: one lattice pass, or a scan with the
-# lattice over its cap.  With neither a table nor a lattice, SG(20,7) tries
-# the lattice once and takes levels 2 and 3 from `_advance` steps, the only
-# path that runs them.
+# vertices of 1254) passes the ratio but not the ratio plus the whole
+# build: one scan, and no lattice is built or tried.  SG(21,8) (D = 4): two
+# batches of 48 and 9, whose first residue (1939 of 2079 vertices) passes
+# the ratio plus half the build: four lattice passes of at most 16 sources,
+# or the lattice tried once and both residues scanned.  SG(22,8) (D = 4):
+# eight batches, whose first residue (550 of 4719 vertices) passes the
+# ratio plus an eighth of the build, so all eight take a lattice pass and
+# none is scanned; charged the whole build, the first seven would scan.
+# With neither a table nor a lattice, SG(20,7) tries the lattice once and
+# takes levels 2 and 3 from `_advance` steps, the only path that runs them.
 @pytest.mark.parametrize(
     "n,k,path,built,passes,scans",
     [
@@ -363,8 +373,11 @@ def _sweep_work(monkeypatch):
         (20, 7, "table, lattice over its cap", 0, 0, 2),
         (20, 7, "no table", 1, 6, 0),
         (20, 7, "no table, lattice over its cap", 1, 0, 0),
-        (19, 7, "table", 1, 1, 0),
-        (19, 7, "table, lattice over its cap", 1, 0, 1),
+        (19, 7, "table", 0, 0, 1),
+        (19, 7, "table, lattice over its cap", 0, 0, 1),
+        (21, 8, "table", 1, 4, 0),
+        (21, 8, "table, lattice over its cap", 1, 0, 2),
+        (22, 8, "table", 1, 8, 0),
     ],
 )
 def test_every_sweep_path_runs_and_equals_bfs_levels(monkeypatch, n, k, path, built, passes, scans):
@@ -673,18 +686,20 @@ def _kernel_calls(monkeypatch):
 @pytest.mark.parametrize(
     "n,k,table,capped,kernels",
     # SG(22,7): a 512 KB table, 56 bytes a vertex, and |F|/|V| = 3.6; the
-    # completion test ends the batch after the table's level 2.  SG(20,8)
-    # has a table (159 bytes a vertex) but |F|/|V| = 18.2 passes the cap,
-    # so its batch scans the residues past level 2.  SG(23,9) (319 bytes a
-    # vertex, 19.3) has neither, and nor does SG(63,30), whose |F| (about
-    # 10^13) gives up within the first layers: each column takes `_advance`
-    # steps, with no scan and no lattice pass.
+    # completion test ends the batch after the table's level 2.  SG(19,7)
+    # and SG(16,6) have a table and the lattice under its cap, but the one
+    # batch scans its residue, which costs less than the lattice build and
+    # a pass.  SG(20,8) has a table (159 bytes a vertex) and |F|/|V| = 18.2
+    # passes the cap; its batch scans the residues past level 2 without
+    # trying the lattice.  SG(23,9) (319 bytes a vertex, 19.3) has neither,
+    # and nor does SG(63,30), whose |F| (about 10^13) gives up within the
+    # first layers: each column takes `_advance` steps, with no scan and no
+    # lattice pass.
     [
         pytest.param(22, 7, True, False, {"_lattice_levels", "cover_table"}, id="22-7-_lattice_levels"),
-        pytest.param(
-            20, 8, True, True, {"_lattice_levels", "cover_table", "subset_lattice", "_reach"},
-            id="20-8-_lattice_levels",
-        ),
+        pytest.param(19, 7, True, False, {"_lattice_levels", "cover_table", "_reach"}, id="19-7-_reach"),
+        pytest.param(16, 6, True, False, {"_lattice_levels", "cover_table", "_reach"}, id="16-6-_reach"),
+        pytest.param(20, 8, True, True, {"_lattice_levels", "cover_table", "_reach"}, id="20-8-_lattice_levels"),
         pytest.param(23, 9, False, True, {"_lattice_levels", "subset_lattice", "_advance"}, id="23-9-_advance"),
         pytest.param(63, 30, False, True, {"_lattice_levels", "subset_lattice", "_advance"}, id="63-30-_advance"),
     ],
@@ -805,13 +820,28 @@ def _set_cpus(monkeypatch, count):
     monkeypatch.setattr(graph_module.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def _count_threads(monkeypatch) -> list[int]:
+    """Live threads as each batch of a sweep starts."""
+    threads = []
+    inner = graph_module._lattice_levels
+
+    def counted(sweep, batch):
+        threads.append(threading.active_count())
+        return inner(sweep, batch)
+
+    monkeypatch.setattr(graph_module, "_lattice_levels", counted)
+    return threads
+
+
 @pytest.mark.parametrize(
     "n,k,budget",
     # SG(21,7): its 133 orbit representatives in 9 batches of 16; SG(14,5):
-    # 196 sources, 13 batches of 16 with a one-cell budget
+    # 196 sources, 13 batches of 16 with a one-cell budget.  Neither has a
+    # table, as in the "no table" sweep path, so both may start helpers.
     [(21, 7, None), (14, 5, 1)],
 )
 def test_sweep_rows_do_not_depend_on_the_cpu_count(monkeypatch, n, k, budget):
+    monkeypatch.setattr(graph_module, "_TABLE_BYTES", 0)
     g = graph(n, k)
     masks = g._masks
     sources = g.orbit_representatives() if budget is None else list(range(len(g)))
@@ -844,6 +874,7 @@ def test_sweep_rows_do_not_depend_on_the_cpu_count(monkeypatch, n, k, budget):
 
 def test_closing_a_sweep_joins_its_helpers(monkeypatch):
     _set_cpus(monkeypatch, 4)
+    monkeypatch.setattr(graph_module, "_TABLE_BYTES", 0)  # no table: helpers start
     masks = stable_masks(CycleParams(21, 7))
     before = threading.active_count()
     sweep_rows = graph_module.bfs_sweeps(masks, range(64))  # four batches
@@ -862,7 +893,41 @@ def test_cpu_count_without_affinity(monkeypatch):
     monkeypatch.setattr(graph_module.os, "cpu_count", lambda: None)
     assert graph_module._cpus() == 1
     masks = stable_masks(CycleParams(21, 7))
-    assert [src for src, _ in graph_module.bfs_sweeps(masks, range(40))] == list(range(40))
+    monkeypatch.setattr(graph_module, "_TABLE_BYTES", 0)  # no table: helpers may start
+    threads = _count_threads(monkeypatch)
+    for cpus in (None, 3):
+        monkeypatch.setattr(graph_module.os, "cpu_count", lambda: cpus)
+        threads.clear()
+        before = threading.active_count()
+        assert [src for src, _ in graph_module.bfs_sweeps(masks, range(40))] == list(range(40))
+        assert (max(threads) > before) == (cpus == 3)
+
+
+# SG(21,7) and SG(22,6): 5148 and 11011 vertices, batches of 0.3-0.7 ms with
+# a table, which run faster on the calling thread alone; SG(25,7): 44 200
+# vertices, from `_HELPER_VERTICES` on, whose two batches of 16 and 1 take
+# a helper.
+@pytest.mark.parametrize("n,k,helpers", [(21, 7, False), (22, 6, False), (25, 7, True)])
+def test_short_table_sweeps_start_no_thread(monkeypatch, n, k, helpers):
+    g = graph(n, k)
+    masks = g._masks
+    sources = g.orbit_representatives()[: 17 if helpers else None]
+    assert graph_module._Sweep(masks, many=True).table is not None
+    threads = _count_threads(monkeypatch)
+    swept = {}
+    for cpus in (1, 4):
+        _set_cpus(monkeypatch, cpus)
+        threads.clear()
+        before = threading.active_count()
+        swept[cpus] = list(graph_module.bfs_sweeps(masks, sources))
+        assert len(threads) > 1
+        assert (max(threads) > before) == (helpers and cpus == 4)
+    assert [src for src, _ in swept[1]] == [src for src, _ in swept[4]] == sources
+    for (src, one), (_, four) in zip(swept[1], swept[4]):
+        assert np.array_equal(one, four)
+    if not helpers:
+        for src, levels in swept[4]:
+            assert np.array_equal(levels, bfs_levels(masks, src))
 
 
 @pytest.mark.parametrize("n,k", [(14, 6), (17, 7), (22, 7)])
@@ -884,8 +949,10 @@ def test_diameter_witness_matches_per_source_loop(n, k):
 # SG(22,6) (D = 2) and SG(22,7) (D = 3) need no lattice pass after the
 # table's level 2 and the completion test, and SG(20,7) (D = 3) scans the
 # small level-3 residues of its two batches instead; the residue of
-# SG(19,7) passes the ratio, and the lattice is built once for it.
-@pytest.mark.parametrize("n,k,built", [(22, 6, 0), (22, 7, 0), (20, 7, 0), (19, 7, 1)])
+# SG(19,7) passes the ratio but costs less to scan than the lattice build
+# and a pass.  SG(21,8) (two batches) and SG(22,8) (eight) build the
+# lattice for their first residue and pass every batch.
+@pytest.mark.parametrize("n,k,built", [(22, 6, 0), (22, 7, 0), (20, 7, 0), (19, 7, 0), (21, 8, 1), (22, 8, 1)])
 def test_diameter_builds_the_lattice_only_when_a_batch_needs_it(monkeypatch, n, k, built):
     g = graph(n, k)
     calls = _sweep_work(monkeypatch)
@@ -897,8 +964,10 @@ def test_diameter_builds_the_lattice_only_when_a_batch_needs_it(monkeypatch, n, 
 
 def test_diameter_over_the_lattice_cap_scans_and_runs_no_bfs_levels(monkeypatch):
     # SG(20,8) (D = 5): |F|/|V| = 18.2 is over the cap, so the levels past
-    # 2 of its one batch come from the completion test and residue scans
+    # 2 of its one batch come from the completion test and residue scans;
+    # the residues (825 and 128 of 825 vertices) cost less to scan than a
+    # lattice build, so the lattice is not even tried
     g = graph(20, 8)
     calls = _sweep_work(monkeypatch)
     assert g.diameter_bruteforce().value == 5
-    assert calls == {"subset_lattice": 1, "_reach": 2}
+    assert calls == {"_reach": 2}

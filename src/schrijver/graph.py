@@ -2,81 +2,54 @@
 
 The graph holds only the uint64 vertex masks; `StableSet` objects are built
 on demand.  Adjacency is mask disjointness; no adjacency lists are stored.
-Every full BFS, from one source or many, runs one level loop,
-`_lattice_levels`, over a batch of sources (as in MS-BFS); only a single
-pair has its own kernel.
 
-* `pair_distance` (`bfs_distance`) is a bidirectional BFS.  It grows the
-  end with the smaller frontier from one pool that neither end has
-  visited, one `_advance` step at a time, and stops when `_touches` finds
-  a disjoint pair across the two frontiers; that test returns at the first
-  chunk of the smaller frontier that holds one.  `_advance` scans
-  candidates against a frontier with chunked mask broadcasts, dropping
-  candidates as soon as they are hit: up to |frontier| x |candidates| mask
-  tests, O(|V|) memory.
-* `_lattice_levels` (`distances_from` as a batch of one source, and
-  `bfs_sweeps`) takes the levels in four steps.  Its bookkeeping is
-  (source, vertex) C-order matrices, so every array pass over a batch runs
-  its inner loop along the |V| vertices of a row rather than along the
-  batch's 16 sources.  With the byte/bit split below, levels 1 and 2 of
-  one 16-source batch took 457-466 us against 1768-2261 us in (vertex,
-  source) order on SG(22,6), 182-273 against 344-347 on SG(21,7) and
-  381-501 against 1402-1471 on SG(22,7) (medians of 31, two runs, one CPU,
-  2-vCPU Xeon).
-  - Levels 0 and 1 from the masks: the source, and the masks disjoint
-    from it, one row per source.
-  - Level 2 from the common-neighbour table, if the sweep has one (else
-    level 2 is taken as the further levels are).  Vertices s and v share a
-    neighbour iff some mask lies inside ~s & ~v, which depends on s | v
-    alone.  So one bit array over the 2^n subsets W of the ground set, bit
-    W set iff some mask lies inside W (`cover_table`), answers it for every
-    source at once: 512 KB at n = 22, 8 MB at n = 26.  The table is read
-    as bytes, bit i at bit i & 7 of byte i >> 3, and each complement is
-    split once into its byte index (uint32) and its bit index (uint8).
-    AND distributes over both, so the cell (s, v) reads
-    table[byte_s & byte_v] >> (bit_s & bit_v) & 1, with no shift, mask or
-    cast per cell: 457-466 us against 1397-1537 us for levels 1 and 2 of
-    a 16-source SG(22,6) batch with per-cell i >> 3 and i & 7.
+* `pair_distance` (`bfs_distance`) is a bidirectional BFS.  Both ends draw
+  their next level from one pool of masks that neither has visited; the end
+  with the smaller frontier takes an `_advance` step, a top-down scan of
+  candidates against the frontier in chunked mask broadcasts, and the search
+  stops when `_touches` finds a disjoint pair across the two frontiers.
+* Every full BFS, from one source (`distances_from`) or many
+  (`diameter_bruteforce`, `all_distances`, the sweeps of `suites`), is one
+  `_Sweep`.  It cuts its sources into batches (as in MS-BFS), and
+  `_lattice_levels` takes the levels of one batch.  The frontier, the
+  unvisited cells, the levels and the residue are (source, vertex) C-order
+  matrices, so every array pass runs along the |V| vertices of a row, not
+  along the batch's sources.
+  - Levels 0 and 1 come from the masks: the source, and the masks disjoint
+    from it.
+  - Level 2 comes from the common-neighbour table, if the sweep has one.
+    Vertices s and v share a neighbour iff some mask lies inside ~s & ~v,
+    which depends on s | v alone, so one bit per subset W of the ground
+    set, set iff some mask lies inside W (`cover_table`), answers it for
+    every source at once.  The table is read as bytes, bit i at bit i & 7
+    of byte i >> 3, and each complement is split once into its byte index
+    (uint32) and its bit index (uint8).  AND distributes over both, so the
+    cell (s, v) reads table[byte_s & byte_v] >> (bit_s & bit_v) & 1, with
+    no shift, mask or cast of its own.
   - Before each further level L + 1, the completion test: an unvisited
-    vertex u with a visited rotation partner (u turned by +-1 on the
-    cycle) is at level L + 1.  A 2-stable set never meets its one-step
-    rotation, so a partner w is a neighbour, and level(w) <= L < level(u)
-    gives level(u) = L + 1.  A rotation that is not a vertex of the mask
-    array, or that meets u (both happen on induced subsets), is replaced
-    by u itself, which certifies nothing.  The test costs two gathers
-    along the rows of the (source, vertex) bool matrix.  If it certifies
-    every unvisited cell, the batch ends.  A one-source BFS has no
-    partners, so every unvisited cell is residue.
-  - Otherwise the residue R, the vertices with a cell the test left
-    undecided, is decided in one of three ways.
-    - By a scan (`_reach`) when the sweep has a table and the scan costs
-      less than a lattice pass by the cost rule below: a bottom-up BFS
-      step (Beamer, Asanovic & Patterson, SC 2012) over R alone.  A
-      residue cell (u, s) is at level L + 1 iff some mask of source s's
-      frontier avoids u.  The frontier columns are packed to bits, R is
-      scanned against the masks in chunks, and each residue vertex ORs the
-      packed columns of the masks it avoids.  The scan costs about 2-9 ns
-      per (residue vertex, mask) cell, so once the lattice is built it
-      beats a pass only on small residues (see `_SCAN_RATIO`): on
-      SG(20,7), SG(23,8) and SG(17,6), at most 1.2 % of |V|.
-    - Otherwise by a lattice pass: subset inclusion-exclusion
-      (Bjorklund-Husfeldt-Koivisto) on the down-closed family F of all
-      subsets of the vertex masks.  A superset-sum pass over F gives g(S)
-      = #{u in frontier : S <= u} for every S in F, and a Moebius
-      (subset-difference) pass then gives, at each vertex v, sum over S <=
-      v of (-1)^(|v|-|S|) g(S) = (-1)^|v| #{u in frontier : u & v = 0}:
-      the parity sign of inclusion-exclusion is folded into the
-      differences, and only whether the count is zero matters.  A pass
-      costs about 2 sum_{S in F} |S| row operations for the batch, and
-      memory is fixed in advance.  The lattice is built once per sweep,
-      when a batch first needs a pass; with a table, no D <= 3 cell of the
-      `diameters` benchmark job (k <= 7) builds it, and of the k = 8 cells
-      SG(21,8) and SG(22,8) do.
-    - With neither a table nor a lattice, by a top-down step per source:
-      `_advance` from the source's frontier masks over its own residue
-      cells.
-  `_reach` and `_disjoint_counts` take the frontier as a (vertex, source)
-  view, the transpose of the batch's rows.
+    vertex u with a visited rotation partner (u turned by +-1 on the cycle)
+    is at level L + 1.  A 2-stable set never meets its one-step rotation, so
+    a partner w is a neighbour, and level(w) <= L < level(u) gives level(u)
+    = L + 1.  A rotation that is not a vertex of the mask array, or that
+    meets u (both happen on induced subsets), is replaced by u itself, which
+    certifies nothing.  If the test places every unvisited cell, the batch
+    ends.
+  - Otherwise the residue, the vertices with a cell the test left open,
+    takes one of three steps, as `_Sweep.closer` decides:
+    - a scan (`_reach`), a bottom-up BFS step (Beamer, Asanovic &
+      Patterson, SC 2012) over the residue alone: a residue cell (u, s) is
+      at level L + 1 iff some mask of source s's frontier avoids u, so each
+      residue vertex ORs the bit-packed frontier columns of the masks it
+      avoids;
+    - a lattice pass, subset inclusion-exclusion (Bjorklund-Husfeldt-
+      Koivisto) on the down-closed family F of all subsets of the vertex
+      masks: a superset-sum pass over F gives g(S) = #{u in frontier :
+      S <= u} for every S in F, and a Moebius (subset-difference) pass then
+      gives, at each vertex v, sum over S <= v of (-1)^(|v|-|S|) g(S) =
+      (-1)^|v| #{u in frontier : u & v = 0}; only whether that is zero
+      matters;
+    - an `_advance` step per source, from its frontier over its own
+      residue cells.
 
 Counts are kept modulo 2^16 when no count can reach 2^16, and modulo 2^32
 otherwise.  The count at vertex v, #{u in frontier : u & v = 0}, is at most
@@ -86,93 +59,48 @@ SG(26,7), but 77 520 for SG(27,7).  Both passes use only additions and
 subtractions, so the result is exact modulo that power of two; the true
 count is below the modulus, so it is nonzero exactly when the stored one is.
 
-Cost rule, on the masks and the batch count alone.  A BFS from one source
-(`distances_from`, or a `bfs_sweeps` call with one source) builds neither
-the table, the lattice nor the rotation partners (two argsorts over |V|),
-so each level past 1 is an `_advance` step over the unvisited vertices.  A
-sweep of two or more sources builds the table when its 2^n bits fit
-`_TABLE_BYTES` (16 MB, so n <= 27) and come to at most `_TABLE_RATIO` (256)
-bytes per vertex, so that small induced-subset sweeps over a wide ground
-set build none.  The table takes about 4 ns a byte to build (SG(22,7) 1.6
-ms, SG(26,7) 34 ms, SG(27,8) 67 ms; 2-vCPU Xeon), so at 256 bytes a vertex
-it costs at most about 1 us per vertex, below the 1.4-1.7 us per vertex of
-`subset_lattice` on SG(22..26,7).  The lattice runs while |F| <=
-_LATTICE_RATIO |V|; it is built layer by layer and the build gives up as
-soon as it passes the cap.  With no table, every level past 1 that the
-completion test leaves undecided takes a lattice pass, or `_advance` steps
-when the lattice is over its cap.  With a table, a residue of more than |V|
-/ `_SCAN_RATIO` vertices takes a lattice pass once the lattice is built, or
-a scan when it is over its cap.  While no batch has built it yet, the pass
-would also pay for the build, which costs about as much as a scan of
-`_BUILD_ROWS` (1024) residue vertices and is shared by the sweep's b
-batches: a residue is scanned up to |V| / 32 + 1024 / b vertices.  So
-one-batch sweeps of small cells scan residues of up to half of |V| and
-never build the lattice: with every residue scanned, SG(16,6) took 0.7 ms
-against 2.0, SG(18,7) 1.6 against 3.3 and SG(19,7) 4.1 against 6.1
-(in-process diameters, one CPU, medians of 9); with the cheaper orbit
-representatives and partners too, the ten cells of the `diameters` job
-that built it take 9.5-11.2 ms a pass instead of 14.6-17.7.
-SG(21,8) and SG(22,8), where scanning every residue lost (22.8 against 19.2
-ms and 75 against 53-60 ms), build it for their first residue.  The rows
-are the same on every path.  The table and the lattice are local to one
-call and never stored on the graph.
+The sweep plan.  `_Sweep(masks, sources)` decides everything once, from the
+masks, the number of sources and the CPUs, so induced subgraphs get the same
+plan, and every path gives the same rows.  The measurements behind each
+constant are in the CHANGES.md entries cited at it.
+- One source builds neither the table, F nor the rotation partners, which
+  cost more than a single BFS saves: each of its levels past 1 is an
+  `_advance` step over the unvisited vertices.
+- Two or more sources build the table when its 2^n bits fit `_TABLE_BYTES`
+  and come to at most `_TABLE_RATIO` bytes a vertex.
+- F is used while |F| <= `_LATTICE_RATIO` |V|.  The first batch that needs a
+  pass builds it, layer by layer, giving up as soon as it passes the cap.
+- With no table, each open level takes a lattice pass, or, with F over its
+  cap, `_advance` steps.  With a table, a residue of at most |V| /
+  `_SCAN_RATIO` vertices is scanned; while F is not built, so is a residue
+  of up to `build_rows` more, one batch's share of the build.  A larger
+  residue takes a pass, or a scan when F is over its cap.
 
-Threads: the batches of one `bfs_sweeps` call are independent and spend
-their time in NumPy array passes, so long ones run on every CPU the process
-may use.  A helper thread costs more than a short batch saves: with a
-table, the 16-source batches of the D <= 3 latency cells take 0.3-0.7 ms.
-The helper's malloc arena also faults its temporaries in anew: in a fresh
-process the first SG(22,6) diameter took 33-35 ms with a helper, with
-7 848-7 935 minor faults, against 22.6-22.9 ms and 1 600 faults on one CPU.
-So a sweep with a table starts helpers only from `_HELPER_VERTICES` (2^15)
-vertices on; one without a table (lattice passes or `_advance` steps,
-batches of tens of ms) always may.  Diameters on a 2-vCPU Xeon, in
-process: the median time with a helper over the time on the calling
-thread alone, both free to use both CPUs (7-11 paired calls, two or three
-runs), and the medians on one CPU (`taskset -c 0`) and on two with a
-helper (5-9 calls, four runs).  The host's load moved these figures from
-run to run.  The helper lost on SG(21,7) and SG(22,6) in every run and
-won on every cell without a table; between them the sign changed from run
-to run, and 2^15 falls between SG(24,7) and SG(25,7):
-
-  ==========  ========  ==============  ============  ============
-  cell        |V|       helper / alone  one CPU (ms)  helper (ms)
-  ==========  ========  ==============  ============  ============
-  SG(21,7)    5 148     1.24-1.28       4.8-7.9       5.2-7.3
-  SG(23,8)    9 867     1.02-1.04       35.7-52.3     28.6-45.1
-  SG(22,6)    11 011    1.62-1.75       11.8-18.2     11.7-20.3
-  SG(24,8)    19 305    1.02-1.36       53.6-72.9     36.8-58.8
-  SG(24,7)    27 456    0.62-1.30       92-130        75-142
-  SG(25,7)    44 200    1.07-1.08       231-313       136-204
-  SG(26,7)    68 952    0.83-1.42       380-431       295-337
-  SG(27,8)    107 406                   1439-1575     816-885
-  SG(24,9)    no table                  449-488       252-305
-  SG(29,12)   no table                  4232-4554     2395-2598
-  ==========  ========  ==============  ============  ============
-
-With c CPUs and b batches, h = min(c, b) - 1 helper threads join the
-calling thread.  Batches go in rounds of h + 1: the calling thread computes
-the first batch of each round and the helpers the other h, and the round's
-rows are yielded in source order before the next round is submitted.  So at
-most h + 1 batches are in flight, and `diameter_bruteforce`'s witness (the
-first row reaching the maximum, and that row's first argmax) comes from the
-same rows in the same order as with one CPU.  One CPU or one batch makes
-rounds of one batch, and so does a sweep below the threshold: the calling
-thread runs them with no pool set up.  The rotation partners and the
-lattice of a sweep of two or more sources are built by the first batch that
-needs them, under a lock, so at most once per call; a scan shares nothing
-but the masks.  The calling thread works instead of waiting on a pool of c
-threads because each new thread also costs a malloc arena: on the
-`diameters` benchmark workload a pool of two raised peak RSS by 13.5 %, the
-caller plus one helper by 7-8 %.  The helpers are joined when the generator
-finishes or is closed.  `distances_from` calls `_lattice_levels` itself, so
-a one-source BFS sets up no pool at all.
+Threads.  The batches of one sweep are independent and spend their time in
+NumPy array passes, which release the interpreter lock.  With c CPUs and b
+batches, h = min(c, b) - 1 helper threads join the calling thread, but only
+in a sweep without a table or of at least `_HELPER_VERTICES` vertices.
+Batches go in rounds of h + 1: the calling thread computes the first batch
+of each round and the helpers the other h, and the round's rows are yielded
+in source order before the next round is submitted.  So at most h + 1
+batches are in flight, and `diameter_bruteforce`'s witness (the first row
+reaching the maximum, and that row's first argmax) comes from the same rows
+in the same order as with one CPU.  The calling thread works instead of
+waiting on a pool of c threads because each new thread also costs a malloc
+arena.  With no helper, the calling thread runs every batch and no pool is
+set up; a one-source sweep, such as `distances_from`, is one batch.  The
+rotation partners and F are built under a lock by the first batch that
+needs them, so at most once per sweep.  Each batch tallies what it ran, and
+the calling thread adds the tallies into `_Sweep.work`, so the tally does
+not depend on how the threads interleave.  The helpers are joined when the
+generator of rows finishes or is closed.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -188,76 +116,50 @@ from .errors import InvariantError, ParameterError
 # |V| x 64 x 8B, i.e. ~35 MB for the largest acceptance graph.
 _CHUNK = 64
 
-# Cost rule for the lattice: it is built while |F| <= 16 |V|.  Per-source
-# time of `_advance` over the lattice kernel, measured on a 2-vCPU Xeon with
-# the byte budget below, before the table took level 2: SG(22,7) (|F|/|V| =
-# 3.6) 5.7x, SG(26,9) (6.9) 5.2x, SG(28,10) (10.1) 3.3x, SG(24,9) (12.7)
-# 1.2x, SG(27,10) (14.0) 1.06x; past the cap, SG(20,8) (18.2) 1.09x, SG(23,9)
-# (19.3) 0.9x, SG(26,10) (20.7) 0.33x, SG(25,10) (33.3) 0.19x.
+# F is used while |F| <= 16 |V|: past about that ratio a lattice pass per
+# source costs about as much as `_advance` ("Batched subset-lattice BFS for
+# multi-source sweeps" in CHANGES.md).
 _LATTICE_RATIO = 16
 
 # Byte budget of a lattice pass's count matrix (|F| rows x source columns).
-# A row is as many whole 32-byte blocks as fit in the budget, and at least
-# one (`SubsetLattice.width`); a batch wider than that takes several passes
-# per level.  Moving rows with `take` and `put` sets the kernel's cost, and
-# 32-byte rows move the cheapest per source: over the rows of one SG(22,7)
-# pass on a 2-vCPU Xeon, a `take` plus a `put` cost about 5.3 ns a row at 32
-# bytes, 6.9 ns at 30 and 15-17 ns at 64.  So SG(21..26,7) pass 16 sources
-# of uint16 counts at a time (a 5 MB matrix at SG(26,7)), and small cells
-# more (up to 128 on SG(18,5)).  The gathers of one pass add at most as much
-# again: a pass touches only the sets that hold one element.
+# A row is as many whole 32-byte blocks as fit, and at least one
+# (`SubsetLattice.width`); a batch wider than that takes several passes per
+# level.  Moving rows with `take` and `put` sets the kernel's cost, and
+# 32-byte rows move the cheapest per source ("Lattice BFS in 32-byte count
+# rows").
 _LATTICE_BYTES = 1 << 20
 
-# Byte budget of the common-neighbour table: 2^n bits, n <= 27.  The lookup
-# keeps byte indices as uint32, which holds any n this budget allows.  At
-# n = 27, `diameter --n 27 --k 8 --method bfs` took 1.6-1.8 s against
-# 10.2-10.7 s with lattice passes for level 2 (2-vCPU Xeon).
+# Byte budget of the common-neighbour table: 2^n bits, so n <= 27, and the
+# lookup's uint32 byte indices hold any n it allows ("Level 2 of every
+# multi-source sweep from one common-neighbour bit table").
 _TABLE_BYTES = 1 << 24
 
-# At most this many table bytes per vertex (module docstring).
+# At most this many table bytes a vertex, so that the build costs less per
+# vertex than building F, and small induced-subset sweeps over a wide ground
+# set build no table (same entry).
 _TABLE_RATIO = 256
 
-# With a table, a level whose residue (module docstring) has at most
-# |V| / 32 vertices is finished by a scan of the residue instead of a
-# lattice pass.  Measured break-even |R| / |V| of one level, scan against
-# pass (one CPU, 2-vCPU Xeon): SG(23,8) 0.022, SG(20,7) 0.075, SG(22,8)
-# 0.10, SG(19,7) 0.36.  Over the table grid's cells of at most 25 000
-# vertices (k <= 8) with the lattice under its cap, a residue is at most
-# 0.012 of |V| (SG(17,6), SG(20,7), SG(23,8)) or at least 0.117 (SG(22,8)
-# and smaller cells).
+# With a table, a residue of at most |V| / 32 vertices is scanned instead of
+# given a lattice pass: a scan's cost grows with the residue, a pass's does
+# not, and 1/32 lies below every measured break-even ("Finish a sweep level
+# from the completion test's residue").
 _SCAN_RATIO = 32
 
-# While a sweep has no lattice yet, a pass also pays for the build, which
-# costs about as much as a scan of this many residue vertices, shared by
-# the sweep's batches: the scan bound above becomes |V| / 32 + 1024 / b for
-# a sweep of b batches.  Build time over the time of scanning one residue
-# vertex, per level (one CPU, 2-vCPU Xeon): SG(16,6) 410, SG(19,7) 512,
-# SG(23,8) 505-853, SG(18,7) 796, SG(21,8) 1129-1198, SG(22,8) 1135-1502.
-# The one batch of SG(19,7)'s orbit representatives has a residue of 658
-# vertices, so it is scanned from 620 on; SG(22,8) (8 batches, a first
-# residue of 550 of 4719 vertices) and SG(21,8) (2 batches, 1939 of 2079),
-# where scanning every residue lost, keep their passes for any value below
-# 3224.
+# Building F costs about as much as scanning this many residue vertices, so
+# while F is not built each of a sweep's b batches may scan 1024 / b more
+# ("Diameter sweeps stop paying fixed costs").
 _BUILD_ROWS = 1024
 
 # Sources per batch: 16, or as many multiples of 16 as fit 2^17 (source,
-# vertex) cells when |V| is small.  On a 2-vCPU Xeon, with (source, vertex)
-# matrices, neither fixed batches of 32 nor of 64 sources beat 16 on every
-# one of the seven `diameters` latency cells (SG(19..22,6), SG(20..22,7))
-# and SG(26,7) (diameter medians of five, two runs): on one CPU both lost on
-# SG(20,6) and SG(21,6) (4.5-4.9 and 8.5-10.5 ms against 3.5-3.7 and 8.2
-# ms), and 64 on SG(26,7) (435-483 ms against 358-375 ms); on two CPUs
-# both lost on SG(21,6) and SG(22,6).  Three passes over the job's 38 cells
-# peaked at 38.5-38.6 MB RSS with this rule, 38.5-39.2 MB at 16, 44.2-44.4
-# MB at 32 and 56-67 MB at 64.  `all_distances` over the nine `sweep`
-# benchmark cells (up to 1386 vertices) took 231 ms at 16, 134 ms at 128,
-# 151 ms with this rule and 271 ms before the table (vertex-major matrices).
-# A residue scan takes at most as many (row, mask) cells per chunk: 2^16 to
-# 2^22 cells a chunk scanned SG(22,8) and SG(23,8) equally fast.
+# vertex) cells when |V| is small; wider batches won no cell for certain and
+# raised the peak RSS ("Source-major sweep batches").  A residue scan takes
+# at most as many (row, mask) cells per chunk.
 _BATCH_CELLS = 1 << 17
 
-# A sweep with a table starts helper threads from this many vertices on
-# (module docstring, "Threads"); one without a table always may.
+# A sweep with a table starts helper threads from this many vertices on; one
+# without a table always may.  A helper's malloc arena faults its
+# temporaries in anew, which costs more than the short table batches of
+# smaller sweeps save ("Diameter sweeps stop paying fixed costs").
 _HELPER_VERTICES = 1 << 15
 
 
@@ -484,46 +386,91 @@ def cover_table(masks: np.ndarray, n: int) -> np.ndarray:
     return words
 
 
-def _once(build):
-    """A function that returns `build()`, calling it on its first call only,
-    from whichever thread comes first."""
-    lock = threading.Lock()
-    built = []
-
-    def get():
-        with lock:
-            if not built:
-                built.append(build())
-        return built[0]
-
-    get.built = built  # empty until the first call has returned
-    return get
-
-
 class _Sweep:
-    """What the batches of one BFS call share: the masks, the
-    common-neighbour table when the cost rule allows it (else None) with
-    each mask's complement on the ground set split into a byte index and a
-    bit index (else both None), and the rotation partners and the lattice,
-    each built on first use.  With `many` false (one source) there is no
-    table, and the partners and the lattice are None.  `build_rows` is one
-    batch's share of the lattice build in scanned residue vertices:
-    `_BUILD_ROWS` over the sweep's `batches`."""
+    """The plan of one full BFS call, and what its batches share.
 
-    def __init__(self, masks: np.ndarray, many: bool, batches: int = 1):
+    It is made once, from the masks, the sources and `_cpus()` (module
+    docstring, "The sweep plan"): the `batches` of sources; the
+    common-neighbour `table`, with each mask's complement on the ground set
+    split into a `byte` index and a `bit` index (all three None without a
+    table); `build_rows`, one batch's share of the lattice build in scanned
+    residue vertices; and `helpers`, the helper threads that `rows` runs
+    the batches on.  `built` holds the rotation partners and the lattice
+    once a batch has built them; a one-source sweep holds both as None from
+    the start.  `work` tallies the builds and the steps that the batches ran.
+    """
+
+    def __init__(self, masks: np.ndarray, sources):
         self.masks = masks
-        self.build_rows = _BUILD_ROWS // max(1, batches)
+        sources = list(sources)
+        width = 16 * max(1, _BATCH_CELLS // (16 * max(1, masks.size)))
+        self.batches = [sources[start : start + width] for start in range(0, len(sources), width)]
+        self.build_rows = _BUILD_ROWS // max(1, len(self.batches))
+        self.built = {} if len(sources) > 1 else {"partners": None, "lattice": None}
+        self.work = Counter()
+        self._lock = threading.Lock()
         self.table = self.byte = self.bit = None
         n = int(np.bitwise_or.reduce(masks)).bit_length()
-        if many and max(8, 2**n // 8) <= min(_TABLE_BYTES, _TABLE_RATIO * masks.size):
+        if len(sources) > 1 and max(8, 2**n // 8) <= min(_TABLE_BYTES, _TABLE_RATIO * masks.size):
             # bit i of the table is bit i & 7 of byte i >> 3 in little-endian
             # order, and AND distributes over both parts of i = ~s & ~v
             self.table = cover_table(masks, n).astype("<u8", copy=False).view(np.uint8)
             comp = (np.uint64(2**n - 1) ^ masks).astype(np.uint32)
             self.byte = comp >> 3
             self.bit = (comp & 7).astype(np.uint8)
-        self.partners = _once(lambda: _rotation_partners(masks) if many else None)
-        self.lattice = _once(lambda: subset_lattice(masks) if many else None)
+            self.work["table"] += 1
+        self.helpers = 0
+        if self.table is None or masks.size >= _HELPER_VERTICES:
+            self.helpers = max(0, min(_cpus(), len(self.batches)) - 1)
+
+    def build(self, name: str, work: Counter):
+        """`built[name]`, "partners" or "lattice": built by the first batch
+        that asks, which counts the build in its `work`."""
+        if name not in self.built:
+            with self._lock:
+                if name not in self.built:
+                    make = _rotation_partners if name == "partners" else subset_lattice
+                    self.built[name] = make(self.masks)
+                    work[name] += 1
+        return self.built[name]
+
+    def closer(self, residue: int, work: Counter) -> str:
+        """What closes an open level of a batch whose residue has `residue`
+        vertices: "scan", "pass" or "advance".  Asking whether a pass does
+        builds the lattice if no batch has yet.  Whether it is built is read
+        without the lock: a stale read changes the step, not the rows."""
+        if self.table is not None:
+            build = 0 if "lattice" in self.built else self.build_rows
+            if _SCAN_RATIO * (residue - build) <= self.masks.size:
+                return "scan"
+        if self.build("lattice", work) is not None:
+            return "pass"
+        return "advance" if self.table is None else "scan"
+
+    def rows(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(source, levels) for every source, in order (`bfs_sweeps`), the
+        batches in rounds of `helpers` + 1 (module docstring, "Threads")."""
+        if not self.helpers:
+            for batch in self.batches:
+                yield from self._rows(batch, _lattice_levels(self, batch))
+            return
+        # imported here: at module top it costs every import about 10 ms
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(self.helpers) as pool:
+            for start in range(0, len(self.batches), self.helpers + 1):
+                own, *rest = self.batches[start : start + self.helpers + 1]
+                futures = [pool.submit(_lattice_levels, self, batch) for batch in rest]
+                yield from self._rows(own, _lattice_levels(self, own))
+                for batch, future in zip(rest, futures):
+                    yield from self._rows(batch, future.result())
+
+    def _rows(self, batch: list, done: tuple[np.ndarray, Counter]):
+        """A batch's (source, levels) pairs; its tally joins `work` here, on
+        the calling thread."""
+        levels, work = done
+        self.work.update(work)
+        return zip(batch, levels)
 
 
 def _disjoint_counts(lat: SubsetLattice, frontier: np.ndarray) -> np.ndarray:
@@ -581,23 +528,18 @@ def _reach(masks: np.ndarray, rows: np.ndarray, frontier: np.ndarray) -> np.ndar
     return np.unpackbits(out, axis=1, count=frontier.shape[1], bitorder="little").view(bool)
 
 
-def _lattice_levels(sweep: _Sweep, sources) -> np.ndarray:
-    """BFS levels for one batch of a sweep: a (source, vertex) int8 matrix,
-    whose rows are the sources' levels.
+def _lattice_levels(sweep: _Sweep, sources) -> tuple[np.ndarray, Counter]:
+    """BFS levels for one batch of a sweep, and what the batch ran: a
+    (source, vertex) int8 matrix whose rows are the sources' levels, and a
+    tally of its builds, lattice passes ("pass", one per `lat.width`
+    sources), residue scans and `_advance` steps (one per source).
 
-    The frontier, the unvisited cells, the levels and the residue are
-    (source, vertex) C-order matrices, so each array pass runs along the
-    vertices.  Level 1 comes from the masks and level 2 from the table, if
-    the sweep has one.  Before each further level, the completion test: an
-    unvisited vertex with a visited rotation partner is at the next level,
-    and once that holds for every unvisited vertex the batch ends; with no
-    partners (one source), every unvisited cell is residue.  Otherwise the
-    next level comes from a scan of the residue, the vertices the test left
-    undecided, from a lattice pass per `lat.width` sources, or, with
-    neither a table nor a lattice, from an `_advance` step per source over
-    its residue cells, by the cost rule of the module docstring.
+    Level 1 comes from the masks and level 2 from the table, if the sweep
+    has one.  Before each further level, the completion test; its residue
+    takes the step that `sweep.closer` picks (module docstring).
     """
     masks = sweep.masks
+    work = Counter()
     src = np.asarray(sources, dtype=np.intp)
     batch = np.arange(src.size)
     # a vertex's level counts the levels that start with it unvisited: 1 for
@@ -623,40 +565,36 @@ def _lattice_levels(sweep: _Sweep, sources) -> np.ndarray:
         # residue `left` is the unvisited cells with no visited partner, and
         # every unvisited cell when there are no partners
         left = unvisited
-        partners = sweep.partners()
+        partners = sweep.build("partners", work)
         if partners is not None:
             up, down = partners
             left = unvisited & unvisited.take(up, axis=1) & unvisited.take(down, axis=1)
             if not left.any():
-                return levels
+                return levels, work
         rows = np.flatnonzero(left.any(axis=0))
-        # with a table, a residue is scanned when small against a pass plus,
-        # while no lattice is built, this batch's share of the build (read
-        # without the lock: a stale read changes the kernel, not the rows),
-        # and so is any residue while the lattice is over its cap; with
-        # neither, each source steps from its own frontier
-        build = 0 if sweep.lattice.built else sweep.build_rows
-        lat = None
-        if sweep.table is None or _SCAN_RATIO * (rows.size - build) > masks.size:
-            lat = sweep.lattice()
-        if lat is not None:
+        step = sweep.closer(rows.size, work)
+        if step == "pass":
+            lat = sweep.built["lattice"]
             for start in range(0, src.size, lat.width):
                 cols = slice(start, start + lat.width)
                 frontier[cols] = (_disjoint_counts(lat, frontier[cols].T) != 0).T
+                work["pass"] += 1
             frontier &= unvisited
         else:
             reached = unvisited ^ left  # `left` lies inside `unvisited`
-            if sweep.table is not None:
+            if step == "scan":
                 reached[:, rows] |= _reach(masks, rows, frontier.T).T & left[:, rows]
+                work["scan"] += 1
             else:
                 for s in np.flatnonzero(left.any(axis=1)):
                     cells = np.flatnonzero(left[s])
                     reached[s, cells[_advance(masks[frontier[s]], masks[cells])]] = True
+                    work["advance"] += 1
             frontier = reached
         unvisited ^= frontier
         levels += unvisited
     levels[unvisited] = -1
-    return levels
+    return levels, work
 
 
 def _cpus() -> int:
@@ -671,36 +609,8 @@ def _cpus() -> int:
 def bfs_sweeps(masks: np.ndarray, sources) -> Iterator[tuple[int, np.ndarray]]:
     """Full BFS levels from each source, in order: yields (source, levels),
     an int8 row per source with -1 where unreachable, a view into its
-    batch's (source, vertex) matrix.
-
-    The sources go through `_lattice_levels` in batches, which share one
-    `_Sweep`: the table and the lattice by the cost rule, and the rotation
-    partners, none of them for a single source.  A sweep with no table or
-    with `_HELPER_VERTICES` vertices runs its batches on every CPU, in
-    rounds of at most one batch per CPU; any other runs them on the calling
-    thread.  Rows come out in source order (see the module docstring).
-    """
-    sources = list(sources)
-    width = 16 * max(1, _BATCH_CELLS // (16 * max(1, masks.size)))
-    batches = [sources[start : start + width] for start in range(0, len(sources), width)]
-    sweep = _Sweep(masks, many=len(sources) > 1, batches=len(batches))
-    helpers = 0
-    if sweep.table is None or masks.size >= _HELPER_VERTICES:
-        helpers = max(0, min(_cpus(), len(batches)) - 1)
-    if not helpers:
-        for batch in batches:
-            yield from zip(batch, _lattice_levels(sweep, batch))
-        return
-    # imported here: at module top it costs every import about 10 ms
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(helpers) as pool:
-        for start in range(0, len(batches), helpers + 1):
-            own, *rest = batches[start : start + helpers + 1]
-            futures = [pool.submit(_lattice_levels, sweep, batch) for batch in rest]
-            yield from zip(own, _lattice_levels(sweep, own))
-            for batch, future in zip(rest, futures):
-                yield from zip(batch, future.result())
+    batch's (source, vertex) matrix.  The `_Sweep` plan decides how."""
+    return _Sweep(masks, sources).rows()
 
 
 class SchrijverGraph:
@@ -729,14 +639,12 @@ class SchrijverGraph:
         return int(hit[0])
 
     def distances_from(self, src: int) -> np.ndarray:
-        """Exact BFS distances from vertex index src; -1 where unreachable.
-
-        A batch of one source, run here rather than through `bfs_sweeps`,
-        which would set up a thread pool for it.
-        """
+        """Exact BFS distances from vertex index src; -1 where unreachable:
+        the one row of a one-source sweep."""
         if not 0 <= src < len(self):
             raise ParameterError(f"vertex index {src} is outside 0..{len(self) - 1}")
-        return _lattice_levels(_Sweep(self._masks, many=False), [src])[0]
+        [(_, levels)] = bfs_sweeps(self._masks, [src])
+        return levels
 
     # -- distance, diameter --------------------------------------------------
 

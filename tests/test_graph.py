@@ -1,7 +1,6 @@
 """Graph oracle: the BFS kernels, the pair distance, orbit representatives, brute-force diameter."""
 
 import threading
-from collections import Counter
 from itertools import combinations
 from random import Random
 from time import perf_counter
@@ -296,7 +295,7 @@ def _draw_masks(cell, keep, rng):
 
 # Each path of `_lattice_levels`, by the module constants it runs under:
 # level 2 from the table and then the completion test and residue scans or
-# lattice passes by the cost rule (the lattice allowed past its cap too),
+# lattice passes by the sweep plan (the lattice allowed past its cap too),
 # the same with every residue scanned or every residue given a lattice pass
 # (the build counted for nothing) while the lattice is under its cap, the
 # table with the lattice over its cap (every residue scanned), no table,
@@ -327,26 +326,12 @@ def test_lattice_levels_equal_bfs_levels(path, cell, keep, seed):
     count = int(rng.integers(1, min(5, masks.size) + 1))
     sources = rng.choice(masks.size, size=count, replace=False).tolist()
     with patch.multiple(graph_module, **SWEEP_PATHS[path]):
-        assume(path.startswith("no table") or graph_module._Sweep(masks, many=True).table is not None)
-        swept = list(graph_module.bfs_sweeps(masks, sources))
+        sweep = graph_module._Sweep(masks, sources)
+        assume(path.startswith("no table") or count == 1 or sweep.table is not None)
+        swept = list(sweep.rows())
     assert [src for src, _ in swept] == sources
     for src, levels in swept:
         assert np.array_equal(levels, bfs_levels(masks, src))
-
-
-def _sweep_work(monkeypatch):
-    """Counts of what `bfs_sweeps` runs: lattice builds, lattice passes,
-    residue scans and `_advance` steps."""
-    calls = Counter()
-    for name in ("subset_lattice", "_disjoint_counts", "_reach", "_advance"):
-        inner = getattr(graph_module, name)
-
-        def counted(*args, _inner=inner, _name=name):
-            calls[_name] += 1
-            return _inner(*args)
-
-        monkeypatch.setattr(graph_module, name, counted)
-    return calls
 
 
 # SG(21,7) (D = 3): the completion test ends every batch after the table's
@@ -359,7 +344,7 @@ def _sweep_work(monkeypatch):
 # build: one scan, and no lattice is built or tried.  SG(21,8) (D = 4): two
 # batches of 48 and 9, whose first residue (1939 of 2079 vertices) passes
 # the ratio plus half the build: four lattice passes of at most 16 sources,
-# or the lattice tried once and both residues scanned.  SG(22,8) (D = 4):
+# or the lattice tried once and both residues scanned.  SG(22,8) (D = 3):
 # eight batches, whose first residue (550 of 4719 vertices) passes the
 # ratio plus an eighth of the build, so all eight take a lattice pass and
 # none is scanned; charged the whole build, the first seven would scan.
@@ -385,14 +370,30 @@ def test_every_sweep_path_runs_and_equals_bfs_levels(monkeypatch, n, k, path, bu
     sources = g.orbit_representatives()
     for name, value in SWEEP_PATHS[path].items():
         monkeypatch.setattr(graph_module, name, value)
-    calls = _sweep_work(monkeypatch)
-    swept = list(graph_module.bfs_sweeps(g._masks, sources))
-    assert (calls["subset_lattice"], calls["_disjoint_counts"], calls["_reach"]) == (built, passes, scans)
-    assert (calls["_advance"] > 0) == (path == "no table, lattice over its cap")
+    sweep = graph_module._Sweep(g._masks, sources)
+    swept = list(sweep.rows())
+    assert (sweep.work["lattice"], sweep.work["pass"], sweep.work["scan"]) == (built, passes, scans)
+    assert (sweep.work["advance"] > 0) == (path == "no table, lattice over its cap")
     assert [src for src, _ in swept] == sources
-    monkeypatch.undo()
     for src, levels in swept:
         assert np.array_equal(levels, bfs_levels(g._masks, src))
+
+
+# `all_distances` sweeps every vertex, in batches of up to 240 sources
+# (`_BATCH_CELLS`), wider than a lattice pass: SG(18,7) (540 vertices,
+# batches of 240, 240 and 60) and SG(19,7) (1254, fourteen of at most 96)
+# build the lattice and pass every level that the completion test leaves
+# open, one pass per `lat.width` sources.
+@pytest.mark.parametrize("n,k,passes", [(18, 7, 7), (19, 7, 27)])
+def test_all_distances_traffic(monkeypatch, n, k, passes):
+    _set_cpus(monkeypatch, 1)
+    g = graph(n, k)
+    sweep = graph_module._Sweep(g._masks, range(len(g)))
+    rows = np.array([levels for _, levels in sweep.rows()])
+    assert sweep.work == {"table": 1, "partners": 1, "lattice": 1, "pass": passes}
+    assert np.array_equal(rows, g.all_distances())
+    for src in range(0, len(g), 97):
+        assert np.array_equal(rows[src], bfs_levels(g._masks, src))
 
 
 def _check_reach(masks, rows, frontier):
@@ -667,24 +668,8 @@ def test_advance_from_one_mask_equals_the_chunked_scan(cell, keep, seed):
     assert np.array_equal(got, [not m & int(one[0]) for m in masks.tolist()])
 
 
-def _kernel_calls(monkeypatch):
-    """Counts of the kernels a BFS runs: the level loop, its `_advance`
-    steps, residue scans, lattice passes and the builds of the table and
-    the lattice."""
-    calls = Counter()
-    for name in ("_lattice_levels", "_advance", "_reach", "_disjoint_counts", "cover_table", "subset_lattice"):
-        inner = getattr(graph_module, name)
-
-        def counted(*args, _inner=inner, _name=name):
-            calls[_name] += 1
-            return _inner(*args)
-
-        monkeypatch.setattr(graph_module, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize(
-    "n,k,table,capped,kernels",
+    "n,k,table,capped,work",
     # SG(22,7): a 512 KB table, 56 bytes a vertex, and |F|/|V| = 3.6; the
     # completion test ends the batch after the table's level 2.  SG(19,7)
     # and SG(16,6) have a table and the lattice under its cap, but the one
@@ -696,69 +681,54 @@ def _kernel_calls(monkeypatch):
     # first layers: each column takes `_advance` steps, with no scan and no
     # lattice pass.
     [
-        pytest.param(22, 7, True, False, {"_lattice_levels", "cover_table"}, id="22-7-_lattice_levels"),
-        pytest.param(19, 7, True, False, {"_lattice_levels", "cover_table", "_reach"}, id="19-7-_reach"),
-        pytest.param(16, 6, True, False, {"_lattice_levels", "cover_table", "_reach"}, id="16-6-_reach"),
-        pytest.param(20, 8, True, True, {"_lattice_levels", "cover_table", "_reach"}, id="20-8-_lattice_levels"),
-        pytest.param(23, 9, False, True, {"_lattice_levels", "subset_lattice", "_advance"}, id="23-9-_advance"),
-        pytest.param(63, 30, False, True, {"_lattice_levels", "subset_lattice", "_advance"}, id="63-30-_advance"),
+        pytest.param(22, 7, True, False, {"table", "partners"}, id="22-7-_lattice_levels"),
+        pytest.param(19, 7, True, False, {"table", "partners", "scan"}, id="19-7-_reach"),
+        pytest.param(16, 6, True, False, {"table", "partners", "scan"}, id="16-6-_reach"),
+        pytest.param(20, 8, True, True, {"table", "partners", "scan"}, id="20-8-_lattice_levels"),
+        pytest.param(23, 9, False, True, {"partners", "lattice", "advance"}, id="23-9-_advance"),
+        pytest.param(63, 30, False, True, {"partners", "lattice", "advance"}, id="63-30-_advance"),
     ],
 )
-def test_cost_rule_picks_the_kernel(monkeypatch, n, k, table, capped, kernels):
+def test_cost_rule_picks_the_kernel(n, k, table, capped, work):
     masks = stable_masks(CycleParams(n, k))
-    assert (graph_module._Sweep(masks, many=True).table is not None) == table
     assert (graph_module.subset_lattice(masks) is None) == capped
-    calls = _kernel_calls(monkeypatch)
-    swept = list(graph_module.bfs_sweeps(masks, [0, 1]))
-    assert set(calls) == kernels
-    assert calls["_lattice_levels"] == 1  # one batch of two sources
+    sweep = graph_module._Sweep(masks, [0, 1])
+    assert (sweep.table is not None) == table
+    assert len(sweep.batches) == 1
+    swept = list(sweep.rows())
+    assert set(sweep.work) == work
     for src, levels in swept:
         assert np.array_equal(levels, bfs_levels(masks, src))
 
 
 def test_single_source_sweep_runs_advance(monkeypatch):
-    # one source builds no table, no lattice and no rotation partners,
-    # although SG(22,7) allows all three to a sweep of two; `distances_from`
-    # runs the same batch of one without going through `bfs_sweeps`
-    masks = stable_masks(CycleParams(22, 7))
-    calls = _kernel_calls(monkeypatch)
-    partners = graph_module._rotation_partners
-
-    def counted_partners(masks):
-        calls["_rotation_partners"] += 1
-        return partners(masks)
-
-    monkeypatch.setattr(graph_module, "_rotation_partners", counted_partners)
-    [(src, levels)] = graph_module.bfs_sweeps(masks, [3])
-    assert set(calls) == {"_lattice_levels", "_advance"}
-    assert calls["_lattice_levels"] == 1
-    monkeypatch.setattr(graph_module, "bfs_sweeps", _refuse)
-    g = graph(22, 7)
-    assert np.array_equal(g.distances_from(3), levels)
-    assert set(calls) == {"_lattice_levels", "_advance"}
-    assert calls["_lattice_levels"] == 2
-    assert calls["_rotation_partners"] == 0
-    monkeypatch.undo()
+    # SG(23,9) has no table, so on four CPUs 40 sources, two batches of 32
+    # and 8, start a helper; one source is one batch and starts none, and
+    # it builds no table, no lattice and no rotation partners
+    _set_cpus(monkeypatch, 4)
+    masks = stable_masks(CycleParams(23, 9))
+    assert graph_module._Sweep(masks, range(40)).helpers == 1
+    sweep = graph_module._Sweep(masks, [3])
+    assert sweep.table is None and sweep.batches == [[3]] and sweep.helpers == 0
+    before = threading.active_count()
+    rows = sweep.rows()
+    src, levels = next(rows)
+    assert threading.active_count() == before and next(rows, None) is None
+    assert set(sweep.work) == {"advance"}
     assert src == 3 and np.array_equal(levels, bfs_levels(masks, 3))
+    assert np.array_equal(graph(23, 9).distances_from(3), levels)
 
 
-def _lattice_levels_from_both_ends(monkeypatch, masks):
+def _lattice_count_type(monkeypatch, masks):
     """Levels from the first and last vertex with no table, so that lattice
     passes take every level past 1, equal `bfs_levels`; returns the count
-    types of the passes."""
+    type of the passes."""
     monkeypatch.setattr(graph_module, "_TABLE_BYTES", 0)
-    count_types = []
-    inner = graph_module._disjoint_counts
-
-    def counted(lat, frontier):
-        count_types.append(lat.count_type)
-        return inner(lat, frontier)
-
-    monkeypatch.setattr(graph_module, "_disjoint_counts", counted)
-    sources = [0, masks.size - 1]
-    for src, levels in graph_module.bfs_sweeps(masks, sources):
+    sweep = graph_module._Sweep(masks, [0, masks.size - 1])
+    for src, levels in sweep.rows():
         assert np.array_equal(levels, bfs_levels(masks, src))
-    return count_types
+    assert sweep.work["pass"] > 0
+    return sweep.built["lattice"].count_type
 
 
 def test_lattice_counts_modulo_2_16(monkeypatch):
@@ -766,51 +736,40 @@ def test_lattice_counts_modulo_2_16(monkeypatch):
     # C(19,7) = 50 388 7-sets that avoid a vertex, so counts are uint16
     masks = stable_masks(CycleParams(26, 7))
     assert masks.size == 68952
-    assert set(_lattice_levels_from_both_ends(monkeypatch, masks)) == {np.uint16}
+    assert _lattice_count_type(monkeypatch, masks) == np.uint16
 
 
 def test_lattice_counts_modulo_2_32(monkeypatch):
     # SG(27,7): 104 652 vertices and C(20,7) = 77 520 >= 2^16, so uint32
     masks = stable_masks(CycleParams(27, 7))
     assert masks.size == 104652
-    assert set(_lattice_levels_from_both_ends(monkeypatch, masks)) == {np.uint32}
+    assert _lattice_count_type(monkeypatch, masks) == np.uint32
 
 
 # SG(21,7): 5 148 vertices, 16 sources.  SG(18,5): 1 782 vertices, so four
 # multiples of 16 sources fit in 2^17 (vertex, source) cells, 64 sources.
 @pytest.mark.parametrize("n,k,width", [(21, 7, 16), (18, 5, 64)])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_sweep_batches_split_at_the_width(monkeypatch, n, k, width, extra):
+def test_sweep_batches_split_at_the_width(n, k, width, extra):
     masks = stable_masks(CycleParams(n, k))
     sources = np.random.default_rng(width + extra).permutation(masks.size)[: width + extra].tolist()
-    batches = []
-    inner = graph_module._lattice_levels
-
-    def counted(sweep, batch):
-        batches.append(list(batch))
-        return inner(sweep, batch)
-
-    monkeypatch.setattr(graph_module, "_lattice_levels", counted)
-    swept = list(graph_module.bfs_sweeps(masks, sources))
-    # helper threads may start a later batch first
-    batches.sort(key=lambda batch: sources.index(batch[0]))
-    assert [len(batch) for batch in batches] == ([width, 1] if extra > 0 else [width + extra])
-    assert sum(batches, []) == sources
+    sweep = graph_module._Sweep(masks, sources)
+    assert [len(batch) for batch in sweep.batches] == ([width, 1] if extra > 0 else [width + extra])
+    assert sum(sweep.batches, []) == sources
+    swept = list(sweep.rows())
     assert [src for src, _ in swept] == sources
     for src, levels in swept:
         assert np.array_equal(levels, bfs_levels(masks, src))
 
 
-def test_sweep_ends_at_the_last_level_without_a_lattice_pass(monkeypatch):
+def test_sweep_ends_at_the_last_level_without_a_lattice_pass():
     # SG(21,7) has D = 3.  After the table's level 2 every unvisited vertex
     # has a visited rotation partner, so none of the 9 batches of its 133
     # orbit representatives runs a lattice pass, and no lattice is built.
     g = graph(21, 7)
-    sources = g.orbit_representatives()
-    calls = _sweep_work(monkeypatch)
-    swept = list(graph_module.bfs_sweeps(g._masks, sources))
-    assert calls == {}
-    monkeypatch.undo()
+    sweep = graph_module._Sweep(g._masks, g.orbit_representatives())
+    swept = list(sweep.rows())
+    assert len(sweep.batches) == 9 and sweep.work == {"table": 1, "partners": 1}
     assert max(int(levels.max()) for _, levels in swept) == 3
     for src, levels in swept:
         assert np.array_equal(levels, bfs_levels(g._masks, src))
@@ -818,19 +777,6 @@ def test_sweep_ends_at_the_last_level_without_a_lattice_pass(monkeypatch):
 
 def _set_cpus(monkeypatch, count):
     monkeypatch.setattr(graph_module.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def _count_threads(monkeypatch) -> list[int]:
-    """Live threads as each batch of a sweep starts."""
-    threads = []
-    inner = graph_module._lattice_levels
-
-    def counted(sweep, batch):
-        threads.append(threading.active_count())
-        return inner(sweep, batch)
-
-    monkeypatch.setattr(graph_module, "_lattice_levels", counted)
-    return threads
 
 
 @pytest.mark.parametrize(
@@ -847,25 +793,14 @@ def test_sweep_rows_do_not_depend_on_the_cpu_count(monkeypatch, n, k, budget):
     sources = g.orbit_representatives() if budget is None else list(range(len(g)))
     if budget is not None:
         monkeypatch.setattr(graph_module, "_BATCH_CELLS", budget)
-    batches = []
-    threads = []  # live threads as each batch starts
-    inner = graph_module._lattice_levels
-
-    def counted(sweep, batch):
-        batches.append(len(batch))
-        threads.append(threading.active_count())
-        return inner(sweep, batch)
-
-    monkeypatch.setattr(graph_module, "_lattice_levels", counted)
-    swept, started = {}, {}
+    sweeps, swept = {}, {}
     for cpus in (1, 4):
         _set_cpus(monkeypatch, cpus)
-        threads.clear()
-        before = threading.active_count()
-        swept[cpus] = list(graph_module.bfs_sweeps(masks, sources))
-        started[cpus] = max(threads) - before
-    assert started[1] == 0 and started[4] > 0  # one CPU starts no thread
-    assert len(batches) == 2 * (9 if budget is None else 13)
+        sweeps[cpus] = graph_module._Sweep(masks, sources)
+        swept[cpus] = list(sweeps[cpus].rows())
+        assert len(sweeps[cpus].batches) == (9 if budget is None else 13)
+    assert sweeps[1].helpers == 0 and sweeps[4].helpers == 3  # one CPU starts no thread
+    assert sweeps[1].work == sweeps[4].work  # the tally does not follow the threads
     assert [src for src, _ in swept[1]] == [src for src, _ in swept[4]] == sources
     for (src, one), (_, four) in zip(swept[1], swept[4]):
         assert np.array_equal(one, four)
@@ -877,9 +812,11 @@ def test_closing_a_sweep_joins_its_helpers(monkeypatch):
     monkeypatch.setattr(graph_module, "_TABLE_BYTES", 0)  # no table: helpers start
     masks = stable_masks(CycleParams(21, 7))
     before = threading.active_count()
-    sweep_rows = graph_module.bfs_sweeps(masks, range(64))  # four batches
+    sweep = graph_module._Sweep(masks, range(64))  # four batches
+    sweep_rows = sweep.rows()
     src, levels = next(sweep_rows)
-    assert threading.active_count() > before  # the helpers are running
+    # the helpers are running, and no more than the plan's
+    assert before < threading.active_count() <= before + sweep.helpers == before + 3
     sweep_rows.close()
     assert threading.active_count() == before
     assert np.array_equal(levels, bfs_levels(masks, src))
@@ -894,13 +831,11 @@ def test_cpu_count_without_affinity(monkeypatch):
     assert graph_module._cpus() == 1
     masks = stable_masks(CycleParams(21, 7))
     monkeypatch.setattr(graph_module, "_TABLE_BYTES", 0)  # no table: helpers may start
-    threads = _count_threads(monkeypatch)
     for cpus in (None, 3):
         monkeypatch.setattr(graph_module.os, "cpu_count", lambda: cpus)
-        threads.clear()
-        before = threading.active_count()
-        assert [src for src, _ in graph_module.bfs_sweeps(masks, range(40))] == list(range(40))
-        assert (max(threads) > before) == (cpus == 3)
+        sweep = graph_module._Sweep(masks, range(40))
+        assert [src for src, _ in sweep.rows()] == list(range(40))
+        assert sweep.helpers == (2 if cpus == 3 else 0)
 
 
 # SG(21,7) and SG(22,6): 5148 and 11011 vertices, batches of 0.3-0.7 ms with
@@ -912,16 +847,13 @@ def test_short_table_sweeps_start_no_thread(monkeypatch, n, k, helpers):
     g = graph(n, k)
     masks = g._masks
     sources = g.orbit_representatives()[: 17 if helpers else None]
-    assert graph_module._Sweep(masks, many=True).table is not None
-    threads = _count_threads(monkeypatch)
     swept = {}
     for cpus in (1, 4):
         _set_cpus(monkeypatch, cpus)
-        threads.clear()
-        before = threading.active_count()
-        swept[cpus] = list(graph_module.bfs_sweeps(masks, sources))
-        assert len(threads) > 1
-        assert (max(threads) > before) == (helpers and cpus == 4)
+        sweep = graph_module._Sweep(masks, sources)
+        assert sweep.table is not None and len(sweep.batches) > 1
+        assert sweep.helpers == (1 if helpers and cpus == 4 else 0)
+        swept[cpus] = list(sweep.rows())
     assert [src for src, _ in swept[1]] == [src for src, _ in swept[4]] == sources
     for (src, one), (_, four) in zip(swept[1], swept[4]):
         assert np.array_equal(one, four)
@@ -953,21 +885,21 @@ def test_diameter_witness_matches_per_source_loop(n, k):
 # and a pass.  SG(21,8) (two batches) and SG(22,8) (eight) build the
 # lattice for their first residue and pass every batch.
 @pytest.mark.parametrize("n,k,built", [(22, 6, 0), (22, 7, 0), (20, 7, 0), (19, 7, 0), (21, 8, 1), (22, 8, 1)])
-def test_diameter_builds_the_lattice_only_when_a_batch_needs_it(monkeypatch, n, k, built):
+def test_diameter_builds_the_lattice_only_when_a_batch_needs_it(n, k, built):
     g = graph(n, k)
-    calls = _sweep_work(monkeypatch)
-    g.diameter_bruteforce()
-    assert calls["subset_lattice"] == built
-    assert (calls["_disjoint_counts"] > 0) == (built > 0)
-    assert calls["_advance"] == 0
+    sweep = graph_module._Sweep(g._masks, g.orbit_representatives())
+    assert max(int(levels.max()) for _, levels in sweep.rows()) == g.diameter_bruteforce().value
+    assert sweep.work["lattice"] == built
+    assert (sweep.work["pass"] > 0) == (built > 0)
+    assert sweep.work["advance"] == 0
 
 
-def test_diameter_over_the_lattice_cap_scans_and_runs_no_bfs_levels(monkeypatch):
+def test_diameter_over_the_lattice_cap_scans_and_runs_no_bfs_levels():
     # SG(20,8) (D = 5): |F|/|V| = 18.2 is over the cap, so the levels past
     # 2 of its one batch come from the completion test and residue scans;
     # the residues (825 and 128 of 825 vertices) cost less to scan than a
     # lattice build, so the lattice is not even tried
     g = graph(20, 8)
-    calls = _sweep_work(monkeypatch)
-    assert g.diameter_bruteforce().value == 5
-    assert calls == {"_reach": 2}
+    sweep = graph_module._Sweep(g._masks, g.orbit_representatives())
+    assert max(int(levels.max()) for _, levels in sweep.rows()) == 5
+    assert sweep.work == {"table": 1, "partners": 1, "scan": 2}

@@ -12,9 +12,10 @@ on demand.  Adjacency is mask disjointness; no adjacency lists are stored.
   (`diameter_bruteforce`, `all_distances`, the sweeps of `suites`), is one
   `_Sweep`.  It cuts its sources into batches (as in MS-BFS), and
   `_lattice_levels` takes the levels of one batch.  The frontier, the
-  unvisited cells, the levels and the residue are (source, vertex) C-order
-  matrices, so every array pass runs along the |V| vertices of a row, not
-  along the batch's sources.
+  unvisited cells, the levels and the residue are (source, column) C-order
+  matrices, so every array pass runs along the vertices of a row, not
+  along the batch's sources.  The columns are the vertices in vertex
+  order, or in orbit order in an orbit-reduced diameter ("The sweep plan").
   - Levels 0 and 1 come from the masks: the source, and the masks disjoint
     from it.
   - Level 2 comes from the common-neighbour table, if the sweep has one.
@@ -59,10 +60,11 @@ SG(26,7), but 77 520 for SG(27,7).  Both passes use only additions and
 subtractions, so the result is exact modulo that power of two; the true
 count is below the modulus, so it is nonzero exactly when the stored one is.
 
-The sweep plan.  `_Sweep(masks, sources)` decides everything once, from the
-masks, the number of sources and the CPUs, so induced subgraphs get the same
-plan, and every path gives the same rows.  The measurements behind each
-constant are in the CHANGES.md entries cited at it.
+The sweep plan.  `_Sweep(masks, sources, orbits)` decides everything once,
+from the masks, the number of sources, the orbits if given and the CPUs, so
+induced subgraphs get the same plan, and every path gives the same rows.
+The measurements behind each constant are in the CHANGES.md entries cited
+at it.
 - One source builds neither the table, F nor the rotation partners, which
   cost more than a single BFS saves: each of its levels past 1 is an
   `_advance` step over the unvisited vertices.
@@ -75,25 +77,43 @@ constant are in the CHANGES.md entries cited at it.
   `_SCAN_RATIO` vertices is scanned; while F is not built, so is a residue
   of up to `build_rows` more, one batch's share of the build.  A larger
   residue takes a pass, or a scan when F is over its cap.
+- An orbit-reduced diameter gives the sweep the orbit representatives r_0 <
+  r_1 < ... as sources, and each vertex's orbit.  With a table and more
+  than one batch, the columns go in orbit order: the vertices by the batch
+  of their orbit, ascending inside each batch's group (a full orbit-major
+  order made the table lookup about twice as slow per cell: it lost the
+  locality of vertex order).  A batch whose first source is r_b keeps the
+  columns of the orbits from b on and skips the rest.  The diameter and its
+  witness, the first row reaching D and that row's first vertex at D, stay
+  the same:
+  - a pair (r_i, v) with v in an earlier orbit j has the distance of a pair
+    (r_j, w), since an automorphism takes v to r_j, so row j reaches it;
+  - so if row i is the first to reach D, every vertex at distance D from
+    r_i lies in an orbit from i on, a column that row i's batch kept.
+  Levels 0 to 2 and the completion test read each cell on its own, and a
+  rotation partner lies in its vertex's orbit, so they are exact on the
+  kept columns.  A scan or a lattice pass reads the whole frontier (a sweep
+  with a table takes no `_advance` step), so a batch that needs one first
+  takes levels 0 to 2 of its skipped columns and joins them to the kept
+  ones.
 
 Threads.  The batches of one sweep are independent and spend their time in
 NumPy array passes, which release the interpreter lock.  With c CPUs and b
 batches, h = min(c, b) - 1 helper threads join the calling thread, but only
 in a sweep without a table or of at least `_HELPER_VERTICES` vertices.
 Batches go in rounds of h + 1: the calling thread computes the first batch
-of each round and the helpers the other h, and the round's rows are yielded
-in source order before the next round is submitted.  So at most h + 1
-batches are in flight, and `diameter_bruteforce`'s witness (the first row
-reaching the maximum, and that row's first argmax) comes from the same rows
-in the same order as with one CPU.  The calling thread works instead of
-waiting on a pool of c threads because each new thread also costs a malloc
-arena.  With no helper, the calling thread runs every batch and no pool is
-set up; a one-source sweep, such as `distances_from`, is one batch.  The
-rotation partners and F are built under a lock by the first batch that
-needs them, so at most once per sweep.  Each batch tallies what it ran, and
-the calling thread adds the tallies into `_Sweep.work`, so the tally does
-not depend on how the threads interleave.  The helpers are joined when the
-generator of rows finishes or is closed.
+of each round and the helpers the other h, and the round's batches are
+yielded in source order before the next round is submitted.  So at most
+h + 1 batches are in flight, and `diameter_bruteforce`'s witness comes from
+the same rows in the same order as with one CPU.  The calling thread works
+instead of waiting on a pool of c threads because each new thread also
+costs a malloc arena.  With no helper, the calling thread runs every batch
+and no pool is set up; a one-source sweep, such as `distances_from`, is one
+batch.  The rotation partners and F are built under a lock by the first
+batch that needs them, so at most once per sweep.  Each batch tallies what
+it ran, and the calling thread adds the tallies into `_Sweep.work`, so the
+tally does not depend on how the threads interleave.  The helpers are
+joined when the generator of batches finishes or is closed.
 """
 
 from __future__ import annotations
@@ -389,19 +409,24 @@ def cover_table(masks: np.ndarray, n: int) -> np.ndarray:
 class _Sweep:
     """The plan of one full BFS call, and what its batches share.
 
-    It is made once, from the masks, the sources and `_cpus()` (module
-    docstring, "The sweep plan"): the `batches` of sources; the
+    It is made once, from the masks, the sources, each vertex's orbit as an
+    index into the sources if given, and `_cpus()` (module docstring, "The
+    sweep plan"): the `batches` of sources; the vertex `order` of the
+    columns and each vertex's column `position` (both None in vertex
+    order), the masks in vertex order (`vertex_masks`) and in column order
+    (`masks`), each batch's sources as `columns` and its first kept column
+    in `starts`; the
     common-neighbour `table`, with each mask's complement on the ground set
     split into a `byte` index and a `bit` index (all three None without a
     table); `build_rows`, one batch's share of the lattice build in scanned
-    residue vertices; and `helpers`, the helper threads that `rows` runs
+    residue vertices; and `helpers`, the helper threads that `levels` runs
     the batches on.  `built` holds the rotation partners and the lattice
     once a batch has built them; a one-source sweep holds both as None from
-    the start.  `work` tallies the builds and the steps that the batches ran.
+    the start.  `work` tallies the builds, the joins and the steps that the
+    batches ran.
     """
 
-    def __init__(self, masks: np.ndarray, sources):
-        self.masks = masks
+    def __init__(self, masks: np.ndarray, sources, orbits: np.ndarray | None = None):
         sources = list(sources)
         width = 16 * max(1, _BATCH_CELLS // (16 * max(1, masks.size)))
         self.batches = [sources[start : start + width] for start in range(0, len(sources), width)]
@@ -409,9 +434,21 @@ class _Sweep:
         self.built = {} if len(sources) > 1 else {"partners": None, "lattice": None}
         self.work = Counter()
         self._lock = threading.Lock()
-        self.table = self.byte = self.bit = None
         n = int(np.bitwise_or.reduce(masks)).bit_length()
-        if len(sources) > 1 and max(8, 2**n // 8) <= min(_TABLE_BYTES, _TABLE_RATIO * masks.size):
+        table = len(sources) > 1 and max(8, 2**n // 8) <= min(_TABLE_BYTES, _TABLE_RATIO * masks.size)
+        self.vertex_masks = masks
+        self.order = self.position = None
+        self.starts = [0] * len(self.batches)
+        self.columns = self.batches
+        if table and orbits is not None and len(self.batches) > 1:
+            self.order, self.starts = _orbit_order(orbits, width, len(self.batches))
+            masks = masks[self.order]
+            self.position = np.empty_like(self.order)
+            self.position[self.order] = np.arange(masks.size)
+            self.columns = [self.position[batch] for batch in self.batches]
+        self.masks = masks
+        self.table = self.byte = self.bit = None
+        if table:
             # bit i of the table is bit i & 7 of byte i >> 3 in little-endian
             # order, and AND distributes over both parts of i = ~s & ~v
             self.table = cover_table(masks, n).astype("<u8", copy=False).view(np.uint8)
@@ -447,30 +484,59 @@ class _Sweep:
             return "pass"
         return "advance" if self.table is None else "scan"
 
-    def rows(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(source, levels) for every source, in order (`bfs_sweeps`), the
-        batches in rounds of `helpers` + 1 (module docstring, "Threads")."""
+    def reach(self, rows: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+        """`_reach` of the columns `rows`, scanned against the masks in
+        vertex order: against orbit order, the scans of the SG(23,8)
+        diameter took 16 % longer."""
+        if self.order is not None:
+            rows = self.order[rows]
+        return _reach(self.vertex_masks, rows, frontier, self.position)
+
+    def levels(self) -> Iterator[tuple[list, np.ndarray]]:
+        """(batch, levels) for every batch, in order: its sources and its
+        (source, column) level matrix, whose columns run from the batch's
+        first kept column to the last (all of them, in vertex order, without
+        an orbit order), in rounds of `helpers` + 1 (module docstring,
+        "Threads")."""
+        jobs = list(zip(self.batches, self.columns, self.starts))
         if not self.helpers:
-            for batch in self.batches:
-                yield from self._rows(batch, _lattice_levels(self, batch))
+            for batch, columns, start in jobs:
+                yield batch, self._done(_lattice_levels(self, columns, start))
             return
         # imported here: at module top it costs every import about 10 ms
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(self.helpers) as pool:
-            for start in range(0, len(self.batches), self.helpers + 1):
-                own, *rest = self.batches[start : start + self.helpers + 1]
-                futures = [pool.submit(_lattice_levels, self, batch) for batch in rest]
-                yield from self._rows(own, _lattice_levels(self, own))
-                for batch, future in zip(rest, futures):
-                    yield from self._rows(batch, future.result())
+            for first in range(0, len(jobs), self.helpers + 1):
+                (batch, columns, start), *rest = jobs[first : first + self.helpers + 1]
+                futures = [pool.submit(_lattice_levels, self, *job[1:]) for job in rest]
+                yield batch, self._done(_lattice_levels(self, columns, start))
+                for job, future in zip(rest, futures):
+                    yield job[0], self._done(future.result())
 
-    def _rows(self, batch: list, done: tuple[np.ndarray, Counter]):
-        """A batch's (source, levels) pairs; its tally joins `work` here, on
-        the calling thread."""
+    def rows(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(source, levels) for every source, in order (`bfs_sweeps`): whole
+        rows in vertex order, for a sweep made without orbits."""
+        for batch, levels in self.levels():
+            yield from zip(batch, levels)
+
+    def _done(self, done: tuple[np.ndarray, Counter]) -> np.ndarray:
+        """A batch's levels; its tally joins `work` here, on the calling
+        thread."""
         levels, work = done
         self.work.update(work)
-        return zip(batch, levels)
+        return levels
+
+
+def _orbit_order(orbits: np.ndarray, width: int, batches: int) -> tuple[np.ndarray, list[int]]:
+    """The sweep's columns in orbit order, and the first column of each
+    batch's group: the vertices ordered by the batch of their orbit (orbit
+    i goes in batch i // width), ascending inside each group.  A stable sort
+    of a key this small is a radix sort."""
+    group = (orbits // width).astype(np.min_scalar_type(batches))
+    order = np.argsort(group, kind="stable")
+    ends = np.cumsum(np.bincount(group, minlength=batches))
+    return order, [0, *ends[:-1].tolist()]
 
 
 def _disjoint_counts(lat: SubsetLattice, frontier: np.ndarray) -> np.ndarray:
@@ -501,11 +567,14 @@ def _disjoint_counts(lat: SubsetLattice, frontier: np.ndarray) -> np.ndarray:
     return counts.take(lat.vertex_rows, axis=0)
 
 
-def _reach(masks: np.ndarray, rows: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+def _reach(
+    masks: np.ndarray, rows: np.ndarray, frontier: np.ndarray, position: np.ndarray | None = None
+) -> np.ndarray:
     """(row, source) bool matrix: whether vertex `rows[i]` is disjoint from
     some vertex of source column s of the (vertex, source) bool matrix
     `frontier`, in any memory order (the level loop passes the transpose
-    of its rows).
+    of its rows).  Vertex v is row `position[v]` of `frontier`, or row v
+    when `position` is None.
 
     A bottom-up BFS step over the given rows only.  The frontier columns are
     packed to bits, the rows are scanned against all masks, `_BATCH_CELLS`
@@ -513,6 +582,8 @@ def _reach(masks: np.ndarray, rows: np.ndarray, frontier: np.ndarray) -> np.ndar
     masks it avoids.  A row that avoids none reaches no column.
     """
     packed = np.packbits(frontier, axis=1, bitorder="little")
+    if position is not None:
+        packed = packed[position]
     out = np.zeros((rows.size, packed.shape[1]), dtype=np.uint8)
     step = max(1, _BATCH_CELLS // masks.size)
     for start in range(0, rows.size, step):
@@ -528,62 +599,95 @@ def _reach(masks: np.ndarray, rows: np.ndarray, frontier: np.ndarray) -> np.ndar
     return np.unpackbits(out, axis=1, count=frontier.shape[1], bitorder="little").view(bool)
 
 
-def _lattice_levels(sweep: _Sweep, sources) -> tuple[np.ndarray, Counter]:
-    """BFS levels for one batch of a sweep, and what the batch ran: a
-    (source, vertex) int8 matrix whose rows are the sources' levels, and a
-    tally of its builds, lattice passes ("pass", one per `lat.width`
-    sources), residue scans and `_advance` steps (one per source).
-
-    Level 1 comes from the masks and level 2 from the table, if the sweep
-    has one.  Before each further level, the completion test; its residue
-    takes the step that `sweep.closer` picks (module docstring).
-    """
+def _first_levels(sweep: _Sweep, src: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """The frontier, the unvisited cells and the levels of sources `src`
+    (sweep columns) after level 2 when the sweep has a table, else after
+    level 1: (source, column) matrices over the columns lo..hi-1.  Every
+    cell depends on its own source and vertex alone.  A batch's sources lie
+    in its kept columns, none in those it skipped."""
     masks = sweep.masks
-    work = Counter()
-    src = np.asarray(sources, dtype=np.intp)
-    batch = np.arange(src.size)
     # a vertex's level counts the levels that start with it unvisited: 1 for
     # all but the source, then one more after each level that leaves it so
-    frontier = (masks[src][:, None] & masks[None, :]) == 0
+    frontier = (masks[src][:, None] & masks[None, lo:hi]) == 0
     unvisited = ~frontier
-    unvisited[batch, src] = False
-    levels = np.ones((src.size, masks.size), dtype=np.int8)
-    levels[batch, src] = 0
+    levels = np.ones(frontier.shape, dtype=np.int8)
+    if lo <= src[0] < hi:
+        own = np.arange(src.size), src - lo
+        unvisited[own] = False
+        levels[own] = 0
     levels += unvisited
     if sweep.table is not None:
         # v shares a neighbour with s iff some mask avoids s | v: table bit
         # ~s & ~v, which is bit (~s & ~v) & 7 of byte (~s & ~v) >> 3
-        common = np.take(sweep.table, sweep.byte[src][:, None] & sweep.byte[None, :])
-        common >>= sweep.bit[src][:, None] & sweep.bit[None, :]
+        common = np.take(sweep.table, sweep.byte[src][:, None] & sweep.byte[None, lo:hi])
+        common >>= sweep.bit[src][:, None] & sweep.bit[None, lo:hi]
         common &= 1
         frontier = unvisited & common.view(bool)
         unvisited ^= frontier
         levels += unvisited
-    while unvisited.any() and frontier.any():
-        # a visited neighbour is at level <= L and an unvisited vertex beyond
-        # L, so an unvisited vertex with a visited partner is at L + 1; the
-        # residue `left` is the unvisited cells with no visited partner, and
-        # every unvisited cell when there are no partners
-        left = unvisited
+    return frontier, unvisited, levels
+
+
+def _residue(unvisited: np.ndarray, partners: np.ndarray | None, lo: int) -> np.ndarray:
+    """The completion test's residue on the columns lo.. of a batch: the
+    unvisited cells with no visited rotation partner, or every unvisited
+    cell when there are no partners.  A visited neighbour is at level <= L
+    and an unvisited vertex beyond L, so an unvisited vertex with a visited
+    partner is at L + 1.  The columns hold whole orbits, so their partners
+    lie among them."""
+    if partners is None:
+        return unvisited
+    up, down = partners[:, lo : lo + unvisited.shape[1]]
+    if lo:
+        up, down = up - lo, down - lo
+    return unvisited & unvisited.take(up, axis=1) & unvisited.take(down, axis=1)
+
+
+def _lattice_levels(sweep: _Sweep, sources, start: int = 0) -> tuple[np.ndarray, Counter]:
+    """BFS levels for one batch of a sweep, and what the batch ran: a
+    (source, column) int8 matrix whose rows are the sources' levels over
+    the sweep columns from `start` on, and a tally of its builds, joins
+    ("join", the skipped columns 0..start-1 added), lattice passes ("pass",
+    one per `lat.width` sources), residue scans and `_advance` steps (one
+    per source).  `sources` are sweep columns.
+
+    Level 1 comes from the masks and level 2 from the table, if the sweep
+    has one.  Before each further level, the completion test; its residue
+    takes the step that `sweep.closer` picks, after the skipped columns
+    join the kept ones (module docstring).
+    """
+    masks = sweep.masks
+    work = Counter()
+    src = np.asarray(sources, dtype=np.intp)
+    frontier, unvisited, levels = _first_levels(sweep, src, start, masks.size)
+    # with columns skipped, an empty frontier still leaves a residue to join
+    while unvisited.any() and (start or frontier.any()):
         partners = sweep.build("partners", work)
-        if partners is not None:
-            up, down = partners
-            left = unvisited & unvisited.take(up, axis=1) & unvisited.take(down, axis=1)
-            if not left.any():
-                return levels, work
+        left = _residue(unvisited, partners, start)
+        if partners is not None and not left.any():
+            return levels, work
+        if start:
+            # a step reads the whole frontier: the skipped columns join
+            skipped = _first_levels(sweep, src, 0, start)
+            skipped += (_residue(skipped[1], partners, 0),)
+            frontier, unvisited, levels, left = (
+                np.concatenate(parts, axis=1) for parts in zip(skipped, (frontier, unvisited, levels, left))
+            )
+            start = 0
+            work["join"] += 1
         rows = np.flatnonzero(left.any(axis=0))
         step = sweep.closer(rows.size, work)
         if step == "pass":
             lat = sweep.built["lattice"]
-            for start in range(0, src.size, lat.width):
-                cols = slice(start, start + lat.width)
+            for first in range(0, src.size, lat.width):
+                cols = slice(first, first + lat.width)
                 frontier[cols] = (_disjoint_counts(lat, frontier[cols].T) != 0).T
                 work["pass"] += 1
             frontier &= unvisited
         else:
             reached = unvisited ^ left  # `left` lies inside `unvisited`
             if step == "scan":
-                reached[:, rows] |= _reach(masks, rows, frontier.T).T & left[:, rows]
+                reached[:, rows] |= sweep.reach(rows, frontier.T).T & left[:, rows]
                 work["scan"] += 1
             else:
                 for s in np.flatnonzero(left.any(axis=1)):
@@ -654,17 +758,29 @@ class SchrijverGraph:
 
     def orbit_representatives(self) -> list[int]:
         """One vertex index per dihedral orbit, ascending: the member with the
-        orbit's least member sequence.
+        orbit's least member sequence."""
+        return self._orbits()[0]
 
-        That sequence starts with 1, so only the vertices holding 1 are
-        compared.  Two k-sets compare lexicographically at the least element
-        in which they differ, so the smaller sequence has the larger
-        bit-reversed mask (bit i to bit n-1-i).  Bit reversal is a
-        reflection of the n-cycle and maps each orbit onto itself, so a
-        vertex is its orbit's representative iff its bit-reversed mask is
-        the largest of its 2n dihedral images.
+    def _orbits(self) -> tuple[list[int], np.ndarray]:
+        """The orbit representatives, ascending, and each vertex's orbit as
+        an index into them.
+
+        A representative's least member sequence starts with 1, so only the
+        vertices holding 1 are compared.  Two k-sets compare
+        lexicographically at the least element in which they differ, so the
+        smaller sequence has the larger bit-reversed mask (bit i to bit
+        n-1-i).  Bit reversal is a reflection of the n-cycle and maps each
+        orbit onto itself, so a vertex is its orbit's representative iff its
+        bit-reversed mask is the largest of its 2n dihedral images, and that
+        largest image names the orbit, the larger for the earlier one.
+
+        Every other vertex turns by one shift onto a vertex holding 1: the
+        vertices whose least element is t + 1 come, in lexicographic order,
+        after those with a smaller least element, and shifting them down by
+        t bits gives, in order, the vertices holding 1 whose masks lie below
+        2^(n-t).  No mask wraps, so no rotation is taken per vertex.
         """
-        n = self.params.n
+        n, k = self.params.n, self.params.k
         held = np.flatnonzero(self._masks & np.uint64(1))
         masks = self._masks[held]
         mirrored = reflect_mask(masks, n)
@@ -673,34 +789,44 @@ class SchrijverGraph:
             for shift in range(n):
                 np.maximum(largest, rol_mask(base, shift, n), out=largest)
         # the bit reversal is the mirror image turned back one step
-        return held[rol_mask(mirrored, -1, n) == largest].tolist()
+        canonical = rol_mask(mirrored, -1, n) == largest
+        names = largest[canonical][::-1]  # ascending
+        orbit = names.size - 1 - np.searchsorted(names, largest)
+        turned = [orbit[masks < np.uint64(1) << np.uint64(n - t)] for t in range(1, n - 2 * k + 2)]
+        return held[canonical].tolist(), np.concatenate([orbit, *turned])
 
     def diameter_bruteforce(self, orbit_reduction: bool = True) -> DiameterResult:
         """Exact diameter: max eccentricity over orbit representatives.
 
         Graph automorphisms preserve eccentricity, so one source per
-        dihedral orbit suffices; a flag disables the reduction for
-        validation runs.
+        dihedral orbit suffices, and a batch may leave out the columns of
+        the orbits before its first source (module docstring, "The sweep
+        plan"); a flag disables the reduction for validation runs.  The
+        witness is the first row reaching the maximum and that row's first
+        vertex at the maximum.
         """
         if not len(self):
             raise ParameterError(f"SG({self.params.n},{self.params.k}) has no vertices")
-        sources = (
-            self.orbit_representatives()
-            if orbit_reduction
-            else range(len(self))
-        )
+        sources, orbits = self._orbits() if orbit_reduction else (range(len(self)), None)
+        sweep = _Sweep(self._masks, sources, orbits)
         best = -1
         witness = (0, 0)
-        for src, dist in bfs_sweeps(self._masks, sources):
-            # one BFS reaches every vertex iff the graph is connected
-            if best < 0 and (dist < 0).any():
+        for batch, levels in sweep.levels():
+            # one BFS reaches every vertex iff the graph is connected; the
+            # first batch keeps every column
+            if best < 0 and (levels[0] < 0).any():
                 raise InvariantError(
                     f"SG({self.params.n},{self.params.k}) is disconnected"
                 )
-            far = int(dist.max())
-            if far > best:
-                best = far
-                witness = (src, int(dist.argmax()))
+            far = levels.max(axis=1)
+            row = int(far.argmax())
+            if far[row] > best:
+                best = int(far[row])
+                if sweep.order is None:
+                    witness = (batch[row], int(levels[row].argmax()))
+                else:  # the row's first vertex at the maximum, in vertex order
+                    kept = sweep.order[len(self) - levels.shape[1] :]
+                    witness = (batch[row], int(kept[levels[row] == best].min()))
         return DiameterResult(
             self.params.n,
             self.params.k,

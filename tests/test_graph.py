@@ -1,6 +1,8 @@
 """Graph oracle: the BFS kernels, the pair distance, orbit representatives, brute-force diameter."""
 
 import threading
+from collections import Counter
+from functools import cache
 from itertools import combinations
 from random import Random
 from time import perf_counter
@@ -24,7 +26,7 @@ from schrijver import (
 )
 from conftest import bfs_levels, orbit_minimum
 from schrijver import graph as graph_module
-from schrijver.cyclic import mask_of, rol_mask
+from schrijver.cyclic import mask_of, reflect_mask, rol_mask
 from schrijver.suites import graph, sweep, table_grid
 
 
@@ -129,16 +131,17 @@ def test_orbit_reduction_matches_full_sweep():
 
 
 def test_orbit_representatives_are_canonical():
-    # one representative per orbit, the orbit's least member tuple, in order;
-    # the n = 64 cells put bit 63 in the reversed masks.  Only the vertices
-    # holding 1 are compared, so the `diameters` latency cells, where most
-    # vertices do not, are checked too.
+    # one representative per orbit, the orbit's least member tuple, in order,
+    # and each vertex's orbit; the n = 64 cells put bit 63 in the reversed
+    # masks.  Only the vertices holding 1 are compared, so the `diameters`
+    # latency cells, where most vertices do not, are checked too.
     latency_cells = [(n, 6) for n in range(19, 23)] + [(n, 7) for n in range(20, 23)]
     for n, k in [*table_grid(5), (64, 2), (64, 31), *latency_cells]:
         g = graph(n, k)
-        reps = g.orbit_representatives()
-        want = sorted({orbit_minimum(s.members, n) for s in g.vertices})
-        assert [g.vertices[i].members for i in reps] == want
+        reps, orbits = g._orbits()
+        least = [orbit_minimum(s.members, n) for s in g.vertices]
+        assert [g.vertices[i].members for i in reps] == sorted(set(least))
+        assert [least[reps[o]] for o in orbits.tolist()] == least
 
 
 def test_distance_record_symmetry_and_unreachable_marker():
@@ -398,11 +401,16 @@ def test_all_distances_traffic(monkeypatch, n, k, passes):
 
 def _check_reach(masks, rows, frontier):
     """`_reach` against its definition with Python ints: row u reaches
-    column s iff some vertex of column s is disjoint from u."""
+    column s iff some vertex of column s is disjoint from u.  The same
+    frontier with its vertices turned by one row, told their positions,
+    gives the same rows."""
     values = masks.tolist()
     columns = [sum(1 << s for s, bit in enumerate(row) if bit) for row in frontier.tolist()]
     got = graph_module._reach(masks, np.asarray(rows, dtype=np.intp), frontier)
     assert got.dtype == bool and got.shape == (len(rows), frontier.shape[1])
+    order = np.roll(np.arange(masks.size), 1)  # row c holds vertex order[c]
+    turned = graph_module._reach(masks, np.asarray(rows, dtype=np.intp), frontier[order], np.argsort(order))
+    assert np.array_equal(turned, got)
     for u, reached in zip(rows, got.tolist()):
         want = 0
         for v, m in enumerate(values):
@@ -862,7 +870,11 @@ def test_short_table_sweeps_start_no_thread(monkeypatch, n, k, helpers):
             assert np.array_equal(levels, bfs_levels(masks, src))
 
 
-@pytest.mark.parametrize("n,k", [(14, 6), (17, 7), (22, 7)])
+# SG(20,7): two batches, the second joins its skipped columns for a scan.
+# SG(22,6) (D = 2) and SG(22,7) end every batch on its kept columns.
+# SG(21,8) and SG(22,8): lattice passes after a join.  SG(24,9): no table,
+# so every batch keeps every column.
+@pytest.mark.parametrize("n,k", [(14, 6), (17, 7), (22, 7), (20, 7), (22, 6), (21, 8), (22, 8), (24, 9)])
 def test_diameter_witness_matches_per_source_loop(n, k):
     g = graph(n, k)
     best, witness = -1, None
@@ -876,6 +888,100 @@ def test_diameter_witness_matches_per_source_loop(n, k):
     assert not any(isinstance(v, (graph_module.SubsetLattice, graph_module._Sweep)) for v in vars(g).values())
     # no table either: the masks are the graph's only array
     assert [name for name, v in vars(g).items() if isinstance(v, np.ndarray)] == ["_masks"]
+
+
+@cache
+def _per_source_diameter(cell):
+    """Diameter and witness indices from a `bfs_levels` row per orbit
+    representative: the first row reaching the maximum, its first argmax."""
+    g = graph(*cell)
+    best, witness = -1, None
+    for src in g.orbit_representatives():
+        levels = bfs_levels(g._masks, src)
+        if levels.max() > best:
+            best, witness = int(levels.max()), (src, int(levels.argmax()))
+    return best, witness
+
+
+# The cells of SMALL_CELLS with more than 16 orbits: with 16 sources a batch
+# (`_BATCH_CELLS` patched to 1) and a table, their later batches skip the
+# columns of earlier orbits, and those that need a scan or a lattice pass
+# join them first.  Without a table, each batch keeps every column.
+MULTI_BATCH_CELLS = [
+    cell for cell in SMALL_CELLS if cell[0] <= 27 and len(graph(*cell).orbit_representatives()) > 16
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    path=st.sampled_from(list(SWEEP_PATHS)),
+    cell=st.one_of(st.sampled_from(MULTI_BATCH_CELLS), st.sampled_from(SMALL_CELLS)),
+    cpus=st.sampled_from([1, 4]),
+)
+def test_diameter_equals_a_per_source_loop(path, cell, cpus):
+    g = graph(*cell)
+    with (
+        patch.multiple(graph_module, **SWEEP_PATHS[path], _BATCH_CELLS=1),
+        patch.object(graph_module.os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True),
+    ):
+        res = g.diameter_bruteforce()
+    best, (src, far) = _per_source_diameter(cell)
+    assert (res.value, res.witness) == (best, (g._vertex(src), g._vertex(far)))
+
+
+def _check_orbit_order(g, width):
+    """`_orbit_order` for batches of `width` orbits: a permutation of the
+    vertices, by the batch of their orbit and ascending inside each batch's
+    group, with each group's first column."""
+    reps, orbits = g._orbits()
+    batches = -(-len(reps) // width)
+    order, starts = graph_module._orbit_order(orbits, width, batches)
+    assert np.array_equal(np.sort(order), np.arange(len(g)))
+    group = orbits[order] // width
+    assert (np.diff(group) >= 0).all()
+    assert (np.diff(order)[np.diff(group) == 0] > 0).all()
+    assert starts == [int(np.searchsorted(group, b)) for b in range(batches)]
+
+
+# Each representative is in its own orbit, and a vertex turned by one step
+# or mirrored is in the orbit of the vertex, which pins every orbit on a full
+# cell.  SG(64,31) puts bit 63 in the masks, and SG(64,2) shifts the vertices
+# that do not hold 1 by up to 61 bits.
+@pytest.mark.parametrize("cell", [*SMALL_CELLS, (64, 2), (64, 31)])
+def test_orbits_and_their_order(cell):
+    n = cell[0]
+    g = graph(*cell)
+    reps, orbits = g._orbits()
+    assert orbits.shape == (len(g),) and orbits[reps].tolist() == list(range(len(reps)))
+    ascending = np.argsort(g._masks)
+    for image in (rol_mask(g._masks, 1, n), reflect_mask(g._masks, n)):
+        at = ascending[np.searchsorted(g._masks[ascending], image)]
+        assert np.array_equal(g._masks[at], image) and np.array_equal(orbits[at], orbits)
+    for width in (1, 16):
+        _check_orbit_order(g, width)
+
+
+# The batches that join their skipped columns: none in SG(21,7) and SG(22,7)
+# (D = 3), which the completion test ends on their kept columns, nor in
+# SG(22,6) (D = 2), which ends at level 2; in SG(20,7), whose two batches
+# need a scan, the second, since the first skips nothing.  Every batch's
+# levels equal the whole rows of a sweep without orbits on the columns it
+# kept, and the two sweeps take the same steps.
+@pytest.mark.parametrize("n,k,joins", [(21, 7, 0), (22, 6, 0), (22, 7, 0), (20, 7, 1)])
+def test_orbit_ordered_sweep_joins_only_for_a_step(n, k, joins):
+    g = graph(n, k)
+    reps, orbits = g._orbits()
+    plain = graph_module._Sweep(g._masks, reps)
+    whole = dict(plain.rows())
+    sweep = graph_module._Sweep(g._masks, reps, orbits)
+    assert sweep.order is not None and sweep.starts[0] == 0
+    for batch, start, (sources, levels) in zip(sweep.batches, sweep.starts, sweep.levels()):
+        assert sources is batch
+        kept = sweep.order[len(g) - levels.shape[1] :]
+        assert levels.shape[1] in (len(g), len(g) - start)
+        for src, row in zip(batch, levels):
+            assert np.array_equal(row, whole[src][kept])
+    assert sweep.work == plain.work + Counter(join=joins)
 
 
 # SG(22,6) (D = 2) and SG(22,7) (D = 3) need no lattice pass after the
